@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import matfun, quadric, roots, splitquat, xform
-from .errors import InvGeoError
+from .errors import InvalidTolerance, InvGeoError
 from .mat2 import DEFAULT_TOL, Mat2, Tolerance, Vec2
 
 
@@ -43,7 +43,10 @@ def _tolerance() -> Tolerance:
         abs_tol = float(env)
     except ValueError as exc:
         raise UsageError(f"INVGEO_TOL is not a number: {env!r}") from exc
-    return Tolerance(abs_tol=abs_tol, exact_tol=min(DEFAULT_TOL.exact_tol, abs_tol))
+    try:
+        return Tolerance(abs_tol=abs_tol, exact_tol=min(DEFAULT_TOL.exact_tol, abs_tol))
+    except InvalidTolerance as exc:
+        raise UsageError(f"INVGEO_TOL={env!r}: {exc}") from exc
 
 
 def _parse_matrix(text: str | None, path: str | None, what: str = "matrix") -> Mat2:

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InvalidTolerance, NonFiniteEntry, NotInvertible
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _finite(value, name: str) -> float:
@@ -102,6 +104,8 @@ class Mat2:
 
     @staticmethod
     def from_array(arr) -> "Mat2":
+        import numpy as np
+
         arr = np.asarray(arr, dtype=float)
         if arr.shape != (2, 2):
             raise ValueError(f"expected shape (2, 2), got {arr.shape}")
@@ -173,6 +177,8 @@ class Mat2:
     # -- interop -----------------------------------------------------------
 
     def to_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([[self.a, self.b], [self.c, self.d]])
 
     def to_json_dict(self) -> dict:

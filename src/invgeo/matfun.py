@@ -28,9 +28,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-from scipy import optimize
-
 from .errors import (
     ComplexEigenvalues,
     FunctionUndefinedAtEigenvalue,
@@ -111,11 +108,17 @@ class RootCardinality:
 def eigen2(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> tuple[float, float]:
     """Real eigenvalues in ascending order; raises on a complex spectrum."""
     tr, det = m.trace(), m.det()
-    disc = tr * tr - 4.0 * det
+    # (a - d)^2 + 4bc equals tr^2 - 4 det without cancelling the squares
+    diff = m.a - m.d
+    disc = diff * diff + 4.0 * m.b * m.c
     if disc < -tol.exact_tol:
         raise ComplexEigenvalues(f"discriminant {disc} < 0")
-    root = math.sqrt(max(disc, 0.0))
-    return (0.5 * (tr - root), 0.5 * (tr + root))
+    # larger-magnitude root first; the other from det, free of cancellation
+    big = 0.5 * (tr + math.copysign(math.sqrt(max(disc, 0.0)), tr))
+    if big == 0.0:
+        return (0.0, 0.0)
+    other = det / big
+    return (min(other, big), max(other, big))
 
 
 def _kernel_direction(m: Mat2) -> tuple[float, float]:
@@ -286,8 +289,12 @@ def brute_force_roots(m: Mat2, grid: RootSearchGrid = RootSearchGrid()) -> list[
     Returns the de-duplicated solutions found from a deterministic lattice
     of starting points.  Exhaustive only in the finite-root cases; for
     matrices with infinitely many roots the count simply grows with the
-    lattice density.
+    lattice density.  Needs SciPy (a test extra, not a runtime
+    dependency), which it loads on first call.
     """
+    import numpy as np
+    from scipy import optimize
+
     target = m.to_array()
 
     def residual(v: np.ndarray) -> np.ndarray:

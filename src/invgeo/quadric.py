@@ -32,8 +32,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
     AlphaMismatch,
     DegenerateSeed,
@@ -231,6 +229,21 @@ def generator_point(a: Mat2, direction: Mat2, t: float) -> Mat2:
     return a + float(t) * direction
 
 
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """``np.linspace(lo, hi, n).tolist()`` with NumPy's arithmetic, bit for bit."""
+    div = n - 1
+    delta = hi - lo
+    if div <= 0:
+        return [0.0 * delta + lo for _ in range(n)]
+    step = delta / div
+    if step == 0:  # lo == hi, or delta / div underflowed
+        out = [(i / div) * delta + lo for i in range(n)]
+    else:
+        out = [i * step + lo for i in range(n)]
+    out[-1] = float(hi)
+    return out
+
+
 def sample_surface(
     params: LocusParams,
     n_u: int,
@@ -258,20 +271,20 @@ def sample_surface(
 
     if surface.tag is SurfaceTag.ONE_SHEET_HYPERBOLOID:
         r = math.sqrt(radius_sq)
-        for v in np.linspace(-span, span, n_v):
+        for v in _linspace(-span, span, n_v):
             for u in azimuths:
                 emit(r * math.cosh(v) * math.cos(u), r * math.cosh(v) * math.sin(u), r * math.sinh(v))
     elif surface.tag is SurfaceTag.TWO_SHEET_HYPERBOLOID:
         m = math.sqrt(-radius_sq)
         n_top = (n_v + 1) // 2
-        rows = [(1.0, v) for v in np.linspace(0.0, span, n_top)]
-        rows += [(-1.0, v) for v in np.linspace(0.0, span, n_v - n_top)]
+        rows = [(1.0, v) for v in _linspace(0.0, span, n_top)]
+        rows += [(-1.0, v) for v in _linspace(0.0, span, n_v - n_top)]
         for sheet, v in rows:
             for u in azimuths:
                 emit(m * math.sinh(v) * math.cos(u), m * math.sinh(v) * math.sin(u), sheet * m * math.cosh(v))
     else:
         # rho ~ 0 rows collapse onto the apex; the tagged vertex covers them
-        for rho in np.linspace(-span, span, n_v):
+        for rho in _linspace(-span, span, n_v):
             if abs(rho) <= tol.exact_tol:
                 continue
             for u in azimuths:

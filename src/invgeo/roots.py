@@ -19,8 +19,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-import numpy as np
-
+from . import _pcg64
 from .errors import (
     DegenerateParameter,
     InvalidCount,
@@ -179,11 +178,12 @@ def sample_involutions(
     """Deterministic-for-seed list of n general-family involutions.
 
     Draws (a, b) uniformly from [-param_range, param_range]^2, rejecting
-    |b| < 1e-3.
+    |b| < 1e-3.  The draws are those of ``np.random.default_rng(seed)``,
+    reproduced without NumPy by :mod:`invgeo._pcg64`.
     """
     if n < 1:
         raise InvalidCount(f"need n >= 1, got {n}")
-    rng = np.random.default_rng(seed)
+    rng = _pcg64.Generator(seed)
     out = []
     while len(out) < n:
         a = rng.uniform(-param_range, param_range)
@@ -200,7 +200,7 @@ def sample_skew_involutions(
     """Counterpart of sample_involutions for square roots of -I2."""
     if n < 1:
         raise InvalidCount(f"need n >= 1, got {n}")
-    rng = np.random.default_rng(seed)
+    rng = _pcg64.Generator(seed)
     out = []
     while len(out) < n:
         a = rng.uniform(-param_range, param_range)

@@ -135,6 +135,50 @@ def test_tolerance_env_override(capsys, monkeypatch):
     assert json.loads(out)["tag"] == "lower_c_plus_minus"
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "nan"])
+def test_invalid_tolerance_env_is_usage_error(value, capsys, monkeypatch):
+    monkeypatch.setenv("INVGEO_TOL", value)
+    code, out, err = _run(["classify", "--alpha", "0", "--beta", "-1"], capsys)
+    assert code == 2
+    assert json.loads(err)["error"] == "usage"
+    assert out == ""
+
+
+IMPORT_PROBE = """
+import json, sys
+import invgeo, invgeo.cli
+heavy = lambda: sorted({"numpy", "scipy"} & set(sys.modules))
+print(json.dumps(heavy()))
+invgeo.cli.run(["classify", "--alpha", "0", "--beta", "-1"])
+print(json.dumps(heavy()))
+"""
+
+
+def test_import_and_closed_form_run_load_neither_numpy_nor_scipy():
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    after_import, *doc, after_run = proc.stdout.splitlines()
+    assert json.loads(after_import) == []
+    assert json.loads("\n".join(doc)) == {"class": "one_sheet", "radius_sq": 2.0}
+    assert json.loads(after_run) == []
+
+
+SAMPLE_PROBE = """
+import json, sys
+import invgeo.cli
+invgeo.cli.run(["roots", "--of", "neg-identity", "--sample", "2", "--seed", "7"])
+print(json.dumps(sorted({"numpy", "scipy"} & set(sys.modules))))
+"""
+
+
+def test_roots_sample_loads_neither_numpy_nor_scipy():
+    proc = subprocess.run([sys.executable, "-c", SAMPLE_PROBE], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    *doc, after_run = proc.stdout.splitlines()
+    assert len(json.loads("\n".join(doc))["samples"]) == 2
+    assert json.loads(after_run) == []
+
+
 def test_console_entry_point_round_trip():
     proc = subprocess.run(
         [sys.executable, "-m", "invgeo.cli", "quat", "--to-matrix", '{"w": 0, "x": 1, "y": 0, "z": 0}'],

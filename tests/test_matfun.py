@@ -39,6 +39,18 @@ def test_eigen2_examples():
         eigen2(Mat2(0, 1, -1, 0))
 
 
+def test_eigen2_small_eigenvalue_keeps_relative_accuracy():
+    # 0.5 * (tr - sqrt(disc)) cancels to 1.49e-8 here
+    assert eigen2(Mat2.diag(1e8, 1e-8)) == (1e-8, 1e8)
+
+
+def test_eigen2_close_real_eigenvalues_at_large_scale():
+    # tr^2 - 4 det rounds to -8 here; (a - d)^2 + 4bc stays positive
+    lam1, lam2 = eigen2(Mat2(1e8, 1, 0, 1e8 + 1e-3))
+    assert lam1 == pytest.approx(1e8, rel=1e-15)
+    assert lam2 == pytest.approx(1e8 + 1e-3, rel=1e-15)
+
+
 def test_jordan2_scalar():
     dec = jordan2(I2)
     assert dec.kind is JordanKind.SCALAR_DIAG

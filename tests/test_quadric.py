@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from invgeo import (
     BELL_BASIS,
@@ -30,6 +32,7 @@ from invgeo.errors import (
     NotAnInvolution,
     NotInHyperplane,
 )
+from invgeo.quadric import _linspace
 
 I2 = Mat2.identity()
 SQRT2 = math.sqrt(2.0)
@@ -312,3 +315,19 @@ def test_sample_surface_nonzero_alpha():
 def test_sample_surface_rejects_bad_grid():
     with pytest.raises(InvalidCount):
         sample_surface(LocusParams(0, -1), 0, 4)
+
+
+bounds = st.floats(min_value=-1e300, max_value=1e300)
+
+
+@given(lo=bounds, hi=bounds, n=st.integers(0, 40))
+@example(lo=0.0, hi=1.0, n=0)
+@example(lo=-0.0, hi=1.0, n=1)
+@example(lo=-2.0, hi=2.0, n=2)
+@example(lo=1.5, hi=1.5, n=5)
+@example(lo=2.0, hi=-2.0, n=7)
+@example(lo=0.0, hi=1.5e-323, n=8)  # step underflows to 0
+@settings(max_examples=500, deadline=None)
+def test_linspace_matches_numpy_bit_for_bit(lo, hi, n):
+    ours = [x.hex() for x in _linspace(lo, hi, n)]
+    assert ours == [x.hex() for x in np.linspace(lo, hi, n).tolist()]

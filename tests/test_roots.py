@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from invgeo import (
     sample_involutions,
     sample_skew_involutions,
 )
+from invgeo import _pcg64
 from invgeo.errors import DegenerateParameter, InvalidCount, NotAnInvolution, WrongConstructor
 
 I2 = Mat2.identity()
@@ -187,3 +189,30 @@ def test_skew_sampler_residuals():
 def test_sampler_single_draw():
     (m,) = sample_involutions(1, seed=0)
     assert (m @ m).max_diff(I2) <= 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**160),
+    bounds=st.lists(
+        st.tuples(st.floats(-1e300, 1e300), st.floats(0, 1e300)), min_size=1, max_size=8
+    ),
+)
+def test_pcg64_uniform_matches_numpy_bit_for_bit(seed, bounds):
+    ours, theirs = _pcg64.Generator(seed), np.random.default_rng(seed)
+    for low, width in bounds:
+        high = low + width
+        if not math.isfinite(high):
+            continue
+        x, y = ours.uniform(low, high), theirs.uniform(low, high)
+        assert type(x) is type(y) is float
+        assert x.hex() == y.hex()
+
+
+@pytest.mark.parametrize("seed, low, high", [(-1, 0.0, 1.0), (0, -1e308, 1e308),
+                                             (0, 0.0, math.nan), (0, 1.0, -1.0)])
+def test_pcg64_rejects_what_numpy_rejects(seed, low, high):
+    with pytest.raises((ValueError, OverflowError)) as theirs:
+        np.random.default_rng(seed).uniform(low, high)
+    with pytest.raises(theirs.type, match=str(theirs.value)):
+        _pcg64.Generator(seed).uniform(low, high)

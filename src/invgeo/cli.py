@@ -5,6 +5,16 @@ to stderr as JSON documents {"error": <stable code>, "detail": <message>}.
 Floats use Python's shortest round-trip repr, so identical invocations
 produce byte-identical documents.  The INVGEO_TOL environment variable
 overrides the default absolute tolerance.
+
+JSON documents are written by a small recursive writer whose output is
+byte-identical to ``json.dumps(doc, indent=2, sort_keys=True)``: same type
+dispatch (str, None, True, False, int, float, list/tuple, dict, subclasses
+included), ``float.__repr__`` with NaN/Infinity/-Infinity, ASCII-escaped
+strings, str keys only, TypeError on anything else.  It exists because a
+non-None ``indent`` sends ``json.dumps`` to the stdlib's pure-Python encoder.
+
+``run()`` builds the argument parser on its first call and reuses it, so
+calling it repeatedly in one process costs only the parse and the work.
 """
 
 from __future__ import annotations
@@ -87,8 +97,71 @@ def _write(args, payload: str):
         sys.stdout.write(payload)
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+
+
+def _json_parts(obj, parts: list, indent: str) -> None:
+    """Append the indent-2, sorted-key JSON of obj to parts.
+
+    ``indent`` is the newline plus the indentation of the line obj starts on.
+    """
+    if isinstance(obj, str):
+        parts.append(_encode_str(obj))
+    elif obj is None:
+        parts.append("null")
+    elif obj is True:
+        parts.append("true")
+    elif obj is False:
+        parts.append("false")
+    elif isinstance(obj, int):
+        parts.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        if obj != obj:
+            parts.append("NaN")
+        elif obj == _INF:
+            parts.append("Infinity")
+        elif obj == -_INF:
+            parts.append("-Infinity")
+        else:
+            parts.append(float.__repr__(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            parts.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[" + inner
+        for item in obj:
+            parts.append(sep)
+            _json_parts(item, parts, inner)
+            sep = "," + inner
+        parts.append(indent + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            parts.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            parts.append(sep + _encode_str(key) + ": ")
+            _json_parts(obj[key], parts, inner)
+            sep = "," + inner
+        parts.append(indent + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _json_document(doc) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte."""
+    parts: list[str] = []
+    _json_parts(doc, parts, "\n")
+    return "".join(parts)
+
+
 def _emit_json(args, doc):
-    _write(args, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write(args, _json_document(doc) + "\n")
 
 
 def _csv_row(values) -> str:
@@ -100,6 +173,12 @@ def _emit_point_csv(args, rows):
     for bell, matrix, tag in rows:
         lines.append(_csv_row([bell.x, bell.y, bell.z, *matrix.entries(), tag]))
     _write(args, "\n".join(lines) + "\n")
+
+
+def _family(args) -> roots.RootFamily:
+    """The root family named by --family with whichever of --a/--b/--c are set."""
+    params = {k: v for k, v in (("a", args.a), ("b", args.b), ("c", args.c)) if v is not None}
+    return roots.RootFamily(roots.RootTag(args.family.replace("-", "_")), **params)
 
 
 # -- subcommands -----------------------------------------------------------
@@ -121,8 +200,7 @@ def _cmd_roots(args, tol: Tolerance) -> None:
         })
         return
     if args.family is not None:
-        params = {k: v for k, v in (("a", args.a), ("b", args.b), ("c", args.c)) if v is not None}
-        family = roots.RootFamily(roots.RootTag(args.family.replace("-", "_")), **params)
+        family = _family(args)
         matrix = roots.make_root(family)
     elif args.of == "identity":
         if args.a is None or args.b is None:
@@ -281,8 +359,7 @@ def _cmd_sample(args, tol: Tolerance) -> None:
 
 def _cmd_decompose(args, tol: Tolerance) -> None:
     if args.family is not None:
-        params = {k: v for k, v in (("a", args.a), ("b", args.b), ("c", args.c)) if v is not None}
-        family = roots.RootFamily(roots.RootTag(args.family.replace("-", "_")), **params)
+        family = _family(args)
         decomposition = xform.decompose_case(family)
         matrix = roots.make_root(family)
     else:
@@ -311,16 +388,20 @@ def _add_matrix_flags(parser):
     parser.add_argument("--matrix-file", help="path to a matrix JSON file")
 
 
+def _add_family_flags(parser):
+    parser.add_argument("--a", type=float)
+    parser.add_argument("--b", type=float)
+    parser.add_argument("--c", type=float)
+    parser.add_argument("--family", choices=[t.value.replace("_", "-") for t in roots.RootTag])
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="invgeo", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("roots", parents=[], help="construct square roots of +-I2")
     p.add_argument("--of", choices=["identity", "neg-identity"], default="identity")
-    p.add_argument("--a", type=float)
-    p.add_argument("--b", type=float)
-    p.add_argument("--c", type=float)
-    p.add_argument("--family", choices=[t.value.replace("_", "-") for t in roots.RootTag])
+    _add_family_flags(p)
     p.add_argument("--sample", type=int, help="emit this many sampled roots instead")
     p.add_argument("--range", type=float, default=10.0, help="sampling range for a, b")
     p.set_defaults(func=_cmd_roots)
@@ -378,10 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="factor a root into elementary transformations")
     _add_matrix_flags(p)
-    p.add_argument("--family", choices=[t.value.replace("_", "-") for t in roots.RootTag])
-    p.add_argument("--a", type=float)
-    p.add_argument("--b", type=float)
-    p.add_argument("--c", type=float)
+    _add_family_flags(p)
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("orbit", help="trace a point under repeated application")
@@ -398,9 +476,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:  # built on first use, not at import: cold starts stay cheap
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         tol = _tolerance()
         args.func(args, tol)

@@ -105,20 +105,39 @@ class RootCardinality:
         return out
 
 
+def _ldexp_sat(x: float, k: int) -> float:
+    """x * 2**k, saturating to +-inf where math.ldexp would raise."""
+    try:
+        return math.ldexp(x, k)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
 def eigen2(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> tuple[float, float]:
-    """Real eigenvalues in ascending order; raises on a complex spectrum."""
-    tr, det = m.trace(), m.det()
+    """Real eigenvalues in ascending order; raises on a complex spectrum.
+
+    The closed form runs on m scaled by the power of two 2**-e that brings
+    its largest entry into [0.5, 1), so squares and products of entries
+    cannot overflow anywhere in the finite range.  Scaling by a power of two
+    is exact, so the result is bit-identical to the unscaled formula
+    wherever that one stays in range.  An eigenvalue beyond the float range
+    raises OverflowError.
+    """
+    a, b, c, d = m.a, m.b, m.c, m.d
+    e = math.frexp(max(abs(a), abs(b), abs(c), abs(d)))[1]
+    a, b, c, d = math.ldexp(a, -e), math.ldexp(b, -e), math.ldexp(c, -e), math.ldexp(d, -e)
+    tr, det = a + d, a * d - b * c
     # (a - d)^2 + 4bc equals tr^2 - 4 det without cancelling the squares
-    diff = m.a - m.d
-    disc = diff * diff + 4.0 * m.b * m.c
-    if disc < -tol.exact_tol:
-        raise ComplexEigenvalues(f"discriminant {disc} < 0")
+    diff = a - d
+    disc = diff * diff + 4.0 * b * c
+    if disc < 0.0 and disc < -_ldexp_sat(tol.exact_tol, -2 * e):
+        raise ComplexEigenvalues(f"discriminant {_ldexp_sat(disc, 2 * e)} < 0")
     # larger-magnitude root first; the other from det, free of cancellation
     big = 0.5 * (tr + math.copysign(math.sqrt(max(disc, 0.0)), tr))
     if big == 0.0:
         return (0.0, 0.0)
     other = det / big
-    return (min(other, big), max(other, big))
+    return (math.ldexp(min(other, big), e), math.ldexp(max(other, big), e))
 
 
 def _kernel_direction(m: Mat2) -> tuple[float, float]:

@@ -172,40 +172,45 @@ def classify_involution(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> RootFamily:
 _MIN_B = 1e-3  # keeps (1 - a^2)/b bounded so sampled roots stay well conditioned
 
 
+def _sample(make, n: int, seed: int, param_range: float) -> list[Mat2]:
+    """n roots make(a, b), (a, b) uniform on [-param_range, param_range]^2.
+
+    Draws with |b| < 1e-3 are rejected; a range that holds no other b is
+    refused up front instead of looping forever.
+    """
+    if n < 1:
+        raise InvalidCount(f"need n >= 1, got {n}")
+    if 0.0 <= param_range <= _MIN_B:
+        raise DegenerateParameter(
+            f"sampling range {param_range} leaves no b with |b| >= {_MIN_B}"
+        )
+    rng = _pcg64.Generator(seed)
+    out = []
+    while len(out) < n:
+        a = rng.uniform(-param_range, param_range)
+        b = rng.uniform(-param_range, param_range)
+        if abs(b) < _MIN_B:
+            continue
+        out.append(make(a, b))
+    return out
+
+
 def sample_involutions(
     n: int, seed: int = 0, param_range: float = 10.0
 ) -> list[Mat2]:
     """Deterministic-for-seed list of n general-family involutions.
 
     Draws (a, b) uniformly from [-param_range, param_range]^2, rejecting
-    |b| < 1e-3.  The draws are those of ``np.random.default_rng(seed)``,
-    reproduced without NumPy by :mod:`invgeo._pcg64`.
+    |b| < 1e-3; a param_range in [0, 1e-3] admits no b and raises
+    DegenerateParameter.
+    The draws are those of ``np.random.default_rng(seed)``, reproduced
+    without NumPy by :mod:`invgeo._pcg64`.
     """
-    if n < 1:
-        raise InvalidCount(f"need n >= 1, got {n}")
-    rng = _pcg64.Generator(seed)
-    out = []
-    while len(out) < n:
-        a = rng.uniform(-param_range, param_range)
-        b = rng.uniform(-param_range, param_range)
-        if abs(b) < _MIN_B:
-            continue
-        out.append(make_general_root(a, b))
-    return out
+    return _sample(make_general_root, n, seed, param_range)
 
 
 def sample_skew_involutions(
     n: int, seed: int = 0, param_range: float = 10.0
 ) -> list[Mat2]:
     """Counterpart of sample_involutions for square roots of -I2."""
-    if n < 1:
-        raise InvalidCount(f"need n >= 1, got {n}")
-    rng = _pcg64.Generator(seed)
-    out = []
-    while len(out) < n:
-        a = rng.uniform(-param_range, param_range)
-        b = rng.uniform(-param_range, param_range)
-        if abs(b) < _MIN_B:
-            continue
-        out.append(make_skew_root(a, b))
-    return out
+    return _sample(make_skew_root, n, seed, param_range)

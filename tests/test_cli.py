@@ -1,11 +1,15 @@
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from invgeo import cli
 from invgeo.cli import run
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -201,3 +205,128 @@ def test_orbit_csv_header_schema():
     assert lines[0] == "step,x,y"
     assert lines[1] == "0,1.0,0.0"
     assert lines[-1] == "4,1.0,0.0"
+
+
+# -- the JSON writer and the reused parser ---------------------------------
+
+
+class _Int(int):
+    def __repr__(self):  # the writer, like json, must not call this
+        return f"_Int({int(self)})"
+
+
+class _Float(float):
+    def __repr__(self):
+        return f"_Float({float(self)})"
+
+
+class _Str(str):
+    pass
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7e308, -1.7e308,
+                   1.7976931348623157e308, math.nan, math.inf, -math.inf]
+_SPECIAL_STRINGS = ["", '"', "\\", '"quoted" \\ back', "\x00\x01\x1f\x7f", "\n\t\r\b\f",
+                    "é ü ß", "日本語", "\U0001f600", "\ud800", "a\udfffb"]
+_ANY_TEXT = st.text(st.characters(blacklist_categories=()), max_size=8)
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-2**80, max_value=2**80)
+    | st.integers().map(_Int)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.floats(allow_nan=False).map(_Float)
+    | st.sampled_from(_SPECIAL_FLOATS)
+    | _ANY_TEXT
+    | _ANY_TEXT.map(_Str)
+    | st.sampled_from(_SPECIAL_STRINGS)
+)
+_JSON_DOCS = st.recursive(
+    _JSON_LEAVES,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(_ANY_TEXT | st.sampled_from(_SPECIAL_STRINGS), children, max_size=4)
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(doc=_JSON_DOCS)
+def test_json_writer_matches_stdlib_indent_encoder(doc):
+    assert cli._json_document(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("doc", [
+    object(), {1, 2}, b"bytes", {"k": [1, object()]}, {1: "int key"}, {("t",): 1},
+])
+def test_json_writer_rejects_what_it_cannot_encode(doc):
+    with pytest.raises(TypeError):
+        cli._json_document(doc)
+
+
+REUSE_SEQUENCE = [
+    ["roots", "--bogus"],  # argparse usage error, exit 2
+    ["classify"],  # usage error raised by the subcommand, exit 2
+    ["roots", "--of", "identity", "--a", "1", "--b", "0"],  # domain error, exit 1
+    ["roots", "--of", "identity", "--family", "upper-b-plus-minus", "--b", "5"],
+]
+
+
+def _run_in_process(argv, capsys):
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_reused_parser_answers_like_a_fresh_process(capsys):
+    fresh = []
+    for argv in REUSE_SEQUENCE:
+        proc = subprocess.run([sys.executable, "-m", "invgeo.cli", *argv],
+                              capture_output=True, text=True)
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    assert [code for code, _, _ in fresh] == [2, 2, 1, 0]
+    assert fresh[-1][1] == (GOLDEN_DIR / "roots_family.json").read_text(encoding="utf-8")
+    for _ in range(2):  # the second pass runs on the parser the first one used
+        assert [_run_in_process(argv, capsys) for argv in REUSE_SEQUENCE] == fresh
+
+
+def test_run_builds_the_parser_once_per_process(monkeypatch, capsys):
+    calls = []
+    real_build_parser = cli.build_parser
+
+    def counting_build_parser():
+        calls.append(1)
+        return real_build_parser()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    for _ in range(5):
+        for argv in REUSE_SEQUENCE:
+            _run_in_process(argv, capsys)
+        for _, argv in GOLDEN_CASES:
+            _run_in_process(argv, capsys)
+    assert len(calls) == 1
+
+
+def test_build_parser_returns_a_fresh_parser_and_import_builds_none():
+    assert cli.build_parser() is not cli.build_parser()
+    probe = "import invgeo.cli as c; print(c._parser is None)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.stdout.strip() == "True", proc.stderr
+
+
+@pytest.mark.parametrize("of, value", [("identity", "0"), ("neg-identity", "1e-4")])
+def test_sample_range_without_admissible_b_fails_fast(of, value):
+    proc = subprocess.run(
+        [sys.executable, "-m", "invgeo.cli", "roots", "--of", of, "--sample", "2",
+         "--range", value],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 1
+    assert json.loads(proc.stderr)["error"] == "degenerate_parameter"
+    assert proc.stdout == ""

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invgeo import (
     Cardinality,
@@ -49,6 +51,32 @@ def test_eigen2_close_real_eigenvalues_at_large_scale():
     lam1, lam2 = eigen2(Mat2(1e8, 1, 0, 1e8 + 1e-3))
     assert lam1 == pytest.approx(1e8, rel=1e-15)
     assert lam2 == pytest.approx(1e8 + 1e-3, rel=1e-15)
+
+
+def test_eigen2_and_roots_above_the_squaring_overflow():
+    # (a - d)^2 and det overflow for entries above ~1e154 without scaling
+    m = Mat2.diag(1e200, 1e199)
+    assert eigen2(m) == (1e199, 1e200)
+    assert count_real_roots(m).tag is Cardinality.FINITE
+    assert count_real_roots(m).n == 4
+    branches = sqrt_branches(m)
+    assert len(branches) == 4
+    for r in branches:
+        assert (r @ r).max_diff(m) <= 4 * 2.0**-52 * m.max_norm()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    entries=st.tuples(*[st.integers(-2**53, 2**53)] * 4),
+    k=st.integers(-900, 900),
+)
+def test_eigen2_is_exact_under_power_of_two_scaling(entries, k):
+    # multiples of 2**-52 in [-2, 2]: every scaled entry and result stays normal
+    a, b, c, d = (math.ldexp(n, -52) for n in entries)
+    c = math.copysign(c, b)  # bc >= 0: a real spectrum at every scale
+    lam = eigen2(Mat2(a, b, c, d))
+    scaled = eigen2(Mat2(*(math.ldexp(x, k) for x in (a, b, c, d))))
+    assert scaled == tuple(math.ldexp(x, k) for x in lam)
 
 
 def test_jordan2_scalar():

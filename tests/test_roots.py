@@ -191,6 +191,19 @@ def test_sampler_single_draw():
     assert (m @ m).max_diff(I2) <= 1e-9
 
 
+@pytest.mark.parametrize("sampler", [sample_involutions, sample_skew_involutions])
+@pytest.mark.parametrize("param_range", [0.0, -0.0, 1e-4, 1e-3])
+def test_sampler_refuses_a_range_without_admissible_b(sampler, param_range):
+    with pytest.raises(DegenerateParameter):
+        sampler(2, seed=0, param_range=param_range)
+
+
+def test_sampler_range_just_above_the_b_cutoff_still_draws():
+    for m in sample_involutions(2, seed=0, param_range=0.0011):
+        assert abs(m.b) >= 1e-3
+        assert (m @ m).max_diff(I2) <= 1e-9
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**160),

@@ -39,7 +39,7 @@ for m, label in [
 print()
 print("=== the principal section z = 0 is exactly the reflections ===")
 for phi in (0.0, math.pi / 3, math.pi / 2):
-    m = ig.principal_section_point(phi)
+    m = ig.householder_from_angle(phi)
     p = ig.to_bell(m, 0.0)
     angle = ig.householder_angle(m)
     print(f"phi={phi:5.3f}  bell z = {p.z:+.1e}   recovered angle {angle:5.3f}")
@@ -51,7 +51,7 @@ for m in [ig.Mat2(0, 1, 0, 0), ig.Mat2(2, 1, -4, -2), ig.Mat2(0, 1, 1, 0)]:
 
 print()
 print("=== rulings through a point of the involution hyperboloid ===")
-point = ig.principal_section_point(1.2)
+point = ig.householder_from_angle(1.2)
 pair = ig.generator_directions(point, ig.Mat2(1, 0, 0, 0))
 print("U =", pair.u.entries())
 print("V =", pair.v.entries())

@@ -1,4 +1,4 @@
-"""Square roots via the Jordan-form matrix function, and how many exist.
+"""The Jordan-form matrix function, closed-form square roots, and how many exist.
 
 Run:  python demos/matrix_functions.py
 """
@@ -26,20 +26,21 @@ print("sqrt([[4,1],[0,4]]) =", ig.matrix_function(block, ig.SQRT).entries(),
       " (uses f' on the Jordan block)")
 
 print()
-print("=== all branch square roots ===")
+print("=== all real square roots, closed form (A + sI)/t ===")
 for m, label in [
     (ig.Mat2.diag(1, 4), "diag(1,4)"),
     (ig.Mat2(4, 1, 0, 4), "[[4,1],[0,4]]"),
     (ig.Mat2(0, 1, 0, 0), "[[0,1],[0,0]]"),
     (ig.Mat2.scalar(4), "4*I2"),
+    (ig.Mat2(0, -1, 1, 0), "rotation 90deg"),
 ]:
     branches = ig.sqrt_branches(m)
-    print(f"{label:14s} {len(branches)} branch roots")
+    print(f"{label:14s} {len(branches)} roots")
     for r in branches:
         print("   ", r.entries())
 
 print()
-print("=== counting all real roots (not only branch ones) ===")
+print("=== counting all real roots ===")
 suite = [
     (ig.Mat2.identity(), "I2"),
     (-ig.Mat2.identity(), "-I2"),
@@ -48,6 +49,7 @@ suite = [
     (ig.Mat2(1, 1, 0, 1), "[[1,1],[0,1]]"),
     (ig.Mat2(0, 1, 0, 0), "[[0,1],[0,0]]"),
     (ig.Mat2.diag(-1, -4), "diag(-1,-4)"),
+    (ig.Mat2(0, -1, 1, 0), "rotation 90deg"),
 ]
 for m, label in suite:
     verdict = ig.count_real_roots(m)

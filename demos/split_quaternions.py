@@ -20,7 +20,7 @@ print("i*j*k =", (i * j * k).to_json_dict())
 print()
 print("=== causal classes by the modulus w^2 + x^2 - y^2 - z^2 ===")
 for q, label in [(SplitQuat(2, 0, 0, 0), "2"), (j, "j"), (i + j, "i+j")]:
-    print(f"{label:4s} modulus {ig.sq_modulus(q):+.1f}  {ig.sq_classify(q).value}")
+    print(f"{label:4s} modulus {q.modulus():+.1f}  {ig.sq_classify(q).value}")
 
 print()
 print("=== isomorphism with 2x2 matrices ===")
@@ -28,7 +28,7 @@ q = SplitQuat(0.5, -1.0, 0.25, 2.0)
 m = ig.to_matrix(q)
 print("q       =", q.to_json_dict())
 print("matrix  =", m.entries())
-print("det(m)  =", m.det(), " == modulus ", ig.sq_modulus(q))
+print("det(m)  =", m.det(), " == modulus ", q.modulus())
 print("back    =", ig.from_matrix(m).to_json_dict())
 
 p = SplitQuat(1.0, 0.5, -0.75, 0.25)

@@ -11,15 +11,15 @@ The package covers, for 2x2 real matrices:
   (``householder``);
 - the split-quaternion algebra, its matrix isomorphism, and parametrized
   roots of +-1 (``splitquat``);
-- Jordan-form matrix functions, square-root branches, and root counting
-  with a brute-force oracle (``matfun``);
+- closed-form square roots and root counts, Jordan-form matrix
+  functions, and a brute-force root oracle (``matfun``);
 - plane-transformation factorizations and orbits (``xform``).
 
 A CLI (``invgeo``) exposes each capability with JSON/CSV output.
 """
 
 from .errors import InvGeoError
-from .mat2 import DEFAULT_TOL, Mat2, Tolerance, Vec2, approx_eq, mat_mul, trace_det
+from .mat2 import DEFAULT_TOL, Mat2, Tolerance, Vec2, approx_eq
 from .roots import (
     RootFamily,
     RootTag,
@@ -48,7 +48,6 @@ from .quadric import (
     in_locus,
     on_asymptotic_cone,
     principal_axis_point,
-    principal_section_point,
     quadric_residual,
     sample_surface,
     to_bell,
@@ -69,9 +68,7 @@ from .splitquat import (
     root_matrix_identity,
     root_matrix_neg,
     sq_classify,
-    sq_conj,
     sq_inverse,
-    sq_modulus,
     sq_mul,
     to_matrix,
     unit_root_identity,
@@ -162,12 +159,10 @@ __all__ = [
     "make_general_root",
     "make_root",
     "make_skew_root",
-    "mat_mul",
     "matrix_function",
     "on_asymptotic_cone",
     "orbit",
     "principal_axis_point",
-    "principal_section_point",
     "pythagorean_root",
     "quadric_residual",
     "reflection_axis",
@@ -178,14 +173,11 @@ __all__ = [
     "sample_surface",
     "scaled_roots",
     "sq_classify",
-    "sq_conj",
     "sq_inverse",
-    "sq_modulus",
     "sq_mul",
     "sqrt_branches",
     "to_bell",
     "to_matrix",
-    "trace_det",
     "unit_root_identity",
     "unit_root_neg",
 ]

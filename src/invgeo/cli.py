@@ -24,7 +24,7 @@ import json
 import os
 import sys
 
-from . import matfun, quadric, roots, splitquat, xform
+from . import householder, matfun, quadric, roots, splitquat, xform
 from .errors import InvalidTolerance, InvGeoError
 from .mat2 import DEFAULT_TOL, Mat2, Tolerance, Vec2
 
@@ -200,6 +200,8 @@ def _cmd_roots(args, tol: Tolerance) -> None:
         })
         return
     if args.family is not None:
+        if args.of != "identity":
+            raise UsageError("--family names a root of I2; it cannot be used with --of neg-identity")
         family = _family(args)
         matrix = roots.make_root(family)
     elif args.of == "identity":
@@ -252,7 +254,7 @@ def _cmd_bell(args, tol: Tolerance) -> None:
 
 def _cmd_generators(args, tol: Tolerance) -> None:
     if args.phi is not None:
-        point = quadric.principal_section_point(args.phi)
+        point = householder.householder_from_angle(args.phi)
     elif args.matrix is not None or args.matrix_file is not None:
         point = _parse_matrix(args.matrix, args.matrix_file)
     else:

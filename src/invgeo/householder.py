@@ -49,7 +49,10 @@ def householder_from_unit(v: UnitVec2) -> Mat2:
 
 
 def householder_from_angle(phi: float) -> Mat2:
-    """H(phi) = [[cos phi, sin phi], [sin phi, -cos phi]]."""
+    """H(phi) = [[cos phi, sin phi], [sin phi, -cos phi]].
+
+    These are exactly the points of S(0, -1) with Bell coordinate z = 0.
+    """
     return Mat2(math.cos(phi), math.sin(phi), math.sin(phi), -math.cos(phi))
 
 

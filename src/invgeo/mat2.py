@@ -81,6 +81,11 @@ class Mat2:
     d: float
 
     def __post_init__(self):
+        a, b, c, d = self.a, self.b, self.c, self.d
+        # x - x is 0.0 only for finite x, and the sum cannot overflow
+        if (type(a) is type(b) is type(c) is type(d) is float
+                and a - a + (b - b) + (c - c) + (d - d) == 0.0):
+            return
         for name in ("a", "b", "c", "d"):
             object.__setattr__(self, name, _finite(getattr(self, name), name))
 
@@ -186,16 +191,6 @@ class Mat2:
 
     def entries(self) -> tuple[float, float, float, float]:
         return (self.a, self.b, self.c, self.d)
-
-
-def mat_mul(lhs: Mat2, rhs: Mat2) -> Mat2:
-    """Standard matrix product."""
-    return lhs @ rhs
-
-
-def trace_det(m: Mat2) -> tuple[float, float]:
-    """Trace a+d and determinant ad-bc, the two similarity invariants."""
-    return m.trace(), m.det()
 
 
 def approx_eq(lhs: Mat2, rhs: Mat2, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -1,23 +1,22 @@
-"""Jordan form, matrix functions, and square-root enumeration for 2x2 reals.
+"""Square roots, root counts and matrix functions of 2x2 real matrices.
 
-For A = Z J Z^-1 with J in Jordan canonical form, f(A) = Z f(J) Z^-1 where
-f acts on a diagonal J entrywise and on a Jordan block as
-
-    f([[lam, 1], [0, lam]]) = [[f(lam), f'(lam)], [0, f(lam)]].
-
-Choosing the same square-root branch at every eigenvalue gives the primary
-roots; mixed choices give non-primary ones.  Counting all real square roots:
+Square roots are closed-form (Cayley-Hamilton; B. W. Levinger, "The square
+root of a 2x2 matrix", Math. Mag. 53 (1980); N. J. Higham, Functions of
+Matrices (2008), ch. 1 and 6): every real root of a non-scalar A is
+R = (A + sI)/t, s = det R = +-sqrt(det A), t = tr R = +-sqrt(tr A + 2s),
+one for each real choice with t^2 > 0.  Counting all real square roots:
 
     distinct eigenvalues 0 < l1 < l2   -> exactly 4
     diag(l, 0), l > 0                  -> exactly 2
     Jordan block, l > 0                -> exactly 2
-    Jordan block, l = 0 (nilpotent)    -> none
+    complex spectrum                   -> exactly 2
+    nilpotent, negative or mixed-sign  -> none
     scalar  l*I2                       -> infinitely many (any sign of l)
 
 The scalar case is infinite for l < 0 too: S(l*I2) = sqrt(-l) * S(-I2) and
-the skew-involutions form a two-parameter family.  Negative or mixed-sign
-non-scalar spectra admit no real root at all, since the eigenvalues of R^2
-are squares of real numbers or an equal conjugate-square pair.
+the skew-involutions form a two-parameter family.  The Jordan form serves
+general f only: f(A) = Z f(J) Z^-1 with f entrywise on a diagonal J and
+f([[lam, 1], [0, lam]]) = [[f(lam), f'(lam)], [0, f(lam)]].
 """
 
 from __future__ import annotations
@@ -113,19 +112,23 @@ def _ldexp_sat(x: float, k: int) -> float:
         return math.copysign(math.inf, x)
 
 
+def _quarter_scaled(m: Mat2) -> tuple[int, float, float, float, float]:
+    """(k, m * 4**-k) with the largest entry in [0.25, 1): exact, and no
+    product of the scaled entries can overflow."""
+    k = (math.frexp(max(abs(m.a), abs(m.b), abs(m.c), abs(m.d)))[1] + 1) >> 1
+    return (k, math.ldexp(m.a, -2 * k), math.ldexp(m.b, -2 * k),
+            math.ldexp(m.c, -2 * k), math.ldexp(m.d, -2 * k))
+
+
 def eigen2(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> tuple[float, float]:
     """Real eigenvalues in ascending order; raises on a complex spectrum.
 
-    The closed form runs on m scaled by the power of two 2**-e that brings
-    its largest entry into [0.5, 1), so squares and products of entries
-    cannot overflow anywhere in the finite range.  Scaling by a power of two
-    is exact, so the result is bit-identical to the unscaled formula
-    wherever that one stays in range.  An eigenvalue beyond the float range
-    raises OverflowError.
+    The closed form runs on m scaled as by _quarter_scaled, so it is
+    bit-identical to the unscaled formula wherever that one stays in range.
+    An eigenvalue beyond the float range raises OverflowError.
     """
-    a, b, c, d = m.a, m.b, m.c, m.d
-    e = math.frexp(max(abs(a), abs(b), abs(c), abs(d)))[1]
-    a, b, c, d = math.ldexp(a, -e), math.ldexp(b, -e), math.ldexp(c, -e), math.ldexp(d, -e)
+    k, a, b, c, d = _quarter_scaled(m)
+    e = 2 * k
     tr, det = a + d, a * d - b * c
     # (a - d)^2 + 4bc equals tr^2 - 4 det without cancelling the squares
     diff = a - d
@@ -202,47 +205,69 @@ def matrix_function(m: Mat2, fn: ScalarFunction, tol: Tolerance = DEFAULT_TOL) -
     return dec.z @ core @ dec.z.inverse()
 
 
-def sqrt_branches(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> list[Mat2]:
-    """All real square roots reachable by per-eigenvalue branch choices.
+def _is_scalar(m: Mat2) -> bool:
+    return m.b == 0.0 and m.c == 0.0 and m.a == m.d
 
-    Distinct nonnegative eigenvalues give up to four roots (two primary,
-    two non-primary, fewer when an eigenvalue vanishes); a positive Jordan
-    block gives its two triangular roots; a positive scalar matrix gives
-    the two primary roots +-sqrt(lam) I2 (the infinite non-primary family
-    is reported by count_real_roots, not enumerated).  Returns [] when no
-    branch choice produces a real root.
+
+def _root_traces(a: float, b: float, c: float, d: float) -> tuple[float, ...]:
+    """Traces t of the real square roots of non-scalar [[a, b], [c, d]].
+
+    t^2 = tr + 2s with s = +-sqrt(det); the two values multiply to disc, so
+    the one free of cancellation is formed directly and the other from disc.
+    Ordered as the per-eigenvalue signs (+,+), (+,-), (-,+), (-,-).
     """
-    dec = jordan2(m, tol)
+    tr, det = a + d, a * d - b * c
+    if det < 0.0:
+        return ()
+    diff = a - d
+    disc = diff * diff + 4.0 * b * c
+    twice_root_det = 2.0 * math.sqrt(det)
+    if tr >= 0.0:
+        plus = tr + twice_root_det
+        minus = disc / plus if plus > 0.0 else 0.0
+    else:
+        minus = tr - twice_root_det
+        plus = disc / minus
+    if plus <= 0.0:
+        return ()
+    tp = math.sqrt(plus)
+    if minus <= 0.0 or det == 0.0:  # det = 0: the one choice s = 0
+        return (tp, -tp)
+    tm = math.sqrt(minus)
+    return (tp, -tm, tm, -tp)
+
+
+def sqrt_branches(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> list[Mat2]:
+    """All real square roots of a non-scalar m; +-sqrt(lam) I2 for lam I2.
+
+    R = (m + sI)/t is evaluated on m * 4**-k as N/t + (t/2) I, N the
+    traceless part, free of the cancellation in m + sI near coincident
+    eigenvalues; the primary root comes first.  Each root passes
+    ||R^2 - m|| <= abs_tol * max(1, ||m||, ||R||^2); one beyond the float
+    range raises OverflowError.  A positive scalar matrix gives only its
+    primary roots, zero gives [0], a negative one [].
+    """
+    if _is_scalar(m):
+        if m.a > 0.0:
+            s = math.sqrt(m.a)
+            return [Mat2.scalar(s), Mat2.scalar(-s)]
+        return [Mat2.zero()] if m.a == 0.0 else []
+    k, a, b, c, d = _quarter_scaled(m)
+    half_diff = 0.5 * (a - d)
+    # max(1, ||m||) in units of the scaled matrix
+    floor = max(_ldexp_sat(1.0, -2 * k), abs(a), abs(b), abs(c), abs(d))
     roots: list[Mat2] = []
-
-    residual_cap = tol.abs_tol * max(1.0, m.max_norm())
-
-    def push(candidate: Mat2):
-        if any(approx_eq(candidate, r, tol) for r in roots):
-            return
-        if (candidate @ candidate).max_diff(m) <= residual_cap:
-            roots.append(candidate)
-
-    if dec.kind is JordanKind.DISTINCT_DIAG:
-        if dec.eig1 < -tol.exact_tol:
-            return []
-        z_inv = dec.z.inverse()
-        s1 = math.sqrt(max(dec.eig1, 0.0))
-        s2 = math.sqrt(max(dec.eig2, 0.0))
-        for sign1, sign2 in itertools.product((1.0, -1.0), repeat=2):
-            push(dec.z @ Mat2.diag(sign1 * s1, sign2 * s2) @ z_inv)
-    elif dec.kind is JordanKind.SCALAR_DIAG:
-        if dec.eig1 > tol.exact_tol:
-            s = math.sqrt(dec.eig1)
-            roots = [Mat2.scalar(s), Mat2.scalar(-s)]
-        elif abs(dec.eig1) <= tol.exact_tol:
-            roots = [Mat2.zero()]
-    else:  # Jordan block
-        if dec.eig1 > tol.exact_tol:
-            s = math.sqrt(dec.eig1)
-            core = Mat2(s, 0.5 / s, 0.0, s)
-            z_inv = dec.z.inverse()
-            roots = [dec.z @ core @ z_inv, dec.z @ (-core) @ z_inv]
+    for t in _root_traces(a, b, c, d):
+        p, h = half_diff / t, 0.5 * t
+        # + 0.0 turns the -0.0 of 0.0 / t (t < 0) into 0.0
+        ra, rb, rc, rd = h + p, b / t + 0.0, c / t + 0.0, h - p
+        bc, tr = rb * rc, ra + rd
+        residual = max(abs(ra * ra + bc - a), abs(rb * tr - b), abs(rc * tr - c),
+                       abs(rd * rd + bc - d))
+        size = max(abs(ra), abs(rb), abs(rc), abs(rd))
+        if residual <= tol.abs_tol * max(floor, size * size):
+            roots.append(Mat2(math.ldexp(ra, k), math.ldexp(rb, k),
+                              math.ldexp(rc, k), math.ldexp(rd, k)))
     return roots
 
 
@@ -250,20 +275,13 @@ def count_real_roots(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> RootCardinality:
     """How many real square roots m has: zero, finitely many, or infinitely.
 
     Scalar matrices always have infinitely many (scaled involutions for
-    lam > 0, nilpotents for lam = 0, scaled skew-involutions for lam < 0).
+    lam > 0, nilpotents for lam = 0, scaled skew-involutions for lam < 0);
+    any other matrix has a pair +-R for each real root trace t.
     """
-    dec = jordan2(m, tol)
-    if dec.kind is JordanKind.SCALAR_DIAG:
+    if _is_scalar(m):
         return RootCardinality(Cardinality.INFINITE)
-    if dec.kind is JordanKind.JORDAN_BLOCK:
-        if dec.eig1 > tol.exact_tol:
-            return RootCardinality(Cardinality.FINITE, 2)
-        return RootCardinality(Cardinality.ZERO)
-    if dec.eig1 < -tol.exact_tol:
-        return RootCardinality(Cardinality.ZERO)
-    if dec.eig1 <= tol.exact_tol:
-        return RootCardinality(Cardinality.FINITE, 2)
-    return RootCardinality(Cardinality.FINITE, 4)
+    n = len(_root_traces(*_quarter_scaled(m)[1:]))
+    return RootCardinality(Cardinality.FINITE, n) if n else RootCardinality(Cardinality.ZERO)
 
 
 def scaled_roots(m: Mat2, alpha: float, root: Mat2, tol: Tolerance = DEFAULT_TOL) -> Mat2:

@@ -177,14 +177,6 @@ def quadric_residual(p: BellPoint, params: LocusParams, tol: Tolerance = DEFAULT
     )
 
 
-def principal_section_point(phi: float) -> Mat2:
-    """Symmetric involution [[cos phi, sin phi], [sin phi, -cos phi]].
-
-    These are exactly the points of S(0, -1) with Bell coordinate z = 0.
-    """
-    return Mat2(math.cos(phi), math.sin(phi), math.sin(phi), -math.cos(phi))
-
-
 def principal_axis_point(s: float) -> Mat2:
     """Skew-symmetric matrix [[0, s], [-s, 0]], the Bell z-axis (x = y = 0)."""
     s = float(s)

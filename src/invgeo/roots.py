@@ -149,6 +149,10 @@ def classify_involution(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> RootFamily:
 
     The doubly degenerate matrices diag(+-1, -+1) sit on the boundary of an
     upper and a lower family; they come back as the lower one with c = 0.
+
+    As b -> 0, (1 - a^2)/b stops reproducing c; when it misses c beyond
+    abs_tol * max(1, |c|) and the lower family rebuilds m more closely
+    (its error is max(|b|, |1 - |a||)), the lower family is returned.
     """
     if not is_involution(m, tol):
         raise NotAnInvolution(f"R^2 != I2 within {tol.abs_tol} for {m}")
@@ -158,14 +162,16 @@ def classify_involution(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> RootFamily:
     if trace < -1.0:
         return RootFamily(RootTag.NEG_IDENTITY)
     # trace ~ 0: d = -a and a^2 + bc = 1
+    lower = RootTag.LOWER_C_PLUS_MINUS if m.a > 0 else RootTag.LOWER_C_MINUS_PLUS
     if abs(m.b) <= tol.exact_tol:
-        if m.a > 0:
-            return RootFamily(RootTag.LOWER_C_PLUS_MINUS, c=m.c)
-        return RootFamily(RootTag.LOWER_C_MINUS_PLUS, c=m.c)
+        return RootFamily(lower, c=m.c)
     if abs(m.c) <= tol.exact_tol:
         if m.a > 0:
             return RootFamily(RootTag.UPPER_B_PLUS_MINUS, b=m.b)
         return RootFamily(RootTag.UPPER_B_MINUS_PLUS, b=m.b)
+    miss = abs((1.0 - m.a * m.a) / m.b - m.c)
+    if miss > tol.abs_tol * max(1.0, abs(m.c)) and max(abs(m.b), abs(1.0 - abs(m.a))) < miss:
+        return RootFamily(lower, c=m.c)
     return RootFamily(RootTag.GENERAL, a=m.a, b=m.b)
 
 

@@ -109,14 +109,6 @@ def sq_mul(p: SplitQuat, q: SplitQuat) -> SplitQuat:
     )
 
 
-def sq_conj(q: SplitQuat) -> SplitQuat:
-    return q.conjugate()
-
-
-def sq_modulus(q: SplitQuat) -> float:
-    return q.modulus()
-
-
 def sq_classify(q: SplitQuat, tol: Tolerance = DEFAULT_TOL) -> CausalClass:
     mod = q.modulus()
     if abs(mod) <= tol.exact_tol:

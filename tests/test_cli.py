@@ -106,6 +106,23 @@ def test_singular_parameter_error_code(capsys):
     assert json.loads(err)["error"] == "singular_parameter"
 
 
+FAMILY_OF_NEG_IDENTITY = ["roots", "--of", "neg-identity", "--family", "upper-b-plus-minus",
+                          "--b", "5"]
+
+
+def test_family_with_neg_identity_is_usage_error(capsys):
+    # the families are roots of I2 only
+    code, out, err = _run(FAMILY_OF_NEG_IDENTITY, capsys)
+    assert code == 2
+    assert json.loads(err)["error"] == "usage"
+    assert out == ""
+    proc = subprocess.run([sys.executable, "-m", "invgeo.cli", *FAMILY_OF_NEG_IDENTITY],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert json.loads(proc.stderr)["error"] == "usage"
+    assert proc.stdout == ""
+
+
 def test_numeric_overflow_is_reported_not_raised(capsys):
     code, _, err = _run(["quat", "--root", "identity", "--t", "1000"], capsys)
     assert code == 1

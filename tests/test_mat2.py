@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from invgeo import Mat2, Tolerance, Vec2, approx_eq, mat_mul, trace_det
+from invgeo import Mat2, Tolerance, Vec2, approx_eq
 from invgeo.errors import InvalidTolerance, NonFiniteEntry, NotInvertible
 from invgeo.roots import make_general_root
 
@@ -10,12 +10,12 @@ I2 = Mat2.identity()
 
 
 def test_mat_mul_identity():
-    assert mat_mul(I2, I2) == I2
+    assert I2 @ I2 == I2
 
 
 def test_nilpotent_squares_to_zero():
     n = Mat2(0, 1, 0, 0)
-    assert mat_mul(n, n) == Mat2.zero()
+    assert n @ n == Mat2.zero()
 
 
 def test_triangular_case_composition():
@@ -23,7 +23,7 @@ def test_triangular_case_composition():
     b = 3.5
     shear = Mat2(1, b, 0, 1)
     reflect = Mat2(1, 0, 0, -1)
-    assert mat_mul(reflect, shear) == Mat2(1, b, 0, -1)
+    assert reflect @ shear == Mat2(1, b, 0, -1)
 
 
 @pytest.mark.parametrize(
@@ -35,12 +35,13 @@ def test_triangular_case_composition():
     ],
 )
 def test_trace_det(m, expected):
-    assert trace_det(m) == expected
+    assert (m.trace(), m.det()) == expected
 
 
 @pytest.mark.parametrize("a, b", [(0.25, 1.0), (3.0, 2.0), (-1.5, 0.5)])
 def test_general_root_trace_det(a, b):
-    tr, det = trace_det(make_general_root(a, b))
+    m = make_general_root(a, b)
+    tr, det = m.trace(), m.det()
     assert tr == 0.0
     assert abs(det + 1.0) < 1e-12
 
@@ -64,6 +65,24 @@ def test_constructors_reject_non_finite(bad):
         Mat2(bad, 0, 0, 1)
     with pytest.raises(NonFiniteEntry):
         Vec2(0, bad)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("slot", range(4))
+def test_non_finite_float_entry_is_named(bad, slot):
+    entries = [1.0, 2.0, 3.0, 4.0]
+    entries[slot] = bad
+    with pytest.raises(NonFiniteEntry, match=f"^{'abcd'[slot]} must be finite"):
+        Mat2(*entries)
+
+
+def test_constructor_converts_non_float_entries():
+    class Half(float):
+        pass
+
+    for m in (Mat2(1, True, "2.5", 3), Mat2(Half(1.0), 1.0, 2.5, np.float64(3.0))):
+        assert m.entries() == (1.0, 1.0, 2.5, 3.0)
+        assert all(type(x) is float for x in m.entries())
 
 
 def test_tolerance_ordering_enforced():

@@ -17,6 +17,7 @@ from invgeo import (
     conjugated_roots,
     count_real_roots,
     eigen2,
+    make_skew_root,
     jordan2,
     matrix_function,
     scaled_roots,
@@ -31,6 +32,8 @@ from invgeo.errors import (
 )
 
 I2 = Mat2.identity()
+ROTATION_90 = Mat2(0, -1, 1, 0)
+SKEW_INVOLUTION = make_skew_root(1.0, 2.0)  # [[1, 2], [-1, -1]], a square root of -I2
 
 
 def test_eigen2_examples():
@@ -285,7 +288,11 @@ def test_count_matches_oracle_on_suite():
         Mat2.diag(-1, -4),
         Mat2(4, 1, 0, 4),
         Mat2.zero(),
+        ROTATION_90,
+        SKEW_INVOLUTION,
     ]
+    assert len(brute_force_roots(ROTATION_90)) == 2
+    assert len(brute_force_roots(SKEW_INVOLUTION)) == 2
     for m in suite:
         found = brute_force_roots(m)
         verdict = count_real_roots(m)
@@ -297,3 +304,107 @@ def test_count_matches_oracle_on_suite():
             assert len(found) >= 8  # unbounded families show up in bulk
         for r in found:
             assert (r @ r).max_diff(m) <= 1e-9
+
+
+# -- closed-form square roots -------------------------------------------------
+
+#: Allowed ||R^2 - A|| relative to max(||R||^2, ||A||): a few roundings.
+ROOT_REL = 16 * 2.0**-52
+
+scales = st.floats(-6, 8).map(lambda u: 10.0**u)
+conjugators = st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5))
+
+
+def _conjugate(core, z):
+    """Z core Z^-1 for Z = [[1, p], [q, 1]] (condition number <= 3)."""
+    p, q = z
+    zm = Mat2(1.0, p, q, 1.0)
+    return zm @ Mat2(*core) @ zm.inverse()
+
+
+def _check_closed_form(m):
+    """Every root squares to m, and the count matches the enumeration."""
+    roots = sqrt_branches(m)
+    count = count_real_roots(m)
+    if roots:
+        assert count.tag is Cardinality.FINITE and count.n == len(roots)
+    else:
+        assert count.tag is Cardinality.ZERO
+    for r in roots:
+        scale = max(r.max_norm() ** 2, m.max_norm())
+        assert (r @ r).max_diff(m) <= ROOT_REL * scale
+    return roots
+
+
+@settings(max_examples=300, deadline=None)
+@given(s=scales, z=conjugators, lo=st.floats(0.1, 1.0), ratio=st.floats(1.01, 5.0))
+def test_closed_form_distinct_positive_spectrum(s, z, lo, ratio):
+    assert len(_check_closed_form(_conjugate((s * lo, 0.0, 0.0, s * lo * ratio), z))) == 4
+
+
+@settings(max_examples=300, deadline=None)
+@given(s=scales, z=conjugators, off=st.floats(-1.0, 1.0), gap=st.floats(-14, -2))
+def test_closed_form_near_coincident_eigenvalues(s, z, off, gap):
+    lam, mu = s, s * (1.0 + 10.0**gap)
+    # triangular: the spectrum {lam, mu} is exact, so all four roots exist
+    assert len(_check_closed_form(Mat2(lam, s * off, 0.0, mu))) == 4
+    # conjugated: rounding may merge the pair into a complex one
+    assert len(_check_closed_form(_conjugate((lam, 0.0, 0.0, mu), z))) in (2, 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    e=st.integers(-20, 26),
+    lam=st.integers(1, 1024),
+    k=st.integers(1, 1024),
+    p=st.integers(1, 4).flatmap(lambda n: st.sampled_from((n, -n))),
+    q=st.integers(-4, 4),
+)
+def test_closed_form_exact_jordan_blocks(e, lam, k, p, q):
+    # lam*I + N with N^2 = 0, built from integers at one binary scale, so
+    # the spectrum is exactly {lam, lam}
+    lam, k = math.ldexp(lam, e), math.ldexp(k, e)
+    block = (lam + k * p * q, -k * p * p, k * q * q, lam - k * p * q)
+    assert len(_check_closed_form(Mat2(*block))) == 2
+    assert _check_closed_form(-Mat2(*block)) == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(s=scales, z=conjugators, lo=st.floats(0.1, 1.0), ratio=st.floats(1.2, 5.0),
+       mixed=st.booleans())
+def test_closed_form_negative_and_mixed_spectra(s, z, lo, ratio, mixed):
+    other = s * lo * ratio * (1.0 if mixed else -1.0)
+    assert _check_closed_form(_conjugate((-s * lo, 0.0, 0.0, other), z)) == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(s=scales, z=conjugators, theta=st.floats(0.01, math.pi - 0.01),
+       conjugate=st.booleans())
+def test_closed_form_complex_spectrum(s, z, theta, conjugate):
+    core = (s * math.cos(theta), -s * math.sin(theta), s * math.sin(theta), s * math.cos(theta))
+    m = _conjugate(core, z) if conjugate else Mat2(*core)
+    assert len(_check_closed_form(m)) == 2
+
+
+def test_rotation_roots_are_half_rotations():
+    roots = sqrt_branches(ROTATION_90)
+    half = Mat2(math.sqrt(0.5), -math.sqrt(0.5), math.sqrt(0.5), math.sqrt(0.5))
+    assert len(roots) == 2
+    assert roots[0].max_diff(half) <= 1e-15  # the primary root comes first
+    assert roots[1].max_diff(-half) <= 1e-15
+    assert count_real_roots(SKEW_INVOLUTION).n == len(sqrt_branches(SKEW_INVOLUTION)) == 2
+
+
+def test_branch_order_and_positive_zeros():
+    roots = sqrt_branches(Mat2.diag(1, 4))
+    assert roots == [Mat2.diag(1, 2), Mat2.diag(1, -2), Mat2.diag(-1, 2), Mat2.diag(-1, -2)]
+    for r in roots:
+        assert math.copysign(1.0, r.b) == math.copysign(1.0, r.c) == 1.0
+
+
+def test_nearly_scalar_matrix_has_finitely_many_roots():
+    # only an exact scalar matrix has infinitely many roots; this one is a
+    # Jordan block with eigenvalue 1 and two roots
+    m = Mat2(1.0, 1e-12, 0.0, 1.0)
+    assert count_real_roots(m).n == 2
+    assert len(_check_closed_form(m)) == 2

@@ -15,12 +15,12 @@ from invgeo import (
     from_bell,
     generator_directions,
     generator_point,
+    householder_from_angle,
     in_locus,
     make_general_root,
     make_skew_root,
     on_asymptotic_cone,
     principal_axis_point,
-    principal_section_point,
     quadric_residual,
     sample_surface,
     to_bell,
@@ -126,12 +126,12 @@ def test_residual_of_root_families():
 
 
 def test_principal_section_points():
-    assert principal_section_point(0.0) == Mat2(1, 0, 0, -1)
-    assert principal_section_point(math.pi / 2).max_diff(Mat2(0, 1, 1, 0)) <= 1e-15
-    third = principal_section_point(math.pi / 3)
+    assert householder_from_angle(0.0) == Mat2(1, 0, 0, -1)
+    assert householder_from_angle(math.pi / 2).max_diff(Mat2(0, 1, 1, 0)) <= 1e-15
+    third = householder_from_angle(math.pi / 3)
     assert third.max_diff(Mat2(0.5, math.sqrt(3) / 2, math.sqrt(3) / 2, -0.5)) <= 1e-15
     for phi in np.linspace(0, 2 * math.pi, 17):
-        bell = to_bell(principal_section_point(phi), 0.0)
+        bell = to_bell(householder_from_angle(phi), 0.0)
         assert abs(bell.z) <= 1e-15
         assert abs(quadric_residual(bell, LocusParams(0, -1))) <= 1e-12
 
@@ -180,7 +180,7 @@ def _check_generator_identities(a, pair, bound=1e-9):
 def test_generator_directions_on_principal_section():
     x_seed = Mat2(1, 0, 0, 0)
     for phi in [0.4, 1.2, 2.8, 4.0, 5.9]:
-        a = principal_section_point(phi)
+        a = householder_from_angle(phi)
         pair = generator_directions(a, x_seed)
         _check_generator_identities(a, pair)
 
@@ -204,7 +204,7 @@ def test_generator_closed_forms_on_principal_section():
         s, c = math.sin(phi), math.cos(phi)
         form_v = Mat2(-s, c - 1, c + 1, s)
         form_u = Mat2(-s, c + 1, c - 1, s)
-        a = principal_section_point(phi)
+        a = householder_from_angle(phi)
         pair = generator_directions(a, x_seed)
         assert _matches_up_to_scale(pair.u, form_u)
         assert _matches_up_to_scale(pair.v, form_v)
@@ -261,14 +261,14 @@ def test_generator_directions_random_points_and_seeds():
 
 
 def test_generator_point_at_zero_is_the_point():
-    a = principal_section_point(1.0)
+    a = householder_from_angle(1.0)
     pair = generator_directions(a, Mat2(1, 0, 0, 0))
     assert generator_point(a, pair.u, 0.0) == a
 
 
 def test_rulings_meet_only_at_the_point():
     # t1*U = t2*V forces t1 = t2 = 0 since AU = U while AV = -V
-    a = principal_section_point(0.8)
+    a = householder_from_angle(0.8)
     pair = generator_directions(a, Mat2(1, 0, 0, 0))
     u, v = pair.u.to_array(), pair.v.to_array()
     stacked = np.stack([u.ravel(), v.ravel()], axis=1)

@@ -143,6 +143,18 @@ def test_classify_boundary_small_b_stays_general():
     assert fam.b == 1e-9
 
 
+def test_classify_b_to_0_falls_back_to_the_lower_family():
+    # (1 - a^2)/b rebuilds c as 2.000000165 here; the lower family keeps c
+    b, c = 1e-10, 2.0
+    a = math.sqrt(1.0 - b * c)
+    m = Mat2(a, b, c, -a)
+    fam = classify_involution(m)
+    assert fam.tag is RootTag.LOWER_C_PLUS_MINUS and fam.c == c
+    assert make_root(fam).max_diff(m) <= 2 * b
+    flipped = classify_involution(-m)
+    assert flipped.tag is RootTag.LOWER_C_MINUS_PLUS and flipped.c == -c
+
+
 def test_classify_case_2i_boundary_from_general():
     # the a -> 1 limit of the general family is the upper triangular case
     r = make_general_root(1.0, 4.0)

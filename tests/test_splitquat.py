@@ -17,9 +17,7 @@ from invgeo import (
     root_matrix_identity,
     root_matrix_neg,
     sq_classify,
-    sq_conj,
     sq_inverse,
-    sq_modulus,
     sq_mul,
     to_matrix,
     unit_root_identity,
@@ -57,13 +55,13 @@ def test_one_is_the_unit():
 
 def test_conjugate_and_modulus():
     q = SplitQuat(1, 2, 3, 4)
-    assert sq_conj(q) == SplitQuat(1, -2, -3, -4)
-    assert sq_modulus(ONE) == 1.0
-    assert sq_modulus(J_) == -1.0
-    assert sq_modulus(I_) == 1.0
+    assert q.conjugate() == SplitQuat(1, -2, -3, -4)
+    assert ONE.modulus() == 1.0
+    assert J_.modulus() == -1.0
+    assert I_.modulus() == 1.0
     # q q* is a pure scalar equal to the modulus
-    prod = sq_mul(q, sq_conj(q))
-    assert prod.w == sq_modulus(q)
+    prod = sq_mul(q, q.conjugate())
+    assert prod.w == q.modulus()
     assert (prod.x, prod.y, prod.z) == (0.0, 0.0, 0.0)
 
 
@@ -105,7 +103,7 @@ def test_isomorphism_round_trip_and_homomorphism():
         q = SplitQuat(*rng.uniform(-2, 2, 4))
         assert from_matrix(to_matrix(p)) == p
         assert to_matrix(sq_mul(p, q)).max_diff(to_matrix(p) @ to_matrix(q)) <= 1e-12
-        assert abs(to_matrix(p).det() - sq_modulus(p)) <= 1e-12
+        assert abs(to_matrix(p).det() - p.modulus()) <= 1e-12
 
 
 def test_unit_root_identity():

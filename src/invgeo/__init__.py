@@ -89,6 +89,7 @@ from .matfun import (
     eigen2,
     jordan2,
     matrix_function,
+    principal_sqrt,
     scaled_roots,
     sqrt_branches,
 )
@@ -163,6 +164,7 @@ __all__ = [
     "on_asymptotic_cone",
     "orbit",
     "principal_axis_point",
+    "principal_sqrt",
     "pythagorean_root",
     "quadric_residual",
     "reflection_axis",

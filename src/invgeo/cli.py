@@ -7,11 +7,15 @@ produce byte-identical documents.  The INVGEO_TOL environment variable
 overrides the default absolute tolerance.
 
 JSON documents are written by a small recursive writer whose output is
-byte-identical to ``json.dumps(doc, indent=2, sort_keys=True)``: same type
-dispatch (str, None, True, False, int, float, list/tuple, dict, subclasses
-included), ``float.__repr__`` with NaN/Infinity/-Infinity, ASCII-escaped
-strings, str keys only, TypeError on anything else.  It exists because a
-non-None ``indent`` sends ``json.dumps`` to the stdlib's pure-Python encoder.
+still byte-identical to ``json.dumps(doc, indent=2, sort_keys=True)``: same
+type dispatch (str, None, True, False, int, float, list/tuple, dict,
+subclasses included), ``float.__repr__`` with NaN/Infinity/-Infinity,
+ASCII-escaped strings, str keys only, TypeError on anything else.  It exists
+because a non-None ``indent`` sends ``json.dumps`` to the stdlib's
+pure-Python encoder.  Exact dicts, lists and tuples are dispatched first;
+inside them, a scalar leaf (an exact finite float or an exact str) is written
+in the container's loop, in one part with its separator, without a call.
+CSV point rows are one join of seven ``float.__repr__`` values and the tag.
 
 ``run()`` builds the argument parser on its first call and reuses it, so
 calling it repeatedly in one process costs only the parse and the work.
@@ -106,7 +110,12 @@ def _json_parts(obj, parts: list, indent: str) -> None:
 
     ``indent`` is the newline plus the indentation of the line obj starts on.
     """
-    if isinstance(obj, str):
+    cls = type(obj)
+    if cls is dict:
+        _dict_parts(obj, parts, indent)
+    elif cls is list or cls is tuple:
+        _list_parts(obj, parts, indent)
+    elif isinstance(obj, str):
         parts.append(_encode_str(obj))
     elif obj is None:
         parts.append("null")
@@ -126,31 +135,57 @@ def _json_parts(obj, parts: list, indent: str) -> None:
         else:
             parts.append(float.__repr__(obj))
     elif isinstance(obj, (list, tuple)):
-        if not obj:
-            parts.append("[]")
-            return
-        inner = indent + "  "
-        sep = "[" + inner
-        for item in obj:
-            parts.append(sep)
-            _json_parts(item, parts, inner)
-            sep = "," + inner
-        parts.append(indent + "]")
+        _list_parts(obj, parts, indent)
     elif isinstance(obj, dict):
-        if not obj:
-            parts.append("{}")
-            return
-        inner = indent + "  "
-        sep = "{" + inner
-        for key in sorted(obj):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            parts.append(sep + _encode_str(key) + ": ")
-            _json_parts(obj[key], parts, inner)
-            sep = "," + inner
-        parts.append(indent + "}")
+        _dict_parts(obj, parts, indent)
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+# The two container writers emit a child that is an exact finite float or an
+# exact str together with its separator, as one part; any other child recurses.
+
+
+def _list_parts(obj, parts: list, indent: str) -> None:
+    if not obj:
+        parts.append("[]")
+        return
+    inner = indent + "  "
+    head = "[" + inner
+    for item in obj:
+        cls = type(item)
+        if cls is float and item - item == 0.0:
+            parts.append(head + float.__repr__(item))
+        elif cls is str:
+            parts.append(head + _encode_str(item))
+        else:
+            parts.append(head)
+            _json_parts(item, parts, inner)
+        head = "," + inner
+    parts.append(indent + "]")
+
+
+def _dict_parts(obj, parts: list, indent: str) -> None:
+    if not obj:
+        parts.append("{}")
+        return
+    inner = indent + "  "
+    sep = "{" + inner
+    for key in sorted(obj):
+        if type(key) is not str and not isinstance(key, str):
+            raise TypeError(f"keys must be str, not {type(key).__name__}")
+        head = sep + _encode_str(key) + ": "
+        value = obj[key]
+        cls = type(value)
+        if cls is float and value - value == 0.0:
+            parts.append(head + float.__repr__(value))
+        elif cls is str:
+            parts.append(head + _encode_str(value))
+        else:
+            parts.append(head)
+            _json_parts(value, parts, inner)
+        sep = "," + inner
+    parts.append(indent + "}")
 
 
 def _json_document(doc) -> str:
@@ -169,9 +204,13 @@ def _csv_row(values) -> str:
 
 
 def _emit_point_csv(args, rows):
+    """One line per (bell, matrix, tag); every coordinate is a plain float
+    by the BellPoint and Mat2 invariants, so it is written by float.__repr__."""
     lines = ["x,y,z,x1,x2,x3,x4,tag"]
-    for bell, matrix, tag in rows:
-        lines.append(_csv_row([bell.x, bell.y, bell.z, *matrix.entries(), tag]))
+    fmt = float.__repr__
+    for bell, m, tag in rows:
+        lines.append(",".join(map(fmt, (bell.x, bell.y, bell.z, m.a, m.b, m.c, m.d)))
+                     + "," + tag)
     _write(args, "\n".join(lines) + "\n")
 
 
@@ -340,8 +379,10 @@ def _cmd_matfun(args, tol: Tolerance) -> None:
             "count": matfun.count_real_roots(matrix, tol).to_json_dict(),
         })
         return
-    fn = {"sqrt": matfun.SQRT, "square": matfun.SQUARE}[args.function]
-    result = matfun.matrix_function(matrix, fn, tol)
+    if args.function == "sqrt":
+        result = matfun.principal_sqrt(matrix, tol)
+    else:
+        result = matfun.matrix_function(matrix, matfun.SQUARE, tol)
     _emit_json(args, {"function": args.function, "result": result.to_json_dict()})
 
 
@@ -445,7 +486,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("matfun", help="matrix functions and square-root branches")
     _add_matrix_flags(p)
-    p.add_argument("--function", choices=["sqrt", "square"], default="sqrt")
+    p.add_argument("--function", choices=["sqrt", "square"], default="sqrt",
+                   help="sqrt: the principal square root; square: the matrix squared")
     p.add_argument("--all-branches", action="store_true",
                    help="enumerate all branch square roots and the root count")
     p.set_defaults(func=_cmd_matfun)

@@ -5,7 +5,9 @@ everything else in the package (root families, the hyperboloid loci, the
 split-quaternion isomorphism) is built on top of this identification.
 
 All values are immutable and all operations are pure functions, so they are
-safe to share across threads.
+safe to share across threads.  Value types are frozen dataclasses with
+``__slots__``: a point cloud holds tens of thousands of them, and slots take
+the per-instance dict off each one.
 """
 
 from __future__ import annotations
@@ -20,6 +22,11 @@ if TYPE_CHECKING:
     import numpy as np
 
 
+#: A sum of squares above this is accurate far below any tolerance even when
+#: some of its terms underflowed; below it, scale the terms up first.
+_SAFE_MIN = 1e-290
+
+
 def _finite(value, name: str) -> float:
     value = float(value)
     if not math.isfinite(value):
@@ -27,7 +34,14 @@ def _finite(value, name: str) -> float:
     return value
 
 
-@dataclass(frozen=True)
+def _plain_finite(a, b, c, d) -> bool:
+    """True iff all four are exact ``float`` and finite, in one test."""
+    # x - x is 0.0 only for finite x, and the sum cannot overflow
+    return (type(a) is type(b) is type(c) is type(d) is float
+            and a - a + (b - b) + (c - c) + (d - d) == 0.0)
+
+
+@dataclass(frozen=True, slots=True)
 class Tolerance:
     """Comparison tolerances: ``abs_tol`` for residual checks, ``exact_tol``
     for round-trips and degeneracy cutoffs (b ~ 0, scalar-matrix distance)."""
@@ -45,7 +59,7 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Vec2:
     x: float
     y: float
@@ -67,7 +81,7 @@ class Vec2:
         return max(abs(self.x - other.x), abs(self.y - other.y))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mat2:
     """Row-major 2x2 real matrix [[a, b], [c, d]].
 
@@ -81,10 +95,7 @@ class Mat2:
     d: float
 
     def __post_init__(self):
-        a, b, c, d = self.a, self.b, self.c, self.d
-        # x - x is 0.0 only for finite x, and the sum cannot overflow
-        if (type(a) is type(b) is type(c) is type(d) is float
-                and a - a + (b - b) + (c - c) + (d - d) == 0.0):
+        if _plain_finite(self.a, self.b, self.c, self.d):
             return
         for name in ("a", "b", "c", "d"):
             object.__setattr__(self, name, _finite(getattr(self, name), name))
@@ -169,7 +180,9 @@ class Mat2:
         return max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
 
     def max_diff(self, other: "Mat2") -> float:
-        return (self - other).max_norm()
+        """Max-norm of self - other; inf where a difference overflows."""
+        return max(abs(self.a - other.a), abs(self.b - other.b),
+                   abs(self.c - other.c), abs(self.d - other.d))
 
     def is_symmetric(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         return abs(self.b - self.c) <= tol.abs_tol

@@ -237,27 +237,19 @@ def _root_traces(a: float, b: float, c: float, d: float) -> tuple[float, ...]:
     return (tp, -tm, tm, -tp)
 
 
-def sqrt_branches(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> list[Mat2]:
-    """All real square roots of a non-scalar m; +-sqrt(lam) I2 for lam I2.
-
-    R = (m + sI)/t is evaluated on m * 4**-k as N/t + (t/2) I, N the
-    traceless part, free of the cancellation in m + sI near coincident
-    eigenvalues; the primary root comes first.  Each root passes
-    ||R^2 - m|| <= abs_tol * max(1, ||m||, ||R||^2); one beyond the float
-    range raises OverflowError.  A positive scalar matrix gives only its
-    primary roots, zero gives [0], a negative one [].
-    """
+def _branches(m: Mat2, tol: Tolerance, limit: int = 4) -> list[Mat2]:
+    """The first ``limit`` roots that sqrt_branches lists, computing no more."""
     if _is_scalar(m):
         if m.a > 0.0:
             s = math.sqrt(m.a)
-            return [Mat2.scalar(s), Mat2.scalar(-s)]
+            return [Mat2.scalar(s), Mat2.scalar(-s)][:limit]
         return [Mat2.zero()] if m.a == 0.0 else []
     k, a, b, c, d = _quarter_scaled(m)
     half_diff = 0.5 * (a - d)
     # max(1, ||m||) in units of the scaled matrix
     floor = max(_ldexp_sat(1.0, -2 * k), abs(a), abs(b), abs(c), abs(d))
     roots: list[Mat2] = []
-    for t in _root_traces(a, b, c, d):
+    for t in _root_traces(a, b, c, d)[:limit]:
         p, h = half_diff / t, 0.5 * t
         # + 0.0 turns the -0.0 of 0.0 / t (t < 0) into 0.0
         ra, rb, rc, rd = h + p, b / t + 0.0, c / t + 0.0, h - p
@@ -269,6 +261,37 @@ def sqrt_branches(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> list[Mat2]:
             roots.append(Mat2(math.ldexp(ra, k), math.ldexp(rb, k),
                               math.ldexp(rc, k), math.ldexp(rd, k)))
     return roots
+
+
+def sqrt_branches(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> list[Mat2]:
+    """All real square roots of a non-scalar m; +-sqrt(lam) I2 for lam I2.
+
+    R = (m + sI)/t is evaluated on m * 4**-k as N/t + (t/2) I, N the
+    traceless part, free of the cancellation in m + sI near coincident
+    eigenvalues; the primary root comes first.  Each root passes
+    ||R^2 - m|| <= abs_tol * max(1, ||m||, ||R||^2); one beyond the float
+    range raises OverflowError.  A positive scalar matrix gives only its
+    primary roots, zero gives [0], a negative one [].
+    """
+    return _branches(m, tol)
+
+
+def principal_sqrt(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> Mat2:
+    """The principal square root: det R = +sqrt(det m) and tr R > 0.
+
+    The root of the first trace sqrt_branches lists, computed alone and
+    under the same residual check: the one whose eigenvalues lie in the
+    open right half-plane.  It exists for positive eigenvalues, Jordan
+    blocks and complex pairs (rotations, skew-involutions) alike;
+    diag(lam, 0) gives diag(sqrt(lam), 0) and a scalar lam I2 with
+    lam >= 0 gives sqrt(lam) I2.  Negative or mixed spectra, a nilpotent
+    block and lam I2 with lam < 0 raise FunctionUndefinedAtEigenvalue, as
+    matrix_function(m, SQRT) does.
+    """
+    roots = _branches(m, tol, 1)
+    if not roots:
+        raise FunctionUndefinedAtEigenvalue(f"{m} has no real principal square root")
+    return roots[0]
 
 
 def count_real_roots(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> RootCardinality:

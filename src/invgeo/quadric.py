@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import (
@@ -39,9 +40,10 @@ from .errors import (
     NotAnInvolution,
     NotInHyperplane,
 )
-from .mat2 import DEFAULT_TOL, Mat2, Tolerance, _finite
+from .mat2 import _SAFE_MIN, DEFAULT_TOL, Mat2, Tolerance, _finite, _plain_finite
 
 _SQRT2 = math.sqrt(2.0)
+_SQRT_EPS = math.sqrt(sys.float_info.epsilon)
 
 #: The Bell frame axes as vectors in R^4 = (x1, x2, x3, x4).
 BELL_BASIS = (
@@ -51,7 +53,7 @@ BELL_BASIS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LocusParams:
     """Target trace and determinant of the matrix locus."""
 
@@ -63,7 +65,7 @@ class LocusParams:
         object.__setattr__(self, "beta", _finite(self.beta, "beta"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BellPoint:
     """(x, y, z) coordinates in the Bell frame of the hyperplane trace=alpha."""
 
@@ -73,6 +75,8 @@ class BellPoint:
     alpha: float = 0.0
 
     def __post_init__(self):
+        if _plain_finite(self.x, self.y, self.z, self.alpha):
+            return
         for name in ("x", "y", "z", "alpha"):
             object.__setattr__(self, name, _finite(getattr(self, name), name))
 
@@ -86,7 +90,7 @@ class SurfaceTag(enum.Enum):
     TWO_SHEET_HYPERBOLOID = "two_sheet"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SurfaceClass:
     tag: SurfaceTag
     radius_sq: float
@@ -95,7 +99,7 @@ class SurfaceClass:
         return {"class": self.tag.value, "radius_sq": self.radius_sq}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeneratorPair:
     """Direction matrices of the two rulings through a point of S(0, -1).
 
@@ -108,7 +112,7 @@ class GeneratorPair:
     v: Mat2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SurfacePoint:
     """One sampled point: Bell coordinates, the matrix, and a tag.
 
@@ -131,10 +135,22 @@ def in_locus(m: Mat2, params: LocusParams, tol: Tolerance = DEFAULT_TOL) -> bool
 
 
 def classify_quadric(params: LocusParams, tol: Tolerance = DEFAULT_TOL) -> SurfaceClass:
-    """Surface type of S(alpha, beta) by the sign of alpha^2 - 4*beta."""
-    disc = params.alpha * params.alpha - 4.0 * params.beta
+    """Surface type of S(alpha, beta) by the sign of alpha^2 - 4*beta.
+
+    It is a cone when |alpha^2 - 4 beta| <= exact_tol * (alpha^2 + 4|beta|),
+    a test that does not change when alpha and beta are scaled as alpha*s
+    and beta*s^2.  Where the squares would overflow or lose precision it
+    runs on alpha * 2**-e and beta * 4**-e, which is exact.
+    """
     radius_sq = 0.5 * params.alpha * params.alpha - 2.0 * params.beta
-    if abs(disc) <= tol.exact_tol:
+    alpha, beta = params.alpha, params.beta
+    scale = alpha * alpha + 4.0 * abs(beta)
+    if not _SAFE_MIN < scale < math.inf:
+        e = math.frexp(max(abs(alpha), math.sqrt(abs(beta))))[1]
+        alpha, beta = math.ldexp(alpha, -e), math.ldexp(beta, -2 * e)
+        scale = alpha * alpha + 4.0 * abs(beta)
+    disc = alpha * alpha - 4.0 * beta
+    if abs(disc) <= tol.exact_tol * scale:
         return SurfaceClass(SurfaceTag.RIGHT_CIRCULAR_CONE, radius_sq)
     if disc > 0:
         return SurfaceClass(SurfaceTag.ONE_SHEET_HYPERBOLOID, radius_sq)
@@ -200,8 +216,9 @@ def generator_directions(
     """Ruling directions through a point a of S(0, -1) from a seed matrix.
 
     Returns U = (a+I)X(a-I) and V = (a-I)X(a+I), each scaled to unit
-    max-norm.  Raises DegenerateSeed when the seed annihilates either
-    product; any generic seed works.
+    max-norm.  Raises DegenerateSeed when the seed nearly annihilates either
+    product: when its max-norm is at most sqrt(eps) * |a+I| |X| |a-I|, below
+    which the direction is mostly rounding error.  Any generic seed works.
     """
     if not in_locus(a, LocusParams(0.0, -1.0), tol):
         raise NotAnInvolution(f"{a} is not on S(0, -1)")
@@ -210,7 +227,7 @@ def generator_directions(
     u = plus @ x_seed @ minus
     v = minus @ x_seed @ plus
     u_norm, v_norm = u.max_norm(), v.max_norm()
-    if u_norm <= tol.abs_tol or v_norm <= tol.abs_tol:
+    if min(u_norm, v_norm) <= _SQRT_EPS * plus.max_norm() * x_seed.max_norm() * minus.max_norm():
         raise DegenerateSeed("seed produced a near-zero direction; retry with another seed")
     return GeneratorPair((1.0 / u_norm) * u, (1.0 / v_norm) * v)
 
@@ -249,37 +266,42 @@ def sample_surface(
     (hyperbolic angle for the hyperboloids, signed radius for the cone),
     which spans [-span, span].  The cone vertex is appended, tagged
     "vertex", since the scalar apex is excluded from the locus proper.
+
+    cos/sin are taken once per azimuth and cosh/sinh once per ring, and a
+    point is (ring factor) * (azimuth factor): the same products, bit for
+    bit, as r * cosh(v) * cos(u) evaluated left to right.
     """
     if n_u < 1 or n_v < 1:
         raise InvalidCount(f"need n_u, n_v >= 1, got {n_u}, {n_v}")
     surface = classify_quadric(params, tol)
     radius_sq = surface.radius_sq
     azimuths = [2.0 * math.pi * j / n_u for j in range(n_u)]
+    trig = [(math.cos(u), math.sin(u)) for u in azimuths]
+    alpha = params.alpha
     points: list[SurfacePoint] = []
 
-    def emit(x: float, y: float, z: float, tag: str = "surface"):
-        bell = BellPoint(x, y, z, params.alpha)
-        points.append(SurfacePoint(bell, from_bell(bell), tag))
+    def ring(radial: float, z: float):
+        for cos_u, sin_u in trig:
+            bell = BellPoint(radial * cos_u, radial * sin_u, z, alpha)
+            points.append(SurfacePoint(bell, from_bell(bell)))
 
     if surface.tag is SurfaceTag.ONE_SHEET_HYPERBOLOID:
         r = math.sqrt(radius_sq)
         for v in _linspace(-span, span, n_v):
-            for u in azimuths:
-                emit(r * math.cosh(v) * math.cos(u), r * math.cosh(v) * math.sin(u), r * math.sinh(v))
+            ring(r * math.cosh(v), r * math.sinh(v))
     elif surface.tag is SurfaceTag.TWO_SHEET_HYPERBOLOID:
         m = math.sqrt(-radius_sq)
         n_top = (n_v + 1) // 2
         rows = [(1.0, v) for v in _linspace(0.0, span, n_top)]
         rows += [(-1.0, v) for v in _linspace(0.0, span, n_v - n_top)]
         for sheet, v in rows:
-            for u in azimuths:
-                emit(m * math.sinh(v) * math.cos(u), m * math.sinh(v) * math.sin(u), sheet * m * math.cosh(v))
+            ring(m * math.sinh(v), sheet * m * math.cosh(v))
     else:
         # rho ~ 0 rows collapse onto the apex; the tagged vertex covers them
         for rho in _linspace(-span, span, n_v):
             if abs(rho) <= tol.exact_tol:
                 continue
-            for u in azimuths:
-                emit(rho * math.cos(u), rho * math.sin(u), rho)
-        emit(0.0, 0.0, 0.0, tag="vertex")
+            ring(rho, rho)
+        vertex = BellPoint(0.0, 0.0, 0.0, alpha)
+        points.append(SurfacePoint(vertex, from_bell(vertex), "vertex"))
     return points

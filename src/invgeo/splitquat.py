@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .errors import NotInvertible, SingularParameter
 from .householder import householder_from_angle
-from .mat2 import DEFAULT_TOL, Mat2, Tolerance, _finite
+from .mat2 import _SAFE_MIN, DEFAULT_TOL, Mat2, Tolerance, _finite
 
 
 class CausalClass(enum.Enum):
@@ -110,18 +110,28 @@ def sq_mul(p: SplitQuat, q: SplitQuat) -> SplitQuat:
 
 
 def sq_classify(q: SplitQuat, tol: Tolerance = DEFAULT_TOL) -> CausalClass:
-    mod = q.modulus()
-    if abs(mod) <= tol.exact_tol:
+    """Sign class of q q*; lightlike when |q q*| <= exact_tol * (w^2 + x^2 + y^2 + z^2).
+
+    The test does not change when q is scaled.  Where the squares would
+    overflow or lose precision it runs on q * 2**-e, which is exact.
+    """
+    w, x, y, z = q.w, q.x, q.y, q.z
+    norm_sq = w * w + x * x + y * y + z * z
+    if not _SAFE_MIN < norm_sq < math.inf:
+        e = math.frexp(max(abs(w), abs(x), abs(y), abs(z)))[1]
+        w, x, y, z = (math.ldexp(v, -e) for v in (w, x, y, z))
+        norm_sq = w * w + x * x + y * y + z * z
+    mod = w * w + x * x - y * y - z * z
+    if abs(mod) <= tol.exact_tol * norm_sq:
         return CausalClass.LIGHTLIKE
     return CausalClass.TIMELIKE if mod > 0 else CausalClass.SPACELIKE
 
 
 def sq_inverse(q: SplitQuat, tol: Tolerance = DEFAULT_TOL) -> SplitQuat:
     """q* / (q q*); lightlike elements are the non-invertible ones."""
-    mod = q.modulus()
-    if abs(mod) <= tol.exact_tol:
+    if sq_classify(q, tol) is CausalClass.LIGHTLIKE:
         raise NotInvertible("lightlike split-quaternion has no inverse")
-    return (1.0 / mod) * q.conjugate()
+    return (1.0 / q.modulus()) * q.conjugate()
 
 
 def to_matrix(q: SplitQuat) -> Mat2:

@@ -36,6 +36,9 @@ GOLDEN_CASES = [
     ("decompose_general.json", ["decompose", "--matrix", '{"a": 0, "b": 2, "c": 0.5, "d": 0}']),
     ("decompose_case.json", ["decompose", "--family", "upper-b-plus-minus", "--b", "4"]),
     ("orbit.csv", ["orbit", "--matrix", SWAP, "--x", "1", "--y", "0", "--steps", "4", "--format", "csv"]),
+    ("sample_two_sheet.csv", ["sample", "--alpha", "1", "--beta", "2", "--nu", "4", "--nv", "5", "--format", "csv"]),
+    ("sample_one_sheet.json", ["sample", "--alpha", "1", "--beta", "-1", "--nu", "3", "--nv", "2", "--format", "json"]),
+    ("roots_sample_skew.json", ["roots", "--of", "neg-identity", "--sample", "3", "--seed", "4"]),
 ]
 
 
@@ -121,6 +124,27 @@ def test_family_with_neg_identity_is_usage_error(capsys):
     assert proc.returncode == 2
     assert json.loads(proc.stderr)["error"] == "usage"
     assert proc.stdout == ""
+
+
+def test_matfun_sqrt_of_a_complex_spectrum_is_the_principal_root(capsys):
+    c = math.sqrt(0.5)
+    code, out, err = _run(["matfun", "--matrix", '{"a": 0, "b": -1, "c": 1, "d": 0}'], capsys)
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["function"] == "sqrt"
+    got = doc["result"]
+    assert max(abs(got[k] - want) for k, want in zip("abcd", (c, -c, c, c))) <= 1e-15
+
+
+@pytest.mark.parametrize("matrix", ['{"a": -1, "b": 0, "c": 0, "d": -4}',
+                                    '{"a": -4, "b": 0, "c": 0, "d": 1}',
+                                    '{"a": 0, "b": 1, "c": 0, "d": 0}',
+                                    '{"a": -2, "b": 0, "c": 0, "d": -2}'])
+def test_matfun_sqrt_without_a_principal_root_keeps_its_error_code(matrix, capsys):
+    code, out, err = _run(["matfun", "--matrix", matrix, "--function", "sqrt"], capsys)
+    assert code == 1
+    assert json.loads(err)["error"] == "function_undefined_at_eigenvalue"
+    assert out == ""
 
 
 def test_numeric_overflow_is_reported_not_raised(capsys):
@@ -241,6 +265,14 @@ class _Str(str):
     pass
 
 
+class _List(list):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
 _SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7e308, -1.7e308,
                    1.7976931348623157e308, math.nan, math.inf, -math.inf]
 _SPECIAL_STRINGS = ["", '"', "\\", '"quoted" \\ back', "\x00\x01\x1f\x7f", "\n\t\r\b\f",
@@ -263,7 +295,9 @@ _JSON_DOCS = st.recursive(
     lambda children: (
         st.lists(children, max_size=4)
         | st.lists(children, max_size=4).map(tuple)
+        | st.lists(children, max_size=4).map(_List)
         | st.dictionaries(_ANY_TEXT | st.sampled_from(_SPECIAL_STRINGS), children, max_size=4)
+        | st.dictionaries(_ANY_TEXT, children, max_size=4).map(_Dict)
     ),
     max_leaves=24,
 )

@@ -1,3 +1,4 @@
+import math
 
 import numpy as np
 import pytest
@@ -74,6 +75,30 @@ def test_non_finite_float_entry_is_named(bad, slot):
     entries[slot] = bad
     with pytest.raises(NonFiniteEntry, match=f"^{'abcd'[slot]} must be finite"):
         Mat2(*entries)
+
+
+def test_max_diff_is_inf_where_a_difference_overflows():
+    big, neg = Mat2(1e308, 0.0, 0.0, 1.0), Mat2(-1e308, 0.0, 0.0, 1.0)
+    assert big.max_diff(neg) == math.inf
+    assert neg.max_diff(big) == math.inf
+    assert not approx_eq(big, neg)
+    assert big.max_diff(big) == 0.0
+    assert Mat2(1.0, 2.0, 3.0, 4.0).max_diff(Mat2(1.5, 0.0, 3.0, 4.25)) == 2.0
+
+
+def test_values_are_frozen_slotted_and_picklable():
+    import dataclasses
+    import pickle
+
+    from invgeo.quadric import BellPoint, SurfacePoint
+
+    m = Mat2(1.0, 2.0, 3.0, 4.0)
+    point = SurfacePoint(BellPoint(1.0, 2.0, 3.0), m)
+    for value in (m, point, Vec2(1.0, 2.0), Tolerance()):
+        assert not hasattr(value, "__dict__")
+        assert pickle.loads(pickle.dumps(value)) == value
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.a = 5.0
 
 
 def test_constructor_converts_non_float_entries():

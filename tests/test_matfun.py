@@ -20,6 +20,7 @@ from invgeo import (
     make_skew_root,
     jordan2,
     matrix_function,
+    principal_sqrt,
     scaled_roots,
     sqrt_branches,
 )
@@ -306,6 +307,78 @@ def test_count_matches_oracle_on_suite():
             assert (r @ r).max_diff(m) <= 1e-9
 
 
+# -- the principal square root ------------------------------------------------
+
+#: Matrices with a real principal root: positive, zero-and-positive, Jordan
+#: and complex spectra, and scalars lam I2 with lam >= 0.
+PRINCIPAL_SUITE = [
+    I2,
+    Mat2.scalar(4.0),
+    Mat2.zero(),
+    Mat2.diag(5, 0),
+    Mat2(1, 1, 0, 1),
+    Mat2.diag(1, 4),
+    Mat2(4, 1, 0, 4),
+    Mat2(3, 1, -2, 0.5),
+    ROTATION_90,
+    Mat2(-0.5, -math.sqrt(3) / 2, math.sqrt(3) / 2, -0.5),  # rotation by 120 degrees
+    SKEW_INVOLUTION,
+]
+
+#: Matrices without one: negative or mixed spectra, a nilpotent block, lam I2
+#: with lam < 0.
+NO_PRINCIPAL_SUITE = [
+    -I2,
+    Mat2.scalar(-3.0),
+    Mat2.diag(-1, -4),
+    Mat2.diag(-4, 1),
+    Mat2.diag(-1, 0),
+    Mat2(0, 1, 0, 0),
+    Mat2(-2, 1, 0, -2),
+]
+
+
+def _right_half_plane(r):
+    # eigenvalues of R: product det R, sum tr R; both in Re > 0 (or one at 0),
+    # up to the oracle's convergence
+    return r.trace() > 1e-6 and r.det() >= -1e-6
+
+
+@pytest.mark.parametrize("m", PRINCIPAL_SUITE, ids=repr)
+def test_principal_sqrt_is_the_oracle_root_in_the_right_half_plane(m):
+    root = principal_sqrt(m)
+    assert (root @ root).max_diff(m) <= 1e-12 * max(1.0, m.max_norm())
+    assert root == sqrt_branches(m)[0]
+    if m.max_norm() == 0.0:
+        assert root == Mat2.zero()
+        return
+    assert _right_half_plane(root)
+    found = brute_force_roots(m)
+    primary = [r for r in found if _right_half_plane(r)]
+    if count_real_roots(m).tag is Cardinality.FINITE:
+        assert len(primary) == 1
+    assert min(root.max_diff(r) for r in primary) <= 1e-6
+
+
+def test_principal_sqrt_of_rotations_and_scalars():
+    c = math.sqrt(0.5)
+    assert principal_sqrt(ROTATION_90).max_diff(Mat2(c, -c, c, c)) <= 1e-15
+    assert principal_sqrt(Mat2.scalar(9.0)) == Mat2.scalar(3.0)
+    assert principal_sqrt(Mat2.zero()) == Mat2.zero()
+    assert principal_sqrt(Mat2.diag(4, 0)) == Mat2.diag(2, 0)
+    assert principal_sqrt(Mat2(1, 1, 0, 1)) == Mat2(1, 0.5, 0, 1)
+
+
+@pytest.mark.parametrize("m", NO_PRINCIPAL_SUITE, ids=repr)
+def test_principal_sqrt_refuses_with_the_matrix_function_code(m):
+    with pytest.raises(FunctionUndefinedAtEigenvalue) as principal:
+        principal_sqrt(m)
+    with pytest.raises(FunctionUndefinedAtEigenvalue) as general:
+        matrix_function(m, SQRT)
+    assert principal.value.code == general.value.code == "function_undefined_at_eigenvalue"
+    assert all(not _right_half_plane(r) for r in brute_force_roots(m))
+
+
 # -- closed-form square roots -------------------------------------------------
 
 #: Allowed ||R^2 - A|| relative to max(||R||^2, ||A||): a few roundings.
@@ -408,3 +481,13 @@ def test_nearly_scalar_matrix_has_finitely_many_roots():
     m = Mat2(1.0, 1e-12, 0.0, 1.0)
     assert count_real_roots(m).n == 2
     assert len(_check_closed_form(m)) == 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(lam1=st.floats(0.1, 10), lam2=st.floats(0.1, 10), z=conjugators, scale=scales)
+def test_principal_sqrt_agrees_with_matrix_function_on_real_spectra(lam1, lam2, z, scale):
+    m = scale * _conjugate((lam1, 0.0, 0.0, lam2), z)
+    if abs(lam1 - lam2) < 1e-3 * max(lam1, lam2):
+        return  # matrix_function merges nearly equal eigenvalues
+    root = principal_sqrt(m)
+    assert root.max_diff(matrix_function(m, SQRT)) <= 1e-9 * root.max_norm()

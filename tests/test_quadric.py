@@ -29,6 +29,7 @@ from invgeo.errors import (
     AlphaMismatch,
     DegenerateSeed,
     InvalidCount,
+    NonFiniteEntry,
     NotAnInvolution,
     NotInHyperplane,
 )
@@ -233,6 +234,33 @@ def test_generator_degenerate_seed_and_retry():
     _check_generator_identities(a, pair)
 
 
+#: b -> 0 involutions for which the seed [[1, 0], [0, 0]] leaves one ruling
+#: product at about 1e-9 of |A+I| |X| |A-I|: the direction normalised from it
+#: is rounding noise and breaks AU = U.
+NEAR_DEGENERATE_SEED = [
+    Mat2(0.9999999986926782, 4.206964658592593e-09, 0.6215035512649122, -0.9999999986926782),
+    Mat2(0.9999999995404276, -7.022120599863191e-10, -1.308927472560538, -0.9999999995404276),
+    Mat2(-1.0000000037577772, 7.756364101386304e-09, -0.9689533044105292, 1.0000000037577772),
+    Mat2(-1.00000000181626, 9.476083567024809e-09, -0.38333561896599455, 1.00000000181626),
+]
+
+
+@pytest.mark.parametrize("a", NEAR_DEGENERATE_SEED, ids=repr)
+def test_generator_seed_that_nearly_annihilates_a_product_is_degenerate(a):
+    x_seed = Mat2(1.0, 0.0, 0.0, 0.0)
+    with pytest.raises(DegenerateSeed):
+        generator_directions(a, x_seed)
+    # another seed gives a pair that satisfies the ruling identities
+    _check_generator_identities(a, generator_directions(a, Mat2(0.0, 1.0, 1.0, 0.0)))
+
+
+@pytest.mark.parametrize("a", [householder_from_angle(0.7), make_general_root(0.3, 2.0),
+                               make_general_root(-2.0, -0.5), Mat2(1, 0, 0, -1)], ids=repr)
+def test_generator_directions_of_generic_involutions_are_returned(a):
+    pair = generator_directions(a, Mat2(0.3, 0.8, -0.6, 0.1))
+    _check_generator_identities(a, pair)
+
+
 def test_generator_directions_reject_off_surface_points():
     with pytest.raises(NotAnInvolution):
         generator_directions(I2, Mat2(1, 0, 0, 0))
@@ -331,3 +359,115 @@ bounds = st.floats(min_value=-1e300, max_value=1e300)
 def test_linspace_matches_numpy_bit_for_bit(lo, hi, n):
     ours = [x.hex() for x in _linspace(lo, hi, n)]
     assert ours == [x.hex() for x in np.linspace(lo, hi, n).tolist()]
+
+
+# -- scale-relative cone decision ----------------------------------------------
+
+#: (trace, det) of 1e-6-scale matrices whose disc alpha^2 - 4 beta is below
+#: 1e-12 in size but far from 0 relative to alpha^2 + 4|beta|.
+SMALL_SCALE_LOCI = [
+    # complex spectrum (-1.48e-6, 3.27e-7, -3.32e-7, -1.45e-6): disc -4.3e-13
+    ((-1.4802267905375369e-06, 3.267452907359554e-07, -3.315261264117186e-07,
+      -1.4456062624056467e-06), SurfaceTag.TWO_SHEET_HYPERBOLOID),
+    # distinct positive spectra: disc 8.4e-13 and 5.6e-13
+    ((3.532223917066578e-07, 9.921154823576307e-08, -1.467485392021113e-07,
+      1.3037801772411457e-06), SurfaceTag.ONE_SHEET_HYPERBOLOID),
+    ((2.903149593634068e-06, 3.7825882960861595e-08, 3.399887426390825e-07,
+      3.6153762374160387e-06), SurfaceTag.ONE_SHEET_HYPERBOLOID),
+]
+
+
+@pytest.mark.parametrize("entries, tag", SMALL_SCALE_LOCI)
+def test_small_scale_loci_are_not_cones(entries, tag):
+    m = Mat2(*entries)
+    assert abs(m.trace() ** 2 - 4 * m.det()) < 1e-12
+    assert classify_quadric(LocusParams(m.trace(), m.det())).tag is tag
+
+
+@pytest.mark.parametrize("s", [1e-150, 1e-6, 1.0, 1e8, 1e150])
+def test_cone_decision_is_scale_invariant(s):
+    # S(2s, s^2) is a cone, and moving beta by 1e-9 of itself leaves it
+    assert classify_quadric(LocusParams(2 * s, s * s)).tag is SurfaceTag.RIGHT_CIRCULAR_CONE
+    assert (classify_quadric(LocusParams(2 * s, s * s * (1 + 1e-9))).tag
+            is SurfaceTag.TWO_SHEET_HYPERBOLOID)
+    assert (classify_quadric(LocusParams(2 * s, s * s * (1 - 1e-9))).tag
+            is SurfaceTag.ONE_SHEET_HYPERBOLOID)
+
+
+def test_cone_decision_where_the_squares_overflow_or_underflow():
+    assert classify_quadric(LocusParams(2.0**512, 2.0**1022)).tag is SurfaceTag.RIGHT_CIRCULAR_CONE
+    assert classify_quadric(LocusParams(1e200, 0.0)).tag is SurfaceTag.ONE_SHEET_HYPERBOLOID
+    assert classify_quadric(LocusParams(0.0, 1e308)).tag is SurfaceTag.TWO_SHEET_HYPERBOLOID
+    assert classify_quadric(LocusParams(0.0, -1e308)).tag is SurfaceTag.ONE_SHEET_HYPERBOLOID
+    assert classify_quadric(LocusParams(1e-170, 0.0)).tag is SurfaceTag.ONE_SHEET_HYPERBOLOID
+    assert classify_quadric(LocusParams(0.0, 1e-300)).tag is SurfaceTag.TWO_SHEET_HYPERBOLOID
+    assert classify_quadric(LocusParams(0.0, 0.0)).tag is SurfaceTag.RIGHT_CIRCULAR_CONE
+
+
+# -- BellPoint construction ------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("slot", ["x", "y", "z", "alpha"])
+def test_bell_point_non_finite_entry_is_named(bad, slot):
+    coords = {"x": 1.0, "y": 2.0, "z": 3.0, "alpha": 4.0, slot: bad}
+    with pytest.raises(NonFiniteEntry, match=f"^{slot} must be finite"):
+        BellPoint(**coords)
+
+
+def test_bell_point_converts_non_float_entries():
+    class Half(float):
+        pass
+
+    for p in (BellPoint(1, True, "2.5", 3), BellPoint(Half(1.0), 1.0, 2.5, np.float64(3.0))):
+        assert (p.x, p.y, p.z, p.alpha) == (1.0, 1.0, 2.5, 3.0)
+        assert all(type(v) is float for v in (p.x, p.y, p.z, p.alpha))
+    assert BellPoint(1, 2, 3).alpha == 0.0
+
+
+# -- sample_surface against the per-point formulas -------------------------------
+
+
+def _per_point_grid(params, n_u, n_v, span):
+    """sample_surface's grid, written point by point from the closed forms."""
+    radius_sq = 0.5 * params.alpha * params.alpha - 2.0 * params.beta
+    tag = classify_quadric(params).tag
+    azimuths = [2.0 * math.pi * j / n_u for j in range(n_u)]
+    out = []
+    if tag is SurfaceTag.ONE_SHEET_HYPERBOLOID:
+        r = math.sqrt(radius_sq)
+        for v in np.linspace(-span, span, n_v).tolist():
+            for u in azimuths:
+                out.append((r * math.cosh(v) * math.cos(u), r * math.cosh(v) * math.sin(u),
+                            r * math.sinh(v)))
+    elif tag is SurfaceTag.TWO_SHEET_HYPERBOLOID:
+        m = math.sqrt(-radius_sq)
+        n_top = (n_v + 1) // 2
+        rows = [(1.0, v) for v in np.linspace(0.0, span, n_top).tolist()]
+        rows += [(-1.0, v) for v in np.linspace(0.0, span, n_v - n_top).tolist()]
+        for sheet, v in rows:
+            for u in azimuths:
+                out.append((m * math.sinh(v) * math.cos(u), m * math.sinh(v) * math.sin(u),
+                            sheet * m * math.cosh(v)))
+    else:
+        for rho in np.linspace(-span, span, n_v).tolist():
+            if abs(rho) > 1e-12:
+                out.extend((rho * math.cos(u), rho * math.sin(u), rho) for u in azimuths)
+        out.append((0.0, 0.0, 0.0))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(alpha=st.floats(-5, 5), beta=st.floats(-5, 5), kind=st.sampled_from(["as is", "cone"]),
+       n_u=st.integers(1, 9), n_v=st.integers(1, 9), span=st.floats(0.0, 3.0))
+def test_sample_surface_matches_per_point_formulas_bit_for_bit(alpha, beta, kind, n_u, n_v, span):
+    if kind == "cone":
+        beta = alpha * alpha / 4.0
+    params = LocusParams(alpha, beta)
+    points = sample_surface(params, n_u, n_v, span=span)
+    want = _per_point_grid(params, n_u, n_v, span)
+    assert [(p.bell.x.hex(), p.bell.y.hex(), p.bell.z.hex()) for p in points] == [
+        (x.hex(), y.hex(), z.hex()) for x, y, z in want]
+    for p, (x, y, z) in zip(points, want):
+        assert p.bell.alpha == alpha
+        assert p.matrix == from_bell(BellPoint(x, y, z, alpha))

@@ -201,3 +201,39 @@ def test_neg_root_covers_both_sheets():
 def test_json_round_trip():
     q = SplitQuat(0.5, -1.5, 2.0, 0.0)
     assert SplitQuat.from_json_dict(q.to_json_dict()) == q
+
+
+# -- scale-relative lightlike decision ----------------------------------------------
+
+#: 1e-6-scale matrices whose determinant q q* is below 1e-12 in size but far
+#: from 0 relative to w^2 + x^2 + y^2 + z^2.
+SMALL_SCALE_QUATS = [
+    ((-4.77552939169364e-07, -2.1415998485698278e-07, -5.346885399034996e-07,
+      6.79308292457427e-07), CausalClass.SPACELIKE),  # det -4.4e-13
+    ((-1.0260890607311717e-06, -5.275899267194504e-07, -6.150459010129217e-07,
+      2.9365557891756564e-07), CausalClass.SPACELIKE),  # det -6.3e-13
+    ((3.532223917066578e-07, 9.921154823576307e-08, -1.467485392021113e-07,
+      1.3037801772411457e-06), CausalClass.TIMELIKE),  # det 4.8e-13
+]
+
+
+@pytest.mark.parametrize("entries, causal", SMALL_SCALE_QUATS)
+def test_small_scale_quaternions_are_not_lightlike(entries, causal):
+    m = Mat2(*entries)
+    q = from_matrix(m)
+    assert abs(q.modulus()) < 1e-12
+    assert sq_classify(q) is causal
+    inv = sq_inverse(q)
+    assert sq_mul(q, inv).max_diff(ONE) <= 1e-9
+
+
+@pytest.mark.parametrize("s", [1e-150, 1e-6, 1.0, 1e8, 1e150, 1e300])
+def test_lightlike_decision_is_scale_invariant(s):
+    assert sq_classify(SplitQuat(s, 0, s, 0)) is CausalClass.LIGHTLIKE
+    with pytest.raises(NotInvertible):
+        sq_inverse(SplitQuat(0, s, 0, s))
+    assert sq_classify(SplitQuat(s, 0, s * (1 - 1e-9), 0)) is CausalClass.TIMELIKE
+    assert sq_classify(SplitQuat(0, s * (1 - 1e-9), 0, s)) is CausalClass.SPACELIKE
+    assert sq_classify(SplitQuat(s, 0, 0, 0)) is CausalClass.TIMELIKE
+    assert sq_classify(SplitQuat(0, 0, 0, s)) is CausalClass.SPACELIKE
+

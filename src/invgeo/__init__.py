@@ -16,92 +16,52 @@ The package covers, for 2x2 real matrices:
 - plane-transformation factorizations and orbits (``xform``).
 
 A CLI (``invgeo``) exposes each capability with JSON/CSV output.
+
+Importing the package loads none of these modules.  Each name in
+``__all__`` is imported from its home module on first use, so
+``import invgeo`` and the CLI's start pay only for what they touch.
 """
 
-from .errors import InvGeoError
-from .mat2 import DEFAULT_TOL, Mat2, Tolerance, Vec2, approx_eq
-from .roots import (
-    RootFamily,
-    RootTag,
-    classify_involution,
-    is_involution,
-    is_skew_involution,
-    make_case_root,
-    make_general_root,
-    make_root,
-    make_skew_root,
-    sample_involutions,
-    sample_skew_involutions,
-)
-from .quadric import (
-    BELL_BASIS,
-    BellPoint,
-    GeneratorPair,
-    LocusParams,
-    SurfaceClass,
-    SurfacePoint,
-    SurfaceTag,
-    classify_quadric,
-    from_bell,
-    generator_directions,
-    generator_point,
-    in_locus,
-    on_asymptotic_cone,
-    principal_axis_point,
-    quadric_residual,
-    sample_surface,
-    to_bell,
-)
-from .householder import (
-    UnitVec2,
-    householder_angle,
-    householder_from_angle,
-    householder_from_unit,
-    pythagorean_root,
-    reflection_axis,
-)
-from .splitquat import (
-    CausalClass,
-    SplitQuat,
-    decompose_root,
-    from_matrix,
-    root_matrix_identity,
-    root_matrix_neg,
-    sq_classify,
-    sq_inverse,
-    sq_mul,
-    to_matrix,
-    unit_root_identity,
-    unit_root_neg,
-)
-from .matfun import (
-    Cardinality,
-    Jordan2,
-    JordanKind,
-    RootCardinality,
-    RootSearchGrid,
-    SQRT,
-    SQUARE,
-    ScalarFunction,
-    brute_force_roots,
-    conjugated_roots,
-    count_real_roots,
-    eigen2,
-    jordan2,
-    matrix_function,
-    principal_sqrt,
-    scaled_roots,
-    sqrt_branches,
-)
-from .xform import (
-    Decomposition,
-    ElementaryTransform,
-    TransformKind,
-    decompose,
-    decompose_case,
-    decompose_general,
-    orbit,
-)
+from importlib import import_module as _import_module
+
+#: Home module of each exported name.  Nothing below is imported until first
+#: use: ``invgeo.Mat2`` loads ``invgeo.mat2``, ``invgeo.sqrt_branches`` loads
+#: ``invgeo.matfun``, so a caller pays only for the modules it touches.
+_EXPORTS = {
+    "errors": ("InvGeoError",),
+    "mat2": ("DEFAULT_TOL", "Mat2", "Tolerance", "Vec2", "approx_eq"),
+    "roots": (
+        "RootFamily", "RootTag", "classify_involution", "is_involution",
+        "is_skew_involution", "make_case_root", "make_general_root", "make_root",
+        "make_skew_root", "sample_involutions", "sample_skew_involutions",
+    ),
+    "quadric": (
+        "BELL_BASIS", "BellPoint", "GeneratorPair", "LocusParams", "SurfaceClass",
+        "SurfacePoint", "SurfaceTag", "classify_quadric", "from_bell",
+        "generator_directions", "generator_point", "in_locus", "on_asymptotic_cone",
+        "principal_axis_point", "quadric_residual", "sample_surface", "to_bell",
+    ),
+    "householder": (
+        "UnitVec2", "householder_angle", "householder_from_angle",
+        "householder_from_unit", "pythagorean_root", "reflection_axis",
+    ),
+    "splitquat": (
+        "CausalClass", "SplitQuat", "decompose_root", "from_matrix",
+        "root_matrix_identity", "root_matrix_neg", "sq_classify", "sq_inverse",
+        "sq_mul", "to_matrix", "unit_root_identity", "unit_root_neg",
+    ),
+    "matfun": (
+        "Cardinality", "Jordan2", "JordanKind", "RootCardinality", "RootSearchGrid",
+        "SQRT", "SQUARE", "ScalarFunction", "brute_force_roots", "conjugated_roots",
+        "count_real_roots", "eigen2", "jordan2", "matrix_function", "principal_sqrt",
+        "scaled_roots", "sqrt_branches",
+    ),
+    "xform": (
+        "Decomposition", "ElementaryTransform", "TransformKind", "decompose",
+        "decompose_case", "decompose_general", "orbit",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
@@ -183,3 +143,17 @@ __all__ = [
     "unit_root_identity",
     "unit_root_neg",
 ]
+
+
+def __getattr__(name: str):
+    """Import an exported name's home module on first use (PEP 562)."""
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -19,6 +19,13 @@ CSV point rows are one join of seven ``float.__repr__`` values and the tag.
 
 ``run()`` builds the argument parser on its first call and reuses it, so
 calling it repeatedly in one process costs only the parse and the work.
+
+Importing this module loads only ``mat2`` and ``errors`` of the package.
+Each subcommand imports the kernel modules it uses when it runs, so
+``invgeo classify --alpha 0 --beta -1`` never loads ``matfun``.  The kernel
+modules are also attributes of this module (``cli.matfun`` imports
+``invgeo.matfun`` on first access), and a subcommand uses whatever that
+attribute is bound to, so a caller may rebind it, for instance to trace calls.
 """
 
 from __future__ import annotations
@@ -27,10 +34,27 @@ import argparse
 import json
 import os
 import sys
+from importlib import import_module
 
-from . import householder, matfun, quadric, roots, splitquat, xform
 from .errors import InvalidTolerance, InvGeoError
 from .mat2 import DEFAULT_TOL, Mat2, Tolerance, Vec2
+
+_KERNELS = ("householder", "matfun", "quadric", "roots", "splitquat", "xform")
+
+
+def _kernel(name: str):
+    """The kernel module bound to ``cli.<name>``, imported on first use."""
+    module = globals().get(name)
+    if module is None:
+        module = globals()[name] = import_module(f".{name}", __package__)
+    return module
+
+
+def __getattr__(name: str):
+    # PEP 562: ``cli.matfun`` and the like resolve through _kernel
+    if name in _KERNELS:
+        return _kernel(name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class UsageError(Exception):
@@ -82,7 +106,8 @@ def _parse_matrix(text: str | None, path: str | None, what: str = "matrix") -> M
         raise UsageError(str(exc)) from exc
 
 
-def _parse_quat(text: str) -> splitquat.SplitQuat:
+def _parse_quat(text: str):
+    splitquat = _kernel("splitquat")
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -214,8 +239,9 @@ def _emit_point_csv(args, rows):
     _write(args, "\n".join(lines) + "\n")
 
 
-def _family(args) -> roots.RootFamily:
+def _family(args):
     """The root family named by --family with whichever of --a/--b/--c are set."""
+    roots = _kernel("roots")
     params = {k: v for k, v in (("a", args.a), ("b", args.b), ("c", args.c)) if v is not None}
     return roots.RootFamily(roots.RootTag(args.family.replace("-", "_")), **params)
 
@@ -224,6 +250,7 @@ def _family(args) -> roots.RootFamily:
 
 
 def _cmd_roots(args, tol: Tolerance) -> None:
+    roots = _kernel("roots")
     target = Mat2.identity() if args.of == "identity" else -Mat2.identity()
     if args.sample is not None:
         if args.of == "identity":
@@ -265,16 +292,18 @@ def _cmd_roots(args, tol: Tolerance) -> None:
 def _cmd_classify(args, tol: Tolerance) -> None:
     if args.matrix is not None or args.matrix_file is not None:
         matrix = _parse_matrix(args.matrix, args.matrix_file)
-        family = roots.classify_involution(matrix, tol)
+        family = _kernel("roots").classify_involution(matrix, tol)
         _emit_json(args, family.to_json_dict())
         return
     if args.alpha is None or args.beta is None:
         raise UsageError("classify needs either --matrix or both --alpha and --beta")
+    quadric = _kernel("quadric")
     surface = quadric.classify_quadric(quadric.LocusParams(args.alpha, args.beta), tol)
     _emit_json(args, surface.to_json_dict())
 
 
 def _cmd_bell(args, tol: Tolerance) -> None:
+    quadric = _kernel("quadric")
     if args.matrix is not None or args.matrix_file is not None:
         matrix = _parse_matrix(args.matrix, args.matrix_file)
         bell = quadric.to_bell(matrix, args.alpha, tol)
@@ -292,8 +321,9 @@ def _cmd_bell(args, tol: Tolerance) -> None:
 
 
 def _cmd_generators(args, tol: Tolerance) -> None:
+    quadric = _kernel("quadric")
     if args.phi is not None:
-        point = householder.householder_from_angle(args.phi)
+        point = _kernel("householder").householder_from_angle(args.phi)
     elif args.matrix is not None or args.matrix_file is not None:
         point = _parse_matrix(args.matrix, args.matrix_file)
     else:
@@ -333,6 +363,7 @@ def _cmd_generators(args, tol: Tolerance) -> None:
 
 
 def _cmd_quat(args, tol: Tolerance) -> None:
+    splitquat = _kernel("splitquat")
     if args.root is not None:
         if args.root == "identity":
             q = splitquat.unit_root_identity(args.t, args.phi)
@@ -371,6 +402,7 @@ def _cmd_quat(args, tol: Tolerance) -> None:
 
 
 def _cmd_matfun(args, tol: Tolerance) -> None:
+    matfun = _kernel("matfun")
     matrix = _parse_matrix(args.matrix, args.matrix_file)
     if args.all_branches:
         branches = matfun.sqrt_branches(matrix, tol)
@@ -387,6 +419,7 @@ def _cmd_matfun(args, tol: Tolerance) -> None:
 
 
 def _cmd_sample(args, tol: Tolerance) -> None:
+    quadric = _kernel("quadric")
     points = quadric.sample_surface(
         quadric.LocusParams(args.alpha, args.beta), args.nu, args.nv,
         span=args.span, tol=tol,
@@ -401,10 +434,11 @@ def _cmd_sample(args, tol: Tolerance) -> None:
 
 
 def _cmd_decompose(args, tol: Tolerance) -> None:
+    xform = _kernel("xform")
     if args.family is not None:
         family = _family(args)
         decomposition = xform.decompose_case(family)
-        matrix = roots.make_root(family)
+        matrix = _kernel("roots").make_root(family)
     else:
         matrix = _parse_matrix(args.matrix, args.matrix_file)
         decomposition = xform.decompose(matrix, tol)
@@ -417,7 +451,7 @@ def _cmd_decompose(args, tol: Tolerance) -> None:
 
 def _cmd_orbit(args, tol: Tolerance) -> None:
     matrix = _parse_matrix(args.matrix, args.matrix_file)
-    points = xform.orbit(matrix, Vec2(args.x, args.y), args.steps)
+    points = _kernel("xform").orbit(matrix, Vec2(args.x, args.y), args.steps)
     if args.format == "csv":
         lines = ["step,x,y"]
         lines += [_csv_row([i, p.x, p.y]) for i, p in enumerate(points)]
@@ -435,7 +469,8 @@ def _add_family_flags(parser):
     parser.add_argument("--a", type=float)
     parser.add_argument("--b", type=float)
     parser.add_argument("--c", type=float)
-    parser.add_argument("--family", choices=[t.value.replace("_", "-") for t in roots.RootTag])
+    parser.add_argument("--family",
+                        choices=[t.value.replace("_", "-") for t in _kernel("roots").RootTag])
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -14,28 +14,25 @@ H = [[r, s], [s, -r]] / t.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import NotPythagorean, NotUnitVector
-from .mat2 import DEFAULT_TOL, Mat2, Tolerance, approx_eq
+from .mat2 import DEFAULT_TOL, Mat2, Tolerance, _setattr, _Value, approx_eq
 from .roots import is_involution
 
 _NORM_SLACK = 1e-6  # inputs this close to unit length are renormalized
 
 
-@dataclass(frozen=True)
-class UnitVec2:
+class UnitVec2(_Value):
     """Unit column vector; near-unit inputs are renormalized, others rejected."""
 
-    v1: float
-    v2: float
+    __slots__ = ("v1", "v2")
 
-    def __post_init__(self):
-        norm = math.hypot(self.v1, self.v2)
+    def __init__(self, v1: float, v2: float):
+        norm = math.hypot(v1, v2)
         if abs(norm - 1.0) > _NORM_SLACK:
             raise NotUnitVector(f"|v| = {norm}, not within {_NORM_SLACK} of 1")
-        object.__setattr__(self, "v1", float(self.v1) / norm)
-        object.__setattr__(self, "v2", float(self.v2) / norm)
+        _setattr(self, "v1", float(v1) / norm)
+        _setattr(self, "v2", float(v2) / norm)
 
 
 def householder_from_unit(v: UnitVec2) -> Mat2:

@@ -5,15 +5,18 @@ everything else in the package (root families, the hyperboloid loci, the
 split-quaternion isomorphism) is built on top of this identification.
 
 All values are immutable and all operations are pure functions, so they are
-safe to share across threads.  Value types are frozen dataclasses with
-``__slots__``: a point cloud holds tens of thousands of them, and slots take
-the per-instance dict off each one.
+safe to share across threads.  Value types derive from ``_Value``: frozen,
+with ``__slots__`` for fields (a point cloud holds tens of thousands of them,
+and slots take the per-instance dict off each one), and with the equality,
+hash and repr of a frozen dataclass.  They are written out by hand rather
+than generated by ``dataclasses``, whose code generation at import would
+dominate the start of a short CLI process.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from .errors import InvalidTolerance, NonFiniteEntry, NotInvertible
@@ -41,32 +44,87 @@ def _plain_finite(a, b, c, d) -> bool:
             and a - a + (b - b) + (c - c) + (d - d) == 0.0)
 
 
-@dataclass(frozen=True, slots=True)
-class Tolerance:
+_setattr = object.__setattr__
+
+
+def _restore(cls, values):
+    """Unpickle a value: its fields as they were, without re-validation."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values):
+        _setattr(obj, name, value)
+    return obj
+
+
+class _Value:
+    """Frozen value type whose fields are its ``__slots__`` (two or more).
+
+    Equality, hash and repr are those of ``@dataclass(frozen=True)``: field
+    by field, equal only to an instance of the same class, and ``repr``
+    reading ``Cls(field=value, ...)``.  Assignment and deletion raise
+    ``dataclasses.FrozenInstanceError``.  A subclass's ``__init__`` sets
+    each field once with ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # one C call reads every field as a tuple, for __eq__ and __hash__
+        cls._astuple = attrgetter(*cls.__slots__)
+        cls.__match_args__ = cls.__slots__
+
+    def __eq__(self, other):
+        cls = self.__class__
+        if other.__class__ is cls:
+            astuple = cls._astuple
+            return astuple(self) == astuple(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.__class__._astuple(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self.__slots__, self._astuple(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return _restore, (type(self), self._astuple(self))
+
+
+class Tolerance(_Value):
     """Comparison tolerances: ``abs_tol`` for residual checks, ``exact_tol``
     for round-trips and degeneracy cutoffs (b ~ 0, scalar-matrix distance)."""
 
-    abs_tol: float = 1e-9
-    exact_tol: float = 1e-12
+    __slots__ = ("abs_tol", "exact_tol")
 
-    def __post_init__(self):
-        if not (0 < self.exact_tol <= self.abs_tol):
+    def __init__(self, abs_tol: float = 1e-9, exact_tol: float = 1e-12):
+        _setattr(self, "abs_tol", abs_tol)
+        _setattr(self, "exact_tol", exact_tol)
+        if not (0 < exact_tol <= abs_tol):
             raise InvalidTolerance(
-                f"need 0 < exact_tol <= abs_tol, got {self.exact_tol}, {self.abs_tol}"
+                f"need 0 < exact_tol <= abs_tol, got {exact_tol}, {abs_tol}"
             )
 
 
 DEFAULT_TOL = Tolerance()
 
 
-@dataclass(frozen=True, slots=True)
-class Vec2:
-    x: float
-    y: float
+class Vec2(_Value):
+    __slots__ = ("x", "y")
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", _finite(self.x, "x"))
-        object.__setattr__(self, "y", _finite(self.y, "y"))
+    def __init__(self, x: float, y: float):
+        _setattr(self, "x", _finite(x, "x"))
+        _setattr(self, "y", _finite(y, "y"))
 
     def __add__(self, other: "Vec2") -> "Vec2":
         return Vec2(self.x + other.x, self.y + other.y)
@@ -81,24 +139,23 @@ class Vec2:
         return max(abs(self.x - other.x), abs(self.y - other.y))
 
 
-@dataclass(frozen=True, slots=True)
-class Mat2:
+class Mat2(_Value):
     """Row-major 2x2 real matrix [[a, b], [c, d]].
 
     Constructors reject non-finite entries so every downstream invariant
     check can assume finiteness.
     """
 
-    a: float
-    b: float
-    c: float
-    d: float
+    __slots__ = ("a", "b", "c", "d")
 
-    def __post_init__(self):
-        if _plain_finite(self.a, self.b, self.c, self.d):
-            return
-        for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, _finite(getattr(self, name), name))
+    def __init__(self, a: float, b: float, c: float, d: float):
+        if not _plain_finite(a, b, c, d):
+            a, b, c, d = (_finite(a, "a"), _finite(b, "b"),
+                          _finite(c, "c"), _finite(d, "d"))
+        _setattr(self, "a", a)
+        _setattr(self, "b", b)
+        _setattr(self, "c", c)
+        _setattr(self, "d", d)
 
     # -- constructors ------------------------------------------------------
 

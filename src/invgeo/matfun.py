@@ -24,7 +24,6 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from .errors import (
@@ -34,7 +33,7 @@ from .errors import (
     NotASquareRoot,
     SingularConjugator,
 )
-from .mat2 import DEFAULT_TOL, Mat2, Tolerance, approx_eq
+from .mat2 import DEFAULT_TOL, Mat2, Tolerance, _setattr, _Value, approx_eq
 
 # Jordan structure is discontinuous; nearly equal eigenvalues are merged at
 # this relative scale.
@@ -47,14 +46,16 @@ class JordanKind(enum.Enum):
     JORDAN_BLOCK = "jordan_block"
 
 
-@dataclass(frozen=True)
-class Jordan2:
+class Jordan2(_Value):
     """Similarity transform z and Jordan form of a real-spectrum matrix."""
 
-    z: Mat2
-    kind: JordanKind
-    eig1: float
-    eig2: float
+    __slots__ = ("z", "kind", "eig1", "eig2")
+
+    def __init__(self, z: Mat2, kind: JordanKind, eig1: float, eig2: float):
+        _setattr(self, "z", z)
+        _setattr(self, "kind", kind)
+        _setattr(self, "eig1", eig1)
+        _setattr(self, "eig2", eig2)
 
     def j_matrix(self) -> Mat2:
         if self.kind is JordanKind.JORDAN_BLOCK:
@@ -65,13 +66,16 @@ class Jordan2:
         return self.z @ self.j_matrix() @ self.z.inverse()
 
 
-@dataclass(frozen=True)
-class ScalarFunction:
+class ScalarFunction(_Value):
     """Scalar function plus first derivative (needed only on Jordan blocks)."""
 
-    f: Callable[[float], float]
-    f_prime: Callable[[float], float] | None = None
-    name: str = ""
+    __slots__ = ("f", "f_prime", "name")
+
+    def __init__(self, f: Callable[[float], float],
+                 f_prime: Callable[[float], float] | None = None, name: str = ""):
+        _setattr(self, "f", f)
+        _setattr(self, "f_prime", f_prime)
+        _setattr(self, "name", name)
 
 
 def _sqrt(x: float) -> float:
@@ -92,10 +96,12 @@ class Cardinality(enum.Enum):
     INFINITE = "infinite"
 
 
-@dataclass(frozen=True)
-class RootCardinality:
-    tag: Cardinality
-    n: int | None = None
+class RootCardinality(_Value):
+    __slots__ = ("tag", "n")
+
+    def __init__(self, tag: Cardinality, n: int | None = None):
+        _setattr(self, "tag", tag)
+        _setattr(self, "n", n)
 
     def to_json_dict(self) -> dict:
         out: dict = {"tag": self.tag.value}
@@ -327,8 +333,7 @@ def conjugated_roots(m: Mat2, zc: Mat2, root: Mat2, tol: Tolerance = DEFAULT_TOL
     return zc_inv @ root @ zc
 
 
-@dataclass(frozen=True)
-class RootSearchGrid:
+class RootSearchGrid(_Value):
     """Start-point lattice for the brute-force root search.
 
     dedup_tol is deliberately coarse: near a zero eigenvalue the residual
@@ -336,11 +341,15 @@ class RootSearchGrid:
     sqrt(residual_tol) away from the true root.
     """
 
-    points_per_axis: int = 4
-    lo: float = -3.0
-    hi: float = 3.0
-    residual_tol: float = 1e-9
-    dedup_tol: float = 1e-4
+    __slots__ = ("points_per_axis", "lo", "hi", "residual_tol", "dedup_tol")
+
+    def __init__(self, points_per_axis: int = 4, lo: float = -3.0, hi: float = 3.0,
+                 residual_tol: float = 1e-9, dedup_tol: float = 1e-4):
+        _setattr(self, "points_per_axis", points_per_axis)
+        _setattr(self, "lo", lo)
+        _setattr(self, "hi", hi)
+        _setattr(self, "residual_tol", residual_tol)
+        _setattr(self, "dedup_tol", dedup_tol)
 
 
 def brute_force_roots(m: Mat2, grid: RootSearchGrid = RootSearchGrid()) -> list[Mat2]:

@@ -31,7 +31,6 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
 
 from .errors import (
     AlphaMismatch,
@@ -40,7 +39,16 @@ from .errors import (
     NotAnInvolution,
     NotInHyperplane,
 )
-from .mat2 import _SAFE_MIN, DEFAULT_TOL, Mat2, Tolerance, _finite, _plain_finite
+from .mat2 import (
+    _SAFE_MIN,
+    DEFAULT_TOL,
+    Mat2,
+    Tolerance,
+    _finite,
+    _plain_finite,
+    _setattr,
+    _Value,
+)
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_EPS = math.sqrt(sys.float_info.epsilon)
@@ -53,32 +61,29 @@ BELL_BASIS = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class LocusParams:
+class LocusParams(_Value):
     """Target trace and determinant of the matrix locus."""
 
-    alpha: float
-    beta: float
+    __slots__ = ("alpha", "beta")
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", _finite(self.alpha, "alpha"))
-        object.__setattr__(self, "beta", _finite(self.beta, "beta"))
+    def __init__(self, alpha: float, beta: float):
+        _setattr(self, "alpha", _finite(alpha, "alpha"))
+        _setattr(self, "beta", _finite(beta, "beta"))
 
 
-@dataclass(frozen=True, slots=True)
-class BellPoint:
+class BellPoint(_Value):
     """(x, y, z) coordinates in the Bell frame of the hyperplane trace=alpha."""
 
-    x: float
-    y: float
-    z: float
-    alpha: float = 0.0
+    __slots__ = ("x", "y", "z", "alpha")
 
-    def __post_init__(self):
-        if _plain_finite(self.x, self.y, self.z, self.alpha):
-            return
-        for name in ("x", "y", "z", "alpha"):
-            object.__setattr__(self, name, _finite(getattr(self, name), name))
+    def __init__(self, x: float, y: float, z: float, alpha: float = 0.0):
+        if not _plain_finite(x, y, z, alpha):
+            x, y, z, alpha = (_finite(x, "x"), _finite(y, "y"),
+                              _finite(z, "z"), _finite(alpha, "alpha"))
+        _setattr(self, "x", x)
+        _setattr(self, "y", y)
+        _setattr(self, "z", z)
+        _setattr(self, "alpha", alpha)
 
     def to_json_dict(self) -> dict:
         return {"x": self.x, "y": self.y, "z": self.z, "alpha": self.alpha}
@@ -90,17 +95,18 @@ class SurfaceTag(enum.Enum):
     TWO_SHEET_HYPERBOLOID = "two_sheet"
 
 
-@dataclass(frozen=True, slots=True)
-class SurfaceClass:
-    tag: SurfaceTag
-    radius_sq: float
+class SurfaceClass(_Value):
+    __slots__ = ("tag", "radius_sq")
+
+    def __init__(self, tag: SurfaceTag, radius_sq: float):
+        _setattr(self, "tag", tag)
+        _setattr(self, "radius_sq", radius_sq)
 
     def to_json_dict(self) -> dict:
         return {"class": self.tag.value, "radius_sq": self.radius_sq}
 
 
-@dataclass(frozen=True, slots=True)
-class GeneratorPair:
+class GeneratorPair(_Value):
     """Direction matrices of the two rulings through a point of S(0, -1).
 
     U satisfies AU = U, UA = -U, U^2 = 0; V satisfies AV = -V, VA = V,
@@ -108,21 +114,26 @@ class GeneratorPair:
     determines them up to scale).
     """
 
-    u: Mat2
-    v: Mat2
+    __slots__ = ("u", "v")
+
+    def __init__(self, u: Mat2, v: Mat2):
+        _setattr(self, "u", u)
+        _setattr(self, "v", v)
 
 
-@dataclass(frozen=True, slots=True)
-class SurfacePoint:
+class SurfacePoint(_Value):
     """One sampled point: Bell coordinates, the matrix, and a tag.
 
     tag is "surface" for locus members and "vertex" for the cone apex,
     which is the scalar matrix excluded from S(alpha, beta) itself.
     """
 
-    bell: BellPoint
-    matrix: Mat2
-    tag: str = "surface"
+    __slots__ = ("bell", "matrix", "tag")
+
+    def __init__(self, bell: BellPoint, matrix: Mat2, tag: str = "surface"):
+        _setattr(self, "bell", bell)
+        _setattr(self, "matrix", matrix)
+        _setattr(self, "tag", tag)
 
 
 def in_locus(m: Mat2, params: LocusParams, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -134,6 +145,15 @@ def in_locus(m: Mat2, params: LocusParams, tol: Tolerance = DEFAULT_TOL) -> bool
     return m.scalar_distance() >= tol.exact_tol
 
 
+def _scaled(alpha: float, beta: float) -> tuple[int, float, float]:
+    """(e, alpha * 2**-e, beta * 4**-e), exact, with e = 0 unless the squares
+    in alpha^2 + 4|beta| would overflow or lose precision."""
+    if _SAFE_MIN < alpha * alpha + 4.0 * abs(beta) < math.inf:
+        return 0, alpha, beta
+    e = math.frexp(max(abs(alpha), math.sqrt(abs(beta))))[1]
+    return e, math.ldexp(alpha, -e), math.ldexp(beta, -2 * e)
+
+
 def classify_quadric(params: LocusParams, tol: Tolerance = DEFAULT_TOL) -> SurfaceClass:
     """Surface type of S(alpha, beta) by the sign of alpha^2 - 4*beta.
 
@@ -143,12 +163,8 @@ def classify_quadric(params: LocusParams, tol: Tolerance = DEFAULT_TOL) -> Surfa
     runs on alpha * 2**-e and beta * 4**-e, which is exact.
     """
     radius_sq = 0.5 * params.alpha * params.alpha - 2.0 * params.beta
-    alpha, beta = params.alpha, params.beta
+    _, alpha, beta = _scaled(params.alpha, params.beta)
     scale = alpha * alpha + 4.0 * abs(beta)
-    if not _SAFE_MIN < scale < math.inf:
-        e = math.frexp(max(abs(alpha), math.sqrt(abs(beta))))[1]
-        alpha, beta = math.ldexp(alpha, -e), math.ldexp(beta, -2 * e)
-        scale = alpha * alpha + 4.0 * abs(beta)
     disc = alpha * alpha - 4.0 * beta
     if abs(disc) <= tol.exact_tol * scale:
         return SurfaceClass(SurfaceTag.RIGHT_CIRCULAR_CONE, radius_sq)
@@ -269,12 +285,15 @@ def sample_surface(
 
     cos/sin are taken once per azimuth and cosh/sinh once per ring, and a
     point is (ring factor) * (azimuth factor): the same products, bit for
-    bit, as r * cosh(v) * cos(u) evaluated left to right.
+    bit, as r * cosh(v) * cos(u) evaluated left to right.  The radius comes
+    from alpha and beta scaled as in classify_quadric, so it neither
+    underflows to 0 nor overflows where alpha^2 or beta is out of range.
     """
     if n_u < 1 or n_v < 1:
         raise InvalidCount(f"need n_u, n_v >= 1, got {n_u}, {n_v}")
     surface = classify_quadric(params, tol)
-    radius_sq = surface.radius_sq
+    e, alpha_s, beta_s = _scaled(params.alpha, params.beta)
+    radius_sq = 0.5 * alpha_s * alpha_s - 2.0 * beta_s  # r^2 * 4**-e
     azimuths = [2.0 * math.pi * j / n_u for j in range(n_u)]
     trig = [(math.cos(u), math.sin(u)) for u in azimuths]
     alpha = params.alpha
@@ -286,11 +305,11 @@ def sample_surface(
             points.append(SurfacePoint(bell, from_bell(bell)))
 
     if surface.tag is SurfaceTag.ONE_SHEET_HYPERBOLOID:
-        r = math.sqrt(radius_sq)
+        r = math.ldexp(math.sqrt(radius_sq), e)
         for v in _linspace(-span, span, n_v):
             ring(r * math.cosh(v), r * math.sinh(v))
     elif surface.tag is SurfaceTag.TWO_SHEET_HYPERBOLOID:
-        m = math.sqrt(-radius_sq)
+        m = math.ldexp(math.sqrt(-radius_sq), e)
         n_top = (n_v + 1) // 2
         rows = [(1.0, v) for v in _linspace(0.0, span, n_top)]
         rows += [(-1.0, v) for v in _linspace(0.0, span, n_v - n_top)]

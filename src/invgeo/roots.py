@@ -17,7 +17,6 @@ side by -I2 yields the skew-involutory family [[a, b], [-(1 + a^2)/b, -a]].
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from . import _pcg64
 from .errors import (
@@ -26,7 +25,7 @@ from .errors import (
     NotAnInvolution,
     WrongConstructor,
 )
-from .mat2 import DEFAULT_TOL, Mat2, Tolerance, approx_eq
+from .mat2 import DEFAULT_TOL, Mat2, Tolerance, _setattr, _Value, approx_eq
 
 
 class RootTag(enum.Enum):
@@ -52,26 +51,24 @@ _PARAM_SLOTS = {
 }
 
 
-@dataclass(frozen=True)
-class RootFamily:
+class RootFamily(_Value):
     """Family tag plus the parameter slots that tag uses (others are None)."""
 
-    tag: RootTag
-    a: float | None = None
-    b: float | None = None
-    c: float | None = None
+    __slots__ = ("tag", "a", "b", "c")
 
-    def __post_init__(self):
-        used = _PARAM_SLOTS[self.tag]
-        for slot in ("a", "b", "c"):
-            value = getattr(self, slot)
+    def __init__(self, tag: RootTag, a: float | None = None, b: float | None = None,
+                 c: float | None = None):
+        _setattr(self, "tag", tag)
+        used = _PARAM_SLOTS[tag]
+        for slot, value in (("a", a), ("b", b), ("c", c)):
             if slot in used:
                 if value is None:
-                    raise DegenerateParameter(f"{self.tag.value} requires parameter {slot}")
-                object.__setattr__(self, slot, float(value))
+                    raise DegenerateParameter(f"{tag.value} requires parameter {slot}")
+                value = float(value)
             elif value is not None:
-                raise DegenerateParameter(f"{self.tag.value} does not take parameter {slot}")
-        if self.tag is RootTag.GENERAL and abs(self.b) <= DEFAULT_TOL.exact_tol:
+                raise DegenerateParameter(f"{tag.value} does not take parameter {slot}")
+            _setattr(self, slot, value)
+        if tag is RootTag.GENERAL and abs(self.b) <= DEFAULT_TOL.exact_tol:
             raise DegenerateParameter("general family requires b != 0")
 
     def params(self) -> dict:

@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 from .errors import NotInvertible, SingularParameter
 from .householder import householder_from_angle
-from .mat2 import _SAFE_MIN, DEFAULT_TOL, Mat2, Tolerance, _finite
+from .mat2 import _SAFE_MIN, DEFAULT_TOL, Mat2, Tolerance, _finite, _setattr, _Value
 
 
 class CausalClass(enum.Enum):
@@ -37,18 +36,16 @@ class CausalClass(enum.Enum):
     TIMELIKE = "timelike"     # qq* > 0
 
 
-@dataclass(frozen=True)
-class SplitQuat:
+class SplitQuat(_Value):
     """w + x*i + y*j + z*k with real coefficients."""
 
-    w: float
-    x: float
-    y: float
-    z: float
+    __slots__ = ("w", "x", "y", "z")
 
-    def __post_init__(self):
-        for name in ("w", "x", "y", "z"):
-            object.__setattr__(self, name, _finite(getattr(self, name), name))
+    def __init__(self, w: float, x: float, y: float, z: float):
+        _setattr(self, "w", _finite(w, "w"))
+        _setattr(self, "x", _finite(x, "x"))
+        _setattr(self, "y", _finite(y, "y"))
+        _setattr(self, "z", _finite(z, "z"))
 
     @staticmethod
     def unit(name: str) -> "SplitQuat":
@@ -82,8 +79,9 @@ class SplitQuat:
         return self.w * self.w + self.x * self.x - self.y * self.y - self.z * self.z
 
     def max_diff(self, other: "SplitQuat") -> float:
-        d = self - other
-        return max(abs(d.w), abs(d.x), abs(d.y), abs(d.z))
+        """Max-norm of self - other; inf where a difference overflows."""
+        return max(abs(self.w - other.w), abs(self.x - other.x),
+                   abs(self.y - other.y), abs(self.z - other.z))
 
     def to_json_dict(self) -> dict:
         return {"w": self.w, "x": self.x, "y": self.y, "z": self.z}

@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 from .errors import DegenerateAngle, InvalidCount, NotAnInvolution, WrongDecomposer
-from .mat2 import DEFAULT_TOL, Mat2, Tolerance, Vec2
+from .mat2 import DEFAULT_TOL, Mat2, Tolerance, Vec2, _setattr, _Value
 from .roots import RootFamily, RootTag, classify_involution, is_involution
 
 
@@ -41,12 +40,15 @@ class TransformKind(enum.Enum):
     SHEAR_Y_ADD = "shear_y_add"              # additive term [[0, 0], [kappa, 0]]
 
 
-@dataclass(frozen=True)
-class ElementaryTransform:
-    kind: TransformKind
-    matrix: Mat2
-    param: float | None = None
-    additive: bool = False
+class ElementaryTransform(_Value):
+    __slots__ = ("kind", "matrix", "param", "additive")
+
+    def __init__(self, kind: TransformKind, matrix: Mat2, param: float | None = None,
+                 additive: bool = False):
+        _setattr(self, "kind", kind)
+        _setattr(self, "matrix", matrix)
+        _setattr(self, "param", param)
+        _setattr(self, "additive", additive)
 
     def to_json_dict(self) -> dict:
         out: dict = {"kind": self.kind.value, "matrix": self.matrix.to_json_dict(),
@@ -97,16 +99,19 @@ def shear_y_add(kappa: float) -> ElementaryTransform:
     )
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(_Value):
     """Ordered multiplicative factors plus an optional additive term.
 
     Factors apply right to left, so recompose() multiplies them in the
     listed order, matching matrix products written left to right.
     """
 
-    factors: tuple[ElementaryTransform, ...]
-    additive_part: ElementaryTransform | None = None
+    __slots__ = ("factors", "additive_part")
+
+    def __init__(self, factors: tuple[ElementaryTransform, ...],
+                 additive_part: ElementaryTransform | None = None):
+        _setattr(self, "factors", factors)
+        _setattr(self, "additive_part", additive_part)
 
     def recompose(self) -> Mat2:
         product = Mat2.identity()

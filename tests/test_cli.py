@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import invgeo
 from invgeo import cli
 from invgeo.cli import run
 
@@ -222,6 +223,107 @@ def test_roots_sample_loads_neither_numpy_nor_scipy():
     *doc, after_run = proc.stdout.splitlines()
     assert len(json.loads("\n".join(doc))["samples"]) == 2
     assert json.loads(after_run) == []
+
+
+def _modules_in_fresh_process(code: str, *args: str) -> list[str]:
+    """sys.modules at exit of a fresh interpreter that runs ``code``."""
+    probe = ("import atexit, json, sys\n"
+             "atexit.register(lambda: print(json.dumps(sorted(sys.modules)), file=sys.stderr))\n"
+             + code)
+    proc = subprocess.run([sys.executable, "-c", probe, *args], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stderr.splitlines()[-1])
+
+
+def test_import_loads_no_code_generation_and_no_array_stack():
+    loaded = _modules_in_fresh_process("import invgeo.cli")
+    assert not {"dataclasses", "inspect", "numpy", "scipy"} & set(loaded)
+    assert {"invgeo.matfun", "invgeo.xform", "invgeo.splitquat", "invgeo.householder",
+            "invgeo.quadric", "invgeo.roots"}.isdisjoint(loaded)
+
+
+# what ``python -m invgeo.cli ARGS`` runs, with sys.modules reported at exit
+RUN_AS_MAIN = """
+import runpy
+sys.argv = ["invgeo", *sys.argv[1:]]
+runpy.run_module("invgeo.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_classify_as_main_loads_only_the_modules_it_uses():
+    loaded = _modules_in_fresh_process(RUN_AS_MAIN, "classify", "--alpha", "0", "--beta", "-1")
+    assert "invgeo.quadric" in loaded
+    assert {"invgeo.matfun", "invgeo.xform", "invgeo.splitquat", "invgeo.householder",
+            "dataclasses", "inspect", "numpy", "scipy"}.isdisjoint(loaded)
+
+
+def test_each_subcommand_loads_its_kernel_modules():
+    wanted = {
+        ("matfun", "--matrix", '{"a": 1, "b": 0, "c": 0, "d": 4}'): "invgeo.matfun",
+        ("decompose", "--matrix", SWAP): "invgeo.xform",
+        ("quat", "--from-matrix", SWAP): "invgeo.splitquat",
+        ("generators", "--phi", "0.5"): "invgeo.householder",
+    }
+    for argv, module in wanted.items():
+        loaded = _modules_in_fresh_process(RUN_AS_MAIN, *argv)
+        assert module in loaded, argv
+        assert "dataclasses" not in loaded, argv
+
+
+# every exported name, resolved lazily in a fresh process, against the
+# modules that define it
+EXPORTS_PROBE = """
+import importlib, invgeo
+assert not [m for m in sys.modules if m.startswith("invgeo.")]
+if sys.argv[1] == "star":
+    ns = {}
+    exec("from invgeo import *", ns)
+    got = {name: ns[name] for name in invgeo.__all__}
+else:
+    got = {name: getattr(invgeo, name) for name in invgeo.__all__}
+homes = [importlib.import_module("invgeo." + m) for m in
+         ("errors", "mat2", "roots", "quadric", "householder", "splitquat", "matfun", "xform")]
+bad = [name for name, value in got.items()
+       if not [m for m in homes if name in vars(m)]
+       or any(vars(m)[name] is not value for m in homes if name in vars(m))]
+print(json.dumps({"n": len(got), "bad": bad}))
+"""
+
+
+@pytest.mark.parametrize("how", ["getattr", "star"])
+def test_every_export_resolves_to_its_home_module_object(how):
+    proc = subprocess.run([sys.executable, "-c", "import json, sys\n" + EXPORTS_PROBE, how],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"n": len(invgeo.__all__), "bad": []}
+
+
+def test_subcommands_call_the_module_bound_on_cli(monkeypatch, capsys):
+    # a tracer rebinds cli.<module>; the subcommand must go through it
+    calls = []
+    real = cli.quadric
+
+    class Spy:
+        def __getattr__(self, name):
+            calls.append(name)
+            return getattr(real, name)
+
+    monkeypatch.setattr(cli, "quadric", Spy())
+    code, out, _ = _run(["classify", "--alpha", "0", "--beta", "-1"], capsys)
+    assert code == 0 and json.loads(out)["class"] == "one_sheet"
+    assert "classify_quadric" in calls
+
+
+def test_package_dir_lists_exports_and_unknown_names_raise():
+    assert set(invgeo.__all__) <= set(dir(invgeo))
+    assert len(invgeo.__all__) == len(set(invgeo.__all__)) == 76
+    assert sorted(invgeo._HOME) == sorted(invgeo.__all__)  # one home per export
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        invgeo.no_such_name  # noqa: B018
+    with pytest.raises(ImportError):
+        exec("from invgeo import no_such_name", {})
+    with pytest.raises(AttributeError):
+        cli.no_such_module  # noqa: B018
 
 
 def test_console_entry_point_round_trip():

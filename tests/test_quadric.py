@@ -429,19 +429,26 @@ def test_bell_point_converts_non_float_entries():
 
 
 def _per_point_grid(params, n_u, n_v, span):
-    """sample_surface's grid, written point by point from the closed forms."""
-    radius_sq = 0.5 * params.alpha * params.alpha - 2.0 * params.beta
+    """sample_surface's grid, written point by point from the closed forms.
+
+    The radius is formed from alpha * 2**-e and beta * 4**-e, which is exact
+    and, where 0.5 alpha^2 - 2 beta neither underflows nor overflows, the
+    same number as the unscaled formula.
+    """
+    e = math.frexp(max(abs(params.alpha), math.sqrt(abs(params.beta))))[1]
+    alpha, beta = math.ldexp(params.alpha, -e), math.ldexp(params.beta, -2 * e)
+    radius_sq = 0.5 * alpha * alpha - 2.0 * beta
     tag = classify_quadric(params).tag
     azimuths = [2.0 * math.pi * j / n_u for j in range(n_u)]
     out = []
     if tag is SurfaceTag.ONE_SHEET_HYPERBOLOID:
-        r = math.sqrt(radius_sq)
+        r = math.ldexp(math.sqrt(radius_sq), e)
         for v in np.linspace(-span, span, n_v).tolist():
             for u in azimuths:
                 out.append((r * math.cosh(v) * math.cos(u), r * math.cosh(v) * math.sin(u),
                             r * math.sinh(v)))
     elif tag is SurfaceTag.TWO_SHEET_HYPERBOLOID:
-        m = math.sqrt(-radius_sq)
+        m = math.ldexp(math.sqrt(-radius_sq), e)
         n_top = (n_v + 1) // 2
         rows = [(1.0, v) for v in np.linspace(0.0, span, n_top).tolist()]
         rows += [(-1.0, v) for v in np.linspace(0.0, span, n_v - n_top).tolist()]
@@ -471,3 +478,31 @@ def test_sample_surface_matches_per_point_formulas_bit_for_bit(alpha, beta, kind
     for p, (x, y, z) in zip(points, want):
         assert p.bell.alpha == alpha
         assert p.matrix == from_bell(BellPoint(x, y, z, alpha))
+
+
+@pytest.mark.parametrize("alpha, beta", [
+    (1e-170, 0.0),       # 0.5 alpha^2 underflows to 0
+    (1e200, 0.0),        # ... and overflows
+    (-3e-160, -1e-320),  # one sheet, beta subnormal
+    (2e154, 1.5e308),    # two sheets, alpha^2 overflows
+    (1e-170, 1e-320),    # two sheets near the bottom of the range
+])
+def test_sample_surface_at_extreme_scales_lands_on_the_locus(alpha, beta):
+    tag = classify_quadric(LocusParams(alpha, beta)).tag
+    assert tag in (SurfaceTag.ONE_SHEET_HYPERBOLOID, SurfaceTag.TWO_SHEET_HYPERBOLOID)
+    points = sample_surface(LocusParams(alpha, beta), 6, 5)
+    assert len(points) == 30
+    # r^2 = |alpha^2/2 - 2 beta|, and every check runs on the matrices scaled
+    # by 2**-k, which is exact, so nothing under- or overflows in the test
+    k = math.frexp(max(abs(alpha), math.sqrt(abs(beta))))[1]
+    a_s, b_s = math.ldexp(alpha, -k), math.ldexp(beta, -2 * k)
+    r_sq = abs(0.5 * a_s * a_s - 2.0 * b_s)
+    eps = 2.0 ** -52
+    for p in points:
+        assert p.tag == "surface"
+        m = Mat2(*(math.ldexp(x, -k) for x in p.matrix.entries()))
+        size = max(m.max_norm(), abs(a_s))
+        assert m.scalar_distance() >= 0.1 * math.sqrt(r_sq)
+        assert abs(m.trace() - a_s) <= 4 * eps * size
+        assert abs(m.det() - b_s) <= 64 * eps * size * size
+        assert p.matrix == from_bell(p.bell)

@@ -237,3 +237,11 @@ def test_lightlike_decision_is_scale_invariant(s):
     assert sq_classify(SplitQuat(s, 0, 0, 0)) is CausalClass.TIMELIKE
     assert sq_classify(SplitQuat(0, 0, 0, s)) is CausalClass.SPACELIKE
 
+
+
+def test_max_diff_is_inf_where_a_difference_overflows():
+    big, neg = SplitQuat(1e308, 0, 0, 0), SplitQuat(-1e308, 0, 0, 0)
+    assert big.max_diff(neg) == math.inf
+    assert SplitQuat(0, 0, 0, -1e308).max_diff(SplitQuat(0, 0, 0, 1e308)) == math.inf
+    assert big.max_diff(big) == 0.0
+    assert SplitQuat(1, 2, 3, 4).max_diff(SplitQuat(1, 2.5, 1, 4)) == 2.0

@@ -4,9 +4,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import invgeo
@@ -152,6 +154,18 @@ def test_numeric_overflow_is_reported_not_raised(capsys):
     code, _, err = _run(["quat", "--root", "identity", "--t", "1000"], capsys)
     assert code == 1
     assert json.loads(err)["error"] == "numeric_error"
+
+
+@pytest.mark.parametrize("argv", [
+    ["bell", "--x", "1e300", "--y", "1e300", "--z", "0", "--alpha", "0", "--beta", "1"],
+    ["classify", "--alpha", "1e200", "--beta", "0"],
+], ids=["bell_residual", "classify_radius_sq"])
+def test_result_beyond_the_float_range_is_a_numeric_error(argv, capsys):
+    # the document would otherwise carry Infinity, which strict JSON parsers reject
+    code, out, err = _run(argv, capsys)
+    assert code == 1
+    assert json.loads(err)["error"] == "numeric_error"
+    assert out == ""
 
 
 def test_output_flag_writes_file(tmp_path, capsys):
@@ -411,6 +425,90 @@ def test_json_writer_matches_stdlib_indent_encoder(doc):
     assert cli._json_document(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
 
+# Records as the point-cloud commands write them, drawn from small pools so
+# that float values and dict shapes repeat within a document: 0.0 and -0.0 in
+# one field, the smallest subnormal, str-subclass keys, every insertion order
+# and the same shape at two depths.  The fold threshold is drawn small, so
+# lists pass it at every depth and a failing example shrinks quickly; the
+# explicit examples run at the real threshold.
+_RECORD_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 0.1, -0.1, 1.0, 2.5,
+                                  1e16, 1.7976931348623157e308])
+_RECORD_KEYS = st.sampled_from(["x", "y", "z", "tag", _Str("x"), _Str("w")])
+_RECORD_LEAVES = _RECORD_FLOATS | st.sampled_from(["one_sheet", "vertex"])
+_RECORDS = st.dictionaries(
+    _RECORD_KEYS,
+    _RECORD_LEAVES | st.dictionaries(_RECORD_KEYS, _RECORD_LEAVES, max_size=4)
+    | st.lists(_RECORD_FLOATS, max_size=6),
+    max_size=4,
+)
+_RECORD_LISTS = st.builds(
+    lambda pool, n: [pool[i % len(pool)] for i in range(n)],
+    st.lists(_RECORDS, min_size=1, max_size=12),
+    st.integers(min_value=0, max_value=200),
+)
+_TWO_DEPTHS = [{"x": 0.0, "y": {"x": -0.0, "y": 0.0}},
+               {"y": {"y": 5e-324, "x": 0.1}, "x": -0.0}] * cli._FOLD
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=_RECORD_LISTS, fold=st.integers(min_value=1, max_value=16))
+@example(doc=_TWO_DEPTHS, fold=cli._FOLD)
+@example(doc={"samples": _TWO_DEPTHS[::-1]}, fold=cli._FOLD)
+def test_json_writer_matches_stdlib_on_repeating_records(doc, fold):
+    with mock.patch.object(cli, "_FOLD", fold):
+        got = cli._json_document(doc)
+    # compared line by line: a failing report then names the first bad line
+    # instead of diffing two long texts
+    assert got.split("\n") == json.dumps(doc, indent=2, sort_keys=True).split("\n")
+
+
+_LOCI = {"one_sheet": ("1", "-1.5"), "two_sheet": ("0.5", "1.2"), "cone": ("2", "1")}
+
+
+@pytest.mark.parametrize("locus", _LOCI)
+def test_sample_json_document_matches_stdlib(locus, capsys):
+    alpha, beta = _LOCI[locus]
+    code, out, err = _run(["sample", "--alpha", alpha, "--beta", beta, "--nu", "80",
+                           "--nv", "80", "--format", "json"], capsys)
+    assert code == 0, err
+    points = invgeo.sample_surface(invgeo.LocusParams(float(alpha), float(beta)), 80, 80)
+    doc = [{"bell": p.bell.to_json_dict(), "matrix": p.matrix.to_json_dict(), "tag": p.tag}
+           for p in points]
+    assert out.split("\n") == (json.dumps(doc, indent=2, sort_keys=True) + "\n").split("\n")
+
+
+def _csv_reference(rows) -> str:
+    lines = ["x,y,z,x1,x2,x3,x4,tag"]
+    for bell, m, tag in rows:
+        values = (bell.x, bell.y, bell.z, m.a, m.b, m.c, m.d)
+        lines.append(",".join(map(float.__repr__, values)) + "," + tag)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("locus", _LOCI)
+def test_sample_csv_document_matches_per_row_reference(locus, capsys):
+    alpha, beta = _LOCI[locus]
+    code, out, err = _run(["sample", "--alpha", alpha, "--beta", beta, "--nu", "80",
+                           "--nv", "80", "--format", "csv"], capsys)
+    assert code == 0, err
+    points = invgeo.sample_surface(invgeo.LocusParams(float(alpha), float(beta)), 80, 80)
+    want = _csv_reference([(p.bell, p.matrix, p.tag) for p in points])
+    assert out.split("\n") == want.split("\n")
+
+
+def test_point_csv_keeps_the_sign_of_zero(capsys):
+    rows = []
+    for i in range(8):
+        zero = -0.0 if i % 2 else 0.0
+        bell = invgeo.BellPoint(zero, 1.5, -zero, 0.0)
+        rows.append((bell, invgeo.Mat2(zero, 5e-324, -zero, 1.5), "tag"))
+    cli._emit_point_csv(SimpleNamespace(output=None), rows)
+    out = capsys.readouterr().out
+    assert out == _csv_reference(rows)
+    assert out.splitlines()[1:3] == ["0.0,1.5,-0.0,0.0,5e-324,-0.0,1.5,tag",
+                                     "-0.0,1.5,0.0,-0.0,5e-324,0.0,1.5,tag"]
+
+
 @pytest.mark.parametrize("doc", [
     object(), {1, 2}, b"bytes", {"k": [1, object()]}, {1: "int key"}, {("t",): 1},
 ])
@@ -464,6 +562,12 @@ def test_run_builds_the_parser_once_per_process(monkeypatch, capsys):
         for _, argv in GOLDEN_CASES:
             _run_in_process(argv, capsys)
     assert len(calls) == 1
+
+
+def test_help_describes_the_command_line_not_the_code():
+    text = cli.build_parser().format_help()
+    assert "Exit codes: 0 success" in text and "INVGEO_TOL" in text
+    assert "__repr__" not in text and "``" not in text
 
 
 def test_build_parser_returns_a_fresh_parser_and_import_builds_none():

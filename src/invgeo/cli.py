@@ -30,12 +30,21 @@ are never memoized: 0.0 == -0.0, but their texts differ.  A list folds the
 parts it has added into one string every 4096 parts, so a large document
 keeps few small strings alive while it is written.
 
-``run()`` builds the argument parser on its first call and reuses it, so
-calling it repeatedly in one process costs only the parse and the work.
+Each subcommand is described once, in ``_COMMANDS``: its help line, the
+function that adds its flags, and its handler.  ``run()`` parses a command
+line that starts with a subcommand's name with that subcommand's own parser,
+which is what the full ``invgeo`` parser would hand the rest of the line to;
+argparse then parses the line once instead of twice.  Each parser is built on
+first use and kept for the process, so a one-shot call builds one subparser
+instead of nine, and repeated calls in one process cost only the parse and
+the work.  Any other command line goes to the full parser, built from the
+same table, for its help or its usage error.
 
 Importing this module loads only ``mat2`` and ``errors`` of the package.
 Each subcommand imports the kernel modules it uses when it runs, so
-``invgeo classify --alpha 0 --beta -1`` never loads ``matfun``.  The kernel
+``invgeo classify --alpha 0 --beta -1`` loads neither ``matfun`` nor
+``roots``; a subcommand with ``--family`` loads ``roots`` as its parser is
+built, for the list of families.  The kernel
 modules are also attributes of this module (``cli.matfun`` imports
 ``invgeo.matfun`` on first access), and a subcommand uses whatever that
 attribute is bound to, so a caller may rebind it, for instance to trace calls.
@@ -326,9 +335,20 @@ def _finite(value: float, what: str) -> float:
 # -- subcommands -----------------------------------------------------------
 
 
+def _root_residual(m: Mat2, sign: float) -> float:
+    """``(m @ m).max_diff(sign * I2)`` without building the product: the same
+    entry expressions, and the same non_finite_entry where one overflows."""
+    a, b, c, d = m.a, m.b, m.c, m.d
+    pa, pb, pc, pd = a * a + b * c, a * b + b * d, c * a + d * c, c * b + d * d
+    if pa - pa + (pb - pb) + (pc - pc) + (pd - pd) != 0.0:
+        Mat2(pa, pb, pc, pd)  # raises for the first entry that is not finite
+    # |pb - 0.0| == |pb| and |pc - 0.0| == |pc| for either sign of zero
+    return max(abs(pa - sign), abs(pb), abs(pc), abs(pd - sign))
+
+
 def _cmd_roots(args, tol: Tolerance) -> None:
     roots = _kernel("roots")
-    target = Mat2.identity() if args.of == "identity" else -Mat2.identity()
+    sign = 1.0 if args.of == "identity" else -1.0
     if args.sample is not None:
         if args.of == "identity":
             mats = roots.sample_involutions(args.sample, seed=args.seed, param_range=args.range)
@@ -337,7 +357,7 @@ def _cmd_roots(args, tol: Tolerance) -> None:
         _emit_json(args, {
             "seed": args.seed,
             "samples": [
-                {"matrix": m.to_json_dict(), "residual": (m @ m).max_diff(target)}
+                {"matrix": m.to_json_dict(), "residual": _root_residual(m, sign)}
                 for m in mats
             ],
         })
@@ -359,7 +379,7 @@ def _cmd_roots(args, tol: Tolerance) -> None:
         family = None
     doc = {
         "matrix": matrix.to_json_dict(),
-        "residual": (matrix @ matrix).max_diff(target),
+        "residual": _root_residual(matrix, sign),
     }
     if family is not None:
         doc["family"] = family.to_json_dict()
@@ -551,45 +571,38 @@ def _add_family_flags(parser):
                         choices=[t.value.replace("_", "-") for t in _kernel("roots").RootTag])
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # --help shows the summary and the paragraph on exit codes and output;
-    # the rest of the docstring is about the code
-    description = "\n\n".join((__doc__ or "").split("\n\n")[:2])
-    parser = _Parser(prog="invgeo", description=description)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("roots", parents=[], help="construct square roots of +-I2")
+def _roots_flags(p):
     p.add_argument("--of", choices=["identity", "neg-identity"], default="identity")
     _add_family_flags(p)
     p.add_argument("--sample", type=int, help="emit this many sampled roots instead")
     p.add_argument("--range", type=float, default=10.0, help="sampling range for a, b")
-    p.set_defaults(func=_cmd_roots)
 
-    p = sub.add_parser("classify", help="classify an involution or a locus S(alpha, beta)")
+
+def _classify_flags(p):
     _add_matrix_flags(p)
     p.add_argument("--alpha", type=float)
     p.add_argument("--beta", type=float)
-    p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("bell", help="convert between matrices and Bell coordinates")
+
+def _bell_flags(p):
     _add_matrix_flags(p)
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--beta", type=float, help="also report the quadric residual")
     p.add_argument("--x", type=float)
     p.add_argument("--y", type=float)
     p.add_argument("--z", type=float)
-    p.set_defaults(func=_cmd_bell)
 
-    p = sub.add_parser("generators", help="ruling directions through a point of S(0,-1)")
+
+def _generators_flags(p):
     _add_matrix_flags(p)
     p.add_argument("--phi", type=float, help="use the principal-section point H(phi)")
     p.add_argument("--seed-matrix", help="seed matrix JSON (default [[1,0],[0,0]])")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--points", type=int, default=9, help="points per line in csv mode")
     p.add_argument("--t-max", type=float, default=2.0)
-    p.set_defaults(func=_cmd_generators)
 
-    p = sub.add_parser("quat", help="split-quaternion round trips and unit roots")
+
+def _quat_flags(p):
     p.add_argument("--to-matrix", metavar="QUAT", help="quaternion JSON to map to a matrix")
     p.add_argument("--from-matrix", metavar="MATRIX", help="matrix JSON to map to a quaternion")
     p.add_argument("--matrix-file", help="path to a matrix JSON file (with --from-matrix semantics)")
@@ -598,52 +611,96 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", type=float, default=0.0)
     p.add_argument("--decompose", action="store_true",
                    help="include the Householder + skew split of the root")
-    p.set_defaults(func=_cmd_quat)
 
-    p = sub.add_parser("matfun", help="matrix functions and square-root branches")
+
+def _matfun_flags(p):
     _add_matrix_flags(p)
     p.add_argument("--function", choices=["sqrt", "square"], default="sqrt",
                    help="sqrt: the principal square root; square: the matrix squared")
     p.add_argument("--all-branches", action="store_true",
                    help="enumerate all branch square roots and the root count")
-    p.set_defaults(func=_cmd_matfun)
 
-    p = sub.add_parser("sample", help="point cloud covering S(alpha, beta)")
+
+def _sample_flags(p):
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--nu", type=int, default=16, help="azimuth steps")
     p.add_argument("--nv", type=int, default=16, help="second-coordinate steps")
     p.add_argument("--span", type=float, default=2.0)
     p.add_argument("--format", choices=["json", "csv"], default="csv")
-    p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("decompose", help="factor a root into elementary transformations")
+
+def _decompose_flags(p):
     _add_matrix_flags(p)
     _add_family_flags(p)
-    p.set_defaults(func=_cmd_decompose)
 
-    p = sub.add_parser("orbit", help="trace a point under repeated application")
+
+def _orbit_flags(p):
     _add_matrix_flags(p)
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--y", type=float, required=True)
     p.add_argument("--steps", type=int, default=2)
     p.add_argument("--format", choices=["json", "csv"], default="csv")
-    p.set_defaults(func=_cmd_orbit)
 
-    for sp in sub.choices.values():
-        sp.add_argument("-o", "--output", help="write the document here instead of stdout")
-        sp.add_argument("--seed", type=int, default=0, help="seed for any sampling")
+
+#: Each subcommand once: name -> (help, function adding its flags, handler).
+_COMMANDS = {
+    "roots": ("construct square roots of +-I2", _roots_flags, _cmd_roots),
+    "classify": ("classify an involution or a locus S(alpha, beta)", _classify_flags,
+                 _cmd_classify),
+    "bell": ("convert between matrices and Bell coordinates", _bell_flags, _cmd_bell),
+    "generators": ("ruling directions through a point of S(0,-1)", _generators_flags,
+                   _cmd_generators),
+    "quat": ("split-quaternion round trips and unit roots", _quat_flags, _cmd_quat),
+    "matfun": ("matrix functions and square-root branches", _matfun_flags, _cmd_matfun),
+    "sample": ("point cloud covering S(alpha, beta)", _sample_flags, _cmd_sample),
+    "decompose": ("factor a root into elementary transformations", _decompose_flags,
+                  _cmd_decompose),
+    "orbit": ("trace a point under repeated application", _orbit_flags, _cmd_orbit),
+}
+
+
+def _command_flags(parser, name: str) -> None:
+    """Give parser the flags and the handler of subcommand name."""
+    _, flags, handler = _COMMANDS[name]
+    flags(parser)
+    parser.add_argument("-o", "--output", help="write the document here instead of stdout")
+    parser.add_argument("--seed", type=int, default=0, help="seed for any sampling")
+    parser.set_defaults(func=handler)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The full ``invgeo`` parser, or with ``command`` that subcommand's own
+    parser: the one the full tree hands the rest of the command line to."""
+    if command is not None:
+        parser = _Parser(prog=f"invgeo {command}")
+        _command_flags(parser, command)
+        return parser
+    # --help shows the summary and the paragraph on exit codes and output;
+    # the rest of the docstring is about the code
+    description = "\n\n".join((__doc__ or "").split("\n\n")[:2])
+    parser = _Parser(prog="invgeo", description=description)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _command_flags(sub.add_parser(name, help=help_text), name)
     return parser
 
 
-_parser: argparse.ArgumentParser | None = None
+#: Parsers built so far, keyed by subcommand name; None keys the full tree.
+_parsers: dict[str | None, argparse.ArgumentParser] = {}
 
 
 def run(argv: list[str] | None = None) -> int:
-    global _parser
-    if _parser is None:  # built on first use, not at import: cold starts stay cheap
-        _parser = build_parser()
-    args = _parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # a command line that starts with a subcommand's name is parsed by that
+    # subcommand's parser alone, as the full tree would hand it over; any
+    # other goes to the full tree, for its help or its usage error
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    parser = _parsers.get(command)
+    if parser is None:  # built on first use, not at import: cold starts stay cheap
+        parser = _parsers[command] = build_parser(command)
+    args = parser.parse_args(argv[1:] if command is not None else argv)
     try:
         tol = _tolerance()
         args.func(args, tol)

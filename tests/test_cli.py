@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import invgeo
 from invgeo import cli
 from invgeo.cli import run
+from invgeo.errors import NonFiniteEntry
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -166,6 +167,35 @@ def test_result_beyond_the_float_range_is_a_numeric_error(argv, capsys):
     assert code == 1
     assert json.loads(err)["error"] == "numeric_error"
     assert out == ""
+
+
+def test_sampled_root_whose_square_overflows_keeps_its_error(capsys):
+    code, out, err = _run(["roots", "--sample", "50", "--range", "5e153", "--seed", "1"], capsys)
+    assert code == 1
+    assert json.loads(err) == {"error": "non_finite_entry", "detail": "c must be finite, got nan"}
+    assert out == ""
+
+
+_ANY_FLOAT = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=st.tuples(_ANY_FLOAT, _ANY_FLOAT, _ANY_FLOAT, _ANY_FLOAT),
+       sign=st.sampled_from([1.0, -1.0]))
+@example(entries=(5e153, 1e160, -1e160, -5e153), sign=1.0)
+@example(entries=(0.0, -0.0, -0.0, 0.0), sign=-1.0)
+def test_root_residual_matches_the_product_matrix(entries, sign):
+    m = invgeo.Mat2(*entries)
+    target = invgeo.Mat2.identity() if sign > 0 else -invgeo.Mat2.identity()
+    try:
+        expected = repr((m @ m).max_diff(target))
+    except NonFiniteEntry as exc:
+        expected = str(exc)
+    try:
+        got = repr(cli._root_residual(m, sign))
+    except NonFiniteEntry as exc:
+        got = str(exc)
+    assert got == expected
 
 
 def test_output_flag_writes_file(tmp_path, capsys):
@@ -547,21 +577,23 @@ def test_reused_parser_answers_like_a_fresh_process(capsys):
 
 
 def test_run_builds_the_parser_once_per_process(monkeypatch, capsys):
-    calls = []
+    built = []
     real_build_parser = cli.build_parser
 
-    def counting_build_parser():
-        calls.append(1)
-        return real_build_parser()
+    def counting_build_parser(command=None):
+        built.append(command)
+        return real_build_parser(command)
 
-    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "_parsers", {})
     monkeypatch.setattr(cli, "build_parser", counting_build_parser)
     for _ in range(5):
-        for argv in REUSE_SEQUENCE:
+        for argv in REUSE_SEQUENCE + [["bogus"], []]:
             _run_in_process(argv, capsys)
         for _, argv in GOLDEN_CASES:
             _run_in_process(argv, capsys)
-    assert len(calls) == 1
+    # each subcommand's parser once, and the full tree (None) for the bad command lines
+    assert len(built) == len(set(built))
+    assert set(built) == set(cli._COMMANDS) | {None}
 
 
 def test_help_describes_the_command_line_not_the_code():
@@ -572,9 +604,95 @@ def test_help_describes_the_command_line_not_the_code():
 
 def test_build_parser_returns_a_fresh_parser_and_import_builds_none():
     assert cli.build_parser() is not cli.build_parser()
-    probe = "import invgeo.cli as c; print(c._parser is None)"
+    assert cli.build_parser("roots") is not cli.build_parser("roots")
+    probe = "import invgeo.cli as c; print(c._parsers == {})"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.stdout.strip() == "True", proc.stderr
+
+
+def test_a_subcommand_without_family_flags_does_not_load_roots():
+    loaded = _modules_in_fresh_process(RUN_AS_MAIN, "classify", "--alpha", "0", "--beta", "-1")
+    assert "invgeo.roots" not in loaded
+
+
+# command lines on which run()'s per-subcommand parse must agree with the full
+# tree: abbreviations, attached and negative values, "--", repeated flags,
+# help, unknown commands and bad values
+PARSE_CORPUS = [
+    ["roots", "--of", "identity", "--a", "0.3", "--b", "2"],
+    ["roots", "--fam", "upper-b-plus-minus", "--b", "5"],
+    ["roots", "--of=neg-identity", "--a", "1", "--b", "-2"],
+    ["roots", "--of", "neg", "--a", "1", "--b", "2"],
+    ["roots", "--sample", "2.5"],
+    ["roots", "--seed", "-5", "--sample", "1", "--range", "-3"],
+    ["roots", "--bogus"],
+    ["roots", "extra"],
+    ["roots", "-o"],
+    ["roots", "--he"],
+    ["classify", "--alpha", "0", "--beta", "-1"],
+    ["classify", "--alpha=-7", "--beta", "-1e-3"],
+    ["classify", "--alpha", "1", "--alpha", "2", "--beta", "3"],
+    ["classify", "--alpha", "1e308", "--beta", "inf"],
+    ["classify", "--matrix=" + SWAP],
+    ["bell", "--x=-7", "--y", "-7", "--z", ".5", "--al", "-0.25"],
+    ["bell", "--m", SWAP],
+    ["generators", "--t-m", "3", "--phi", "0.5", "--format", "csv"],
+    ["quat", "--decompose", "--root", "identity", "--t", "-0.5"],
+    ["quat", "--to-matrix", '{"w": 1}', "-o", "-"],
+    ["matfun", "--all", "--matrix", SWAP],
+    ["matfun", "--function", "cube", "--matrix", SWAP],
+    ["sample", "--alpha", "0"],
+    ["sample", "--alpha", "x", "--beta", "0"],
+    ["sample", "--alpha", "0", "--beta", "-1", "--nu", "0x10"],
+    ["decompose", "--family", "upper-b-plus-minus", "--b", "4", "--c", "1"],
+    ["orbit", "--matrix", SWAP, "--x", "1", "--y", "0", "--", "extra"],
+    ["orbit", "--", "--x", "1"],
+    ["orbit", "--x", "-1", "--y", "-2", "--steps=-3", "--format", "json"],
+    ["bogus"],
+    ["ROOTS", "--a", "1"],
+    [],
+    ["-h"],
+    ["--he"],
+    ["--", "roots"],
+    ["--seed", "1", "roots"],
+]
+
+
+class _Parsed(Exception):
+    """Raised in place of running a handler, to hand the namespace out."""
+
+
+def _parse_outcome(parse, argv, capsys):
+    """(namespace without command, exit code, stdout, stderr) of one parse."""
+    try:
+        args, code = parse(argv), None
+    except _Parsed as parsed:
+        args, code = parsed.args[0], None
+    except SystemExit as exc:
+        args, code = None, exc.code
+    captured = capsys.readouterr()
+    fields = None if args is None else {k: v for k, v in vars(args).items() if k != "command"}
+    return fields, code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSE_CORPUS, ids=[" ".join(a) or "-" for a in PARSE_CORPUS])
+def test_run_parses_like_the_full_tree(argv, monkeypatch, capsys):
+    expected = _parse_outcome(cli.build_parser().parse_args, list(argv), capsys)
+    real_parse_args = cli._Parser.parse_args
+
+    def parse_and_stop(self, args=None, namespace=None):
+        raise _Parsed(real_parse_args(self, args, namespace))
+
+    monkeypatch.setattr(cli, "_parsers", {})
+    monkeypatch.setattr(cli._Parser, "parse_args", parse_and_stop)
+    assert _parse_outcome(cli.run, list(argv), capsys) == expected
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_subcommand_help_matches_the_full_tree(command, capsys):
+    expected = _parse_outcome(cli.build_parser().parse_args, [command, "--help"], capsys)
+    assert expected[1] == 0 and expected[2].startswith(f"usage: invgeo {command} ")
+    assert _parse_outcome(run, [command, "--help"], capsys) == expected
 
 
 @pytest.mark.parametrize("of, value", [("identity", "0"), ("neg-identity", "1e-4")])

@@ -1,29 +1,36 @@
-"""The Jordan-form matrix function, closed-form square roots, and how many exist.
+"""f(A) by two-point interpolation, closed-form square roots, and how many exist.
 
 Run:  python demos/matrix_functions.py
 """
 
 import invgeo as ig
+from invgeo.errors import FunctionUndefinedAtEigenvalue
 
-print("=== Jordan decompositions ===")
+print("=== f(A) = f(l1) I + f[l1, l2] (A - l1 I) ===")
 for m, label in [
     (ig.Mat2.diag(1, 4), "diag(1,4)"),
-    (ig.Mat2(1, 1, 0, 1), "[[1,1],[0,1]]"),
+    (ig.Mat2(4, 1, 0, 4), "[[4,1],[0,4]]"),
+    (ig.Mat2(1, 1, 0, 1 + 1e-7), "[[1,1],[0,1+1e-7]]"),
     (ig.Mat2(0, 1, -2, 3), "[[0,1],[-2,3]]"),
-    (ig.Mat2.identity(), "I2"),
 ]:
-    dec = ig.jordan2(m)
-    print(f"{label:14s} {dec.kind.value:13s} eigenvalues ({dec.eig1:.3g}, {dec.eig2:.3g})"
-          f"  reconstruction residual {dec.reconstruct().max_diff(m):.1e}")
+    lam1, lam2 = ig.eigen2(m)
+    root = ig.matrix_function(m, ig.SQRT)
+    print(f"{label:20s} eigenvalues ({lam1:.8g}, {lam2:.8g})"
+          f"  slope sqrt[l1, l2] = {ig.SQRT.divided_difference(lam1, lam2):.6g}")
+    print(f"{'':20s} sqrt = {root.entries()}"
+          f"  residual {(root @ root).max_diff(m):.1e}")
+print("on a Jordan block the slope is f'(l): the divided difference at l1 = l2")
 
 print()
-print("=== the principal square root via f(A) = Z f(J) Z^-1 ===")
-m = ig.Mat2.diag(1, 4)
-principal = ig.matrix_function(m, ig.SQRT)
-print("sqrt(diag(1,4)) =", principal.entries())
-block = ig.Mat2(4, 1, 0, 4)
-print("sqrt([[4,1],[0,4]]) =", ig.matrix_function(block, ig.SQRT).entries(),
-      " (uses f' on the Jordan block)")
+print("=== without a divided difference, f(A) takes the secant ===")
+plain = ig.ScalarFunction(lambda x: x ** 3, name="cube")
+m = ig.Mat2(1, 2, 0, 3)
+print("cube([[1,2],[0,3]]) =", ig.matrix_function(m, plain).entries(),
+      " A @ A @ A =", (m @ m @ m).entries())
+try:
+    ig.matrix_function(ig.Mat2(1, 1, 0, 1), plain)
+except FunctionUndefinedAtEigenvalue as exc:
+    print("cube([[1,1],[0,1]]) refused:", exc.code, "(no slope for a double eigenvalue)")
 
 print()
 print("=== all real square roots, closed form (A + sI)/t ===")

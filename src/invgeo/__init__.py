@@ -11,8 +11,8 @@ The package covers, for 2x2 real matrices:
   (``householder``);
 - the split-quaternion algebra, its matrix isomorphism, and parametrized
   roots of +-1 (``splitquat``);
-- closed-form square roots and root counts, Jordan-form matrix
-  functions, and a brute-force root oracle (``matfun``);
+- closed-form square roots and root counts, matrix functions f(A) by
+  two-point interpolation, and a brute-force root oracle (``matfun``);
 - plane-transformation factorizations and orbits (``xform``).
 
 A CLI (``invgeo``) exposes each capability with JSON/CSV output.
@@ -51,10 +51,9 @@ _EXPORTS = {
         "sq_mul", "to_matrix", "unit_root_identity", "unit_root_neg",
     ),
     "matfun": (
-        "Cardinality", "Jordan2", "JordanKind", "RootCardinality", "RootSearchGrid",
-        "SQRT", "SQUARE", "ScalarFunction", "brute_force_roots", "conjugated_roots",
-        "count_real_roots", "eigen2", "jordan2", "matrix_function", "principal_sqrt",
-        "scaled_roots", "sqrt_branches",
+        "Cardinality", "RootCardinality", "RootSearchGrid", "SQRT", "SQUARE",
+        "ScalarFunction", "brute_force_roots", "conjugated_roots", "count_real_roots",
+        "eigen2", "matrix_function", "principal_sqrt", "scaled_roots", "sqrt_branches",
     ),
     "xform": (
         "Decomposition", "ElementaryTransform", "TransformKind", "decompose",
@@ -75,8 +74,6 @@ __all__ = [
     "ElementaryTransform",
     "GeneratorPair",
     "InvGeoError",
-    "Jordan2",
-    "JordanKind",
     "LocusParams",
     "Mat2",
     "RootCardinality",
@@ -115,7 +112,6 @@ __all__ = [
     "in_locus",
     "is_involution",
     "is_skew_involution",
-    "jordan2",
     "make_case_root",
     "make_general_root",
     "make_root",

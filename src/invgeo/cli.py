@@ -397,6 +397,9 @@ def _cmd_classify(args, tol: Tolerance) -> None:
     quadric = _kernel("quadric")
     surface = quadric.classify_quadric(quadric.LocusParams(args.alpha, args.beta), tol)
     _finite(surface.radius_sq, "radius_sq = alpha^2/2 - 2 beta")
+    if surface.radius_sq == 0.0 and surface.tag is not quadric.SurfaceTag.RIGHT_CIRCULAR_CONE:
+        # a one- or two-sheet radius that underflowed would read as the cone's
+        raise ValueError("radius_sq = alpha^2/2 - 2 beta is below the float range")
     _emit_json(args, surface.to_json_dict())
 
 
@@ -512,7 +515,7 @@ def _cmd_matfun(args, tol: Tolerance) -> None:
     if args.function == "sqrt":
         result = matfun.principal_sqrt(matrix, tol)
     else:
-        result = matfun.matrix_function(matrix, matfun.SQUARE, tol)
+        result = matrix @ matrix
     _emit_json(args, {"function": args.function, "result": result.to_json_dict()})
 
 

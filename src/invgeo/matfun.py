@@ -14,9 +14,9 @@ one for each real choice with t^2 > 0.  Counting all real square roots:
     scalar  l*I2                       -> infinitely many (any sign of l)
 
 The scalar case is infinite for l < 0 too: S(l*I2) = sqrt(-l) * S(-I2) and
-the skew-involutions form a two-parameter family.  The Jordan form serves
-general f only: f(A) = Z f(J) Z^-1 with f entrywise on a diagonal J and
-f([[lam, 1], [0, lam]]) = [[f(lam), f'(lam)], [0, f(lam)]].
+the skew-involutions form a two-parameter family.  A general f needs no
+Jordan form: on a real spectrum l1 <= l2, f(A) = f(l1) I + f[l1, l2] (A - l1 I)
+with the divided difference f[l, l] = f'(l) (Higham 2008, sec. 1.2).
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import sys
 from typing import Callable
 
 from .errors import (
@@ -35,46 +36,22 @@ from .errors import (
 )
 from .mat2 import DEFAULT_TOL, Mat2, Tolerance, _setattr, _Value, approx_eq
 
-# Jordan structure is discontinuous; nearly equal eigenvalues are merged at
-# this relative scale.
-_EIG_COINCIDENCE = 1e-8
-
-
-class JordanKind(enum.Enum):
-    DISTINCT_DIAG = "distinct_diag"
-    SCALAR_DIAG = "scalar_diag"
-    JORDAN_BLOCK = "jordan_block"
-
-
-class Jordan2(_Value):
-    """Similarity transform z and Jordan form of a real-spectrum matrix."""
-
-    __slots__ = ("z", "kind", "eig1", "eig2")
-
-    def __init__(self, z: Mat2, kind: JordanKind, eig1: float, eig2: float):
-        _setattr(self, "z", z)
-        _setattr(self, "kind", kind)
-        _setattr(self, "eig1", eig1)
-        _setattr(self, "eig2", eig2)
-
-    def j_matrix(self) -> Mat2:
-        if self.kind is JordanKind.JORDAN_BLOCK:
-            return Mat2(self.eig1, 1.0, 0.0, self.eig1)
-        return Mat2.diag(self.eig1, self.eig2)
-
-    def reconstruct(self) -> Mat2:
-        return self.z @ self.j_matrix() @ self.z.inverse()
-
 
 class ScalarFunction(_Value):
-    """Scalar function plus first derivative (needed only on Jordan blocks)."""
+    """Scalar function plus its divided difference.
 
-    __slots__ = ("f", "f_prime", "name")
+    divided_difference(x, y) is f[x, y] = (f(y) - f(x)) / (y - x), and f'(x)
+    at x = y; given in a form free of that cancellation, it keeps f(A)
+    accurate for nearly equal and equal eigenvalues.
+    """
+
+    __slots__ = ("f", "divided_difference", "name")
 
     def __init__(self, f: Callable[[float], float],
-                 f_prime: Callable[[float], float] | None = None, name: str = ""):
+                 divided_difference: Callable[[float, float], float] | None = None,
+                 name: str = ""):
         _setattr(self, "f", f)
-        _setattr(self, "f_prime", f_prime)
+        _setattr(self, "divided_difference", divided_difference)
         _setattr(self, "name", name)
 
 
@@ -82,12 +59,14 @@ def _sqrt(x: float) -> float:
     return math.sqrt(x)
 
 
-def _sqrt_prime(x: float) -> float:
-    return 0.5 / math.sqrt(x)
+def _sqrt_divided_difference(x: float, y: float) -> float:
+    return 1.0 / (math.sqrt(x) + math.sqrt(y))
 
 
-SQRT = ScalarFunction(_sqrt, _sqrt_prime, name="sqrt")
-SQUARE = ScalarFunction(lambda x: x * x, lambda x: 2.0 * x, name="square")
+SQRT = ScalarFunction(_sqrt, _sqrt_divided_difference, name="sqrt")
+SQUARE = ScalarFunction(lambda x: x * x, lambda x, y: x + y, name="square")
+
+_SQRT_EPS = math.sqrt(sys.float_info.epsilon)
 
 
 class Cardinality(enum.Enum):
@@ -149,70 +128,44 @@ def eigen2(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> tuple[float, float]:
     return (math.ldexp(min(other, big), e), math.ldexp(max(other, big), e))
 
 
-def _kernel_direction(m: Mat2) -> tuple[float, float]:
-    # direction orthogonal to both rows; pick the better-conditioned row
-    cand1 = (m.b, -m.a)
-    cand2 = (m.d, -m.c)
-    n1 = math.hypot(*cand1)
-    n2 = math.hypot(*cand2)
-    if n1 >= n2:
-        return (cand1[0] / n1, cand1[1] / n1) if n1 > 0 else (1.0, 0.0)
-    return (cand2[0] / n2, cand2[1] / n2)
+def _is_scalar(m: Mat2) -> bool:
+    return m.b == 0.0 and m.c == 0.0 and m.a == m.d
 
 
-def jordan2(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> Jordan2:
-    """Jordan decomposition m = Z J Z^-1 for a real-spectrum matrix."""
-    lam1, lam2 = eigen2(m, tol)
-    scale = max(1.0, abs(lam1), abs(lam2))
-    if lam2 - lam1 >= _EIG_COINCIDENCE * scale:
-        v1 = _kernel_direction(m - Mat2.scalar(lam1))
-        v2 = _kernel_direction(m - Mat2.scalar(lam2))
-        z = Mat2(v1[0], v2[0], v1[1], v2[1])
-        return Jordan2(z, JordanKind.DISTINCT_DIAG, lam1, lam2)
-    lam = 0.5 * m.trace()
-    nil = m - Mat2.scalar(lam)
-    # diagonal deviation is already below the coincidence band, so only the
-    # off-diagonals decide between scalar and defective structure
-    if max(abs(nil.b), abs(nil.c)) <= tol.abs_tol * scale:
-        return Jordan2(Mat2.identity(), JordanKind.SCALAR_DIAG, lam, lam)
-    # rank-1 nilpotent part: columns (N e, e) give A[Ne|e] = [Ne|e] J(lam)
-    if abs(nil.c) >= abs(nil.b):
-        v, e = (nil.a, nil.c), (1.0, 0.0)
-    else:
-        v, e = (nil.b, nil.d), (0.0, 1.0)
-    z = Mat2(v[0], e[0], v[1], e[1])
-    return Jordan2(z, JordanKind.JORDAN_BLOCK, lam, lam)
+def _evaluate(g: Callable[..., float], what: str, *args: float) -> float:
+    """g(*args), or FunctionUndefinedAtEigenvalue where g raises or is not finite."""
+    try:
+        value = g(*args)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise FunctionUndefinedAtEigenvalue(f"{what} undefined: {exc}") from exc
+    if not math.isfinite(value):
+        raise FunctionUndefinedAtEigenvalue(f"{what} = {value}")
+    return value
 
 
 def matrix_function(m: Mat2, fn: ScalarFunction, tol: Tolerance = DEFAULT_TOL) -> Mat2:
-    """f(m) via the Jordan definition; needs f' only on a Jordan block."""
-    dec = jordan2(m, tol)
+    """f(m) = f(l1) I + f[l1, l2] (m - l1 I) for the real eigenvalues l1 <= l2.
 
-    def eval_at(g: Callable[[float], float] | None, lam: float, what: str) -> float:
-        if g is None:
-            raise FunctionUndefinedAtEigenvalue(f"{what} not supplied for eigenvalue {lam}")
-        try:
-            value = g(lam)
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise FunctionUndefinedAtEigenvalue(f"{what}({lam}) undefined: {exc}") from exc
-        if not math.isfinite(value):
-            raise FunctionUndefinedAtEigenvalue(f"{what}({lam}) = {value}")
-        return value
-
-    if dec.kind is JordanKind.JORDAN_BLOCK:
-        f_val = eval_at(fn.f, dec.eig1, fn.name or "f")
-        fp_val = eval_at(fn.f_prime, dec.eig1, f"{fn.name or 'f'}'")
-        core = Mat2(f_val, fp_val, 0.0, f_val)
+    The two-point interpolant of f on the spectrum, which is f(m) for any
+    2x2 m, defective or not (Higham 2008, sec. 1.2).  The slope is
+    fn.divided_difference(l1, l2); without one it is the secant, refused
+    where l2 - l1 <= sqrt(eps) * max(|l1|, |l2|).  A scalar m gives f(l) I;
+    a complex spectrum raises ComplexEigenvalues.
+    """
+    name = fn.name or "f"
+    if _is_scalar(m):
+        return Mat2.scalar(_evaluate(fn.f, f"{name}({m.a})", m.a))
+    lam1, lam2 = eigen2(m, tol)
+    f1 = _evaluate(fn.f, f"{name}({lam1})", lam1)
+    f2 = _evaluate(fn.f, f"{name}({lam2})", lam2)
+    if fn.divided_difference is not None:
+        s = _evaluate(fn.divided_difference, f"{name}[{lam1}, {lam2}]", lam1, lam2)
+    elif lam2 - lam1 > _SQRT_EPS * max(abs(lam1), abs(lam2)):
+        s = (f2 - f1) / (lam2 - lam1)
     else:
-        core = Mat2.diag(
-            eval_at(fn.f, dec.eig1, fn.name or "f"),
-            eval_at(fn.f, dec.eig2, fn.name or "f"),
-        )
-    return dec.z @ core @ dec.z.inverse()
-
-
-def _is_scalar(m: Mat2) -> bool:
-    return m.b == 0.0 and m.c == 0.0 and m.a == m.d
+        raise FunctionUndefinedAtEigenvalue(
+            f"{name}[{lam1}, {lam2}] not supplied for eigenvalues this close")
+    return Mat2(f1 + s * (m.a - lam1), s * m.b, s * m.c, f1 + s * (m.d - lam1))
 
 
 def _root_traces(a: float, b: float, c: float, d: float) -> tuple[float, ...]:

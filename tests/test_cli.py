@@ -35,6 +35,7 @@ GOLDEN_CASES = [
     ("quat_root.json", ["quat", "--root", "identity", "--t", "1", "--phi", "0.5", "--decompose"]),
     ("matfun_branches.json", ["matfun", "--matrix", '{"a": 1, "b": 0, "c": 0, "d": 4}', "--all-branches"]),
     ("matfun_sqrt.json", ["matfun", "--matrix", '{"a": 1, "b": 1, "c": 0, "d": 1}', "--function", "sqrt"]),
+    ("matfun_square.json", ["matfun", "--matrix", '{"a": 1, "b": 1, "c": 0, "d": 1}', "--function", "square"]),
     ("sample_one_sheet.csv", ["sample", "--alpha", "0", "--beta", "-1", "--nu", "4", "--nv", "3", "--format", "csv"]),
     ("sample_cone.csv", ["sample", "--alpha", "0", "--beta", "0", "--nu", "3", "--nv", "3", "--format", "csv"]),
     ("decompose_general.json", ["decompose", "--matrix", '{"a": 0, "b": 2, "c": 0.5, "d": 0}']),
@@ -151,6 +152,23 @@ def test_matfun_sqrt_without_a_principal_root_keeps_its_error_code(matrix, capsy
     assert out == ""
 
 
+def test_matfun_square_of_a_rotation_is_its_matrix_product(capsys):
+    code, out, err = _run(["matfun", "--matrix", '{"a": 0, "b": -1, "c": 1, "d": 0}',
+                           "--function", "square"], capsys)
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["function"] == "square"
+    assert [doc["result"][k] for k in "abcd"] == [-1.0, 0.0, 0.0, -1.0]
+
+
+def test_matfun_square_beyond_the_float_range_is_a_non_finite_entry(capsys):
+    code, out, err = _run(["matfun", "--matrix", '{"a": 1e200, "b": 0, "c": 0, "d": 1}',
+                           "--function", "square"], capsys)
+    assert code == 1
+    assert json.loads(err)["error"] == "non_finite_entry"
+    assert out == ""
+
+
 def test_numeric_overflow_is_reported_not_raised(capsys):
     code, _, err = _run(["quat", "--root", "identity", "--t", "1000"], capsys)
     assert code == 1
@@ -160,7 +178,9 @@ def test_numeric_overflow_is_reported_not_raised(capsys):
 @pytest.mark.parametrize("argv", [
     ["bell", "--x", "1e300", "--y", "1e300", "--z", "0", "--alpha", "0", "--beta", "1"],
     ["classify", "--alpha", "1e200", "--beta", "0"],
-], ids=["bell_residual", "classify_radius_sq"])
+    # one-sheet, but radius_sq = 5e-341 is below the smallest float
+    ["classify", "--alpha", "1e-170", "--beta", "0"],
+], ids=["bell_residual", "classify_radius_sq", "classify_radius_sq_underflow"])
 def test_result_beyond_the_float_range_is_a_numeric_error(argv, capsys):
     # the document would otherwise carry Infinity, which strict JSON parsers reject
     code, out, err = _run(argv, capsys)
@@ -360,7 +380,7 @@ def test_subcommands_call_the_module_bound_on_cli(monkeypatch, capsys):
 
 def test_package_dir_lists_exports_and_unknown_names_raise():
     assert set(invgeo.__all__) <= set(dir(invgeo))
-    assert len(invgeo.__all__) == len(set(invgeo.__all__)) == 76
+    assert len(invgeo.__all__) == len(set(invgeo.__all__)) == 73
     assert sorted(invgeo._HOME) == sorted(invgeo.__all__)  # one home per export
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         invgeo.no_such_name  # noqa: B018

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from invgeo import (
     Cardinality,
-    JordanKind,
     Mat2,
     RootSearchGrid,
     SQRT,
@@ -18,7 +17,6 @@ from invgeo import (
     count_real_roots,
     eigen2,
     make_skew_root,
-    jordan2,
     matrix_function,
     principal_sqrt,
     scaled_roots,
@@ -32,6 +30,7 @@ from invgeo.errors import (
     SingularConjugator,
 )
 
+EPS = 2.0**-52
 I2 = Mat2.identity()
 ROTATION_90 = Mat2(0, -1, 1, 0)
 SKEW_INVOLUTION = make_skew_root(1.0, 2.0)  # [[1, 2], [-1, -1]], a square root of -I2
@@ -83,55 +82,13 @@ def test_eigen2_is_exact_under_power_of_two_scaling(entries, k):
     assert scaled == tuple(math.ldexp(x, k) for x in lam)
 
 
-def test_jordan2_scalar():
-    dec = jordan2(I2)
-    assert dec.kind is JordanKind.SCALAR_DIAG
-    assert dec.eig1 == 1.0
-    assert dec.z == I2
-
-
-def test_jordan2_block():
-    dec = jordan2(Mat2(1, 1, 0, 1))
-    assert dec.kind is JordanKind.JORDAN_BLOCK
-    assert dec.eig1 == 1.0
-    assert dec.z == I2
-    assert dec.reconstruct().max_diff(Mat2(1, 1, 0, 1)) <= 1e-12
-
-
-def test_jordan2_distinct():
-    m = Mat2(0, 1, -2, 3)
-    dec = jordan2(m)
-    assert dec.kind is JordanKind.DISTINCT_DIAG
-    assert (dec.eig1, dec.eig2) == pytest.approx((1.0, 2.0))
-    assert dec.reconstruct().max_diff(m) <= 1e-12
-
-
-def test_jordan2_lower_triangular_block():
-    m = Mat2(2, 0, 7, 2)
-    dec = jordan2(m)
-    assert dec.kind is JordanKind.JORDAN_BLOCK
-    assert dec.reconstruct().max_diff(m) <= 1e-12
-
-
-def test_jordan2_reconstruction_random():
-    rng = np.random.default_rng(31)
-    done = 0
-    while done < 300:
-        m = Mat2.from_array(rng.uniform(-4, 4, (2, 2)))
-        if m.trace() ** 2 - 4 * m.det() < 1e-6:
-            continue  # keep spectra clearly real and separated
-        dec = jordan2(m)
-        assert dec.reconstruct().max_diff(m) <= 1e-9
-        done += 1
-
-
 def test_matrix_function_square_on_block():
     result = matrix_function(Mat2(1, 1, 0, 1), SQUARE)
     assert result.max_diff(Mat2(1, 2, 0, 1)) <= 1e-12
 
 
 def test_matrix_function_identity_map():
-    ident = ScalarFunction(lambda x: x, lambda x: 1.0, name="id")
+    ident = ScalarFunction(lambda x: x, lambda x, y: 1.0, name="id")
     for m in (Mat2(1, 1, 0, 1), Mat2.diag(2, 5), Mat2(0, 1, -2, 3)):
         assert matrix_function(m, ident).max_diff(m) <= 1e-12
 
@@ -144,9 +101,28 @@ def test_matrix_function_undefined_cases():
     with pytest.raises(FunctionUndefinedAtEigenvalue):
         matrix_function(Mat2.diag(-1, 4), SQRT)  # sqrt of a negative eigenvalue
     with pytest.raises(FunctionUndefinedAtEigenvalue):
-        matrix_function(Mat2(0, 1, 0, 0), SQRT)  # sqrt' blows up at 0
+        matrix_function(Mat2(0, 1, 0, 0), SQRT)  # sqrt[0, 0] = sqrt'(0) blows up
     with pytest.raises(FunctionUndefinedAtEigenvalue):
         matrix_function(Mat2(1, 1, 0, 1), ScalarFunction(lambda x: x, None))
+
+
+@pytest.mark.parametrize("gap", [1e-5, 1e-7, 2e-8])
+def test_matrix_function_sqrt_near_a_jordan_block(gap):
+    # f[l1, l2] = 1/(sqrt(l1) + sqrt(l2)) has no cancellation as l2 -> l1
+    m = Mat2(1, 1, 0, 1 + gap)
+    r = matrix_function(m, SQRT)
+    assert (r @ r).max_diff(m) <= 4 * EPS * max(r.max_norm() ** 2, m.max_norm())
+    assert r.max_diff(principal_sqrt(m)) <= EPS
+
+
+def test_matrix_function_without_a_divided_difference_takes_the_secant():
+    plain = ScalarFunction(math.sqrt)
+    # a gap below sqrt(eps) relative to the eigenvalues is refused
+    with pytest.raises(FunctionUndefinedAtEigenvalue):
+        matrix_function(Mat2(1, 1, 0, 1 + 1e-10), plain)
+    m = Mat2(1, 1, 0, 1 + 1e-6)
+    # the secant loses about eps / gap of the slope
+    assert matrix_function(m, plain).max_diff(matrix_function(m, SQRT)) <= 1e-9
 
 
 def test_sqrt_branches_distinct():
@@ -382,7 +358,7 @@ def test_principal_sqrt_refuses_with_the_matrix_function_code(m):
 # -- closed-form square roots -------------------------------------------------
 
 #: Allowed ||R^2 - A|| relative to max(||R||^2, ||A||): a few roundings.
-ROOT_REL = 16 * 2.0**-52
+ROOT_REL = 16 * EPS
 
 scales = st.floats(-6, 8).map(lambda u: 10.0**u)
 conjugators = st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5))
@@ -487,7 +463,21 @@ def test_nearly_scalar_matrix_has_finitely_many_roots():
 @given(lam1=st.floats(0.1, 10), lam2=st.floats(0.1, 10), z=conjugators, scale=scales)
 def test_principal_sqrt_agrees_with_matrix_function_on_real_spectra(lam1, lam2, z, scale):
     m = scale * _conjugate((lam1, 0.0, 0.0, lam2), z)
-    if abs(lam1 - lam2) < 1e-3 * max(lam1, lam2):
-        return  # matrix_function merges nearly equal eigenvalues
     root = principal_sqrt(m)
     assert root.max_diff(matrix_function(m, SQRT)) <= 1e-9 * root.max_norm()
+
+
+@settings(max_examples=300, deadline=None)
+@given(s=scales, z=conjugators, off=st.floats(-1.0, 1.0), gap=st.floats(-16, 0),
+       conjugate=st.booleans())
+def test_matrix_function_sqrt_is_accurate_at_every_gap(s, z, off, gap, conjugate):
+    core = (s, s * off, 0.0, s * (1.0 + 10.0**gap))
+    m = _conjugate(core, z) if conjugate else Mat2(*core)
+    try:
+        r = matrix_function(m, SQRT)
+    except ComplexEigenvalues:
+        # rounding in the conjugation moves a pair closer than about
+        # sqrt(eps) by as much, which can make it complex
+        assert conjugate and gap < -7
+        return
+    assert (r @ r).max_diff(m) <= ROOT_REL * max(r.max_norm() ** 2, m.max_norm())

@@ -24,8 +24,6 @@ from invgeo.mat2 import Mat2, Tolerance, Vec2
 from invgeo.matfun import (
     SQRT,
     Cardinality,
-    Jordan2,
-    JordanKind,
     RootCardinality,
     RootSearchGrid,
     ScalarFunction,
@@ -60,9 +58,8 @@ CASES = [
      BellPoint(0.0, 0.0, 0.0)),
     (RootFamily, {"tag": RootTag.GENERAL, "a": 0.5, "b": 2.0, "c": None},
      RootTag.LOWER_C_PLUS_MINUS),
-    (Jordan2, {"z": M, "kind": JordanKind.DISTINCT_DIAG, "eig1": 1.0, "eig2": 4.0},
-     Mat2.identity()),
-    (ScalarFunction, {"f": SQRT.f, "f_prime": SQRT.f_prime, "name": "sqrt"}, math.exp),
+    (ScalarFunction, {"f": SQRT.f, "divided_difference": SQRT.divided_difference,
+                      "name": "sqrt"}, math.exp),
     (RootCardinality, {"tag": Cardinality.FINITE, "n": 4}, Cardinality.ZERO),
     (RootSearchGrid, {"points_per_axis": 3, "lo": -2.0, "hi": 2.0, "residual_tol": 1e-8,
                       "dedup_tol": 1e-3}, 5),
@@ -154,7 +151,7 @@ def test_defaults():
     assert SurfacePoint(BellPoint(1.0, 2.0, 3.0), M).tag == "surface"
     assert RootFamily(RootTag.IDENTITY) == RootFamily(RootTag.IDENTITY, None, None, None)
     f = ScalarFunction(math.exp)
-    assert (f.f_prime, f.name) == (None, "")
+    assert (f.divided_difference, f.name) == (None, "")
     assert RootCardinality(Cardinality.INFINITE).n is None
     grid = RootSearchGrid()
     assert (grid.points_per_axis, grid.lo, grid.hi, grid.residual_tol, grid.dedup_tol) == (

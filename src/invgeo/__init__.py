@@ -39,7 +39,8 @@ _EXPORTS = {
         "BELL_BASIS", "BellPoint", "GeneratorPair", "LocusParams", "SurfaceClass",
         "SurfacePoint", "SurfaceTag", "classify_quadric", "from_bell",
         "generator_directions", "generator_point", "in_locus", "on_asymptotic_cone",
-        "principal_axis_point", "quadric_residual", "sample_surface", "to_bell",
+        "principal_axis_point", "quadric_residual", "sample_surface", "surface_rows",
+        "to_bell",
     ),
     "householder": (
         "UnitVec2", "householder_angle", "householder_from_angle",
@@ -134,6 +135,7 @@ __all__ = [
     "sq_inverse",
     "sq_mul",
     "sqrt_branches",
+    "surface_rows",
     "to_bell",
     "to_matrix",
     "unit_root_identity",

@@ -15,20 +15,17 @@ because a non-None ``indent`` sends ``json.dumps`` to the stdlib's
 pure-Python encoder.  Exact dicts, lists and tuples are dispatched first;
 inside them, a scalar leaf (an exact finite float or an exact str) is written
 in the container's loop, in one part with its separator, without a call.
-CSV point rows are one join of seven ``float.__repr__`` texts and the tag.
+Each document gets one memo, made by ``_json_document`` and passed down the
+writer: the sorted key heads of every dict shape, keyed by the indent and the
+keys in insertion order, so a shape is sorted, checked and encoded once.
 
-Each document gets one memo, a dict made by ``_json_document`` (or
-``_emit_point_csv``) and passed down the writer.  It holds the sorted key
-heads of every dict shape, keyed by the indent and the keys in insertion
-order, so a shape is sorted, checked and encoded once; and the
-``float.__repr__`` text of every nonzero finite float, because point clouds
-repeat values: z is constant on a ring, alpha on the whole cloud, and
-mirrored azimuths share coordinates.  In the 80x80 ``sample`` clouds 45-75 %
-of the nonzero floats repeat a value met earlier in the same document; in
-``roots --sample`` documents 2-4 % do, and only the key heads pay off.  Zeros
-are never memoized: 0.0 == -0.0, but their texts differ.  A list folds the
-parts it has added into one string every 4096 parts, so a large document
-keeps few small strings alive while it is written.
+Point clouds (``sample``, ``generators --format csv`` and ``roots
+--sample``) are not built as dicts.  Their kernels hand over rows of finite
+floats, and each row is written by one ``%``-template per document: the
+JSON record, or the CSV line, with ``%r`` (``float.__repr__``) in each
+float's place and any value constant over the document already in the text.
+The output is the same, byte for byte, as the generic writer's would be for
+the dict document, which the tests check against ``json.dumps``.
 
 Each subcommand is described once, in ``_COMMANDS``: its help line, the
 function that adds its flags, and its handler.  ``run()`` parses a command
@@ -150,16 +147,8 @@ def _write(args, payload: str):
 
 _encode_str = json.encoder.encode_basestring_ascii
 _INF = float("inf")
-#: A list loop joins the parts it has added into one chunk once they number
-#: this many, so a large document keeps few small strings alive.
-_FOLD = 4096
 
-# The memo maps a dict shape (indent, *keys) to _dict_heads of it, and a
-# nonzero exact finite float to its float.__repr__ text; a tuple never equals
-# a float, so the two kinds of entry cannot meet.  Zeros are never stored:
-# 0.0 == -0.0, but their texts differ.  The float lookup is written out in each
-# loop that needs it: a helper call per float made the writer about 6 % slower
-# on an 80x80 sample document.
+# The memo maps a dict shape (indent, *keys) to _dict_heads of it.
 
 
 def _json_parts(obj, parts: list, memo: dict, indent: str) -> None:
@@ -211,16 +200,10 @@ def _list_parts(obj, parts: list, memo: dict, indent: str) -> None:
     inner = indent + "  "
     sep = "," + inner
     head = "[" + inner
-    start = len(parts)
     for item in obj:
         cls = type(item)
         if cls is float and item - item == 0.0:
-            text = memo.get(item)
-            if text is None:
-                text = float.__repr__(item)
-                if item:
-                    memo[item] = text
-            parts.append(head + text)
+            parts.append(head + float.__repr__(item))
         elif cls is str:
             parts.append(head + _encode_str(item))
         elif cls is dict:
@@ -230,9 +213,6 @@ def _list_parts(obj, parts: list, memo: dict, indent: str) -> None:
             parts.append(head)
             _json_parts(item, parts, memo, inner)
         head = sep
-        if len(parts) - start >= _FOLD:
-            parts[start:] = ["".join(parts[start:])]
-            start = len(parts)
     parts.append(indent + "]")
 
 
@@ -264,12 +244,7 @@ def _dict_parts(obj, parts: list, memo: dict, indent: str) -> None:
         value = obj[key]
         cls = type(value)
         if cls is float and value - value == 0.0:
-            text = memo.get(value)
-            if text is None:
-                text = float.__repr__(value)
-                if value:
-                    memo[value] = text
-            parts.append(head + text)
+            parts.append(head + float.__repr__(value))
         elif cls is str:
             parts.append(head + _encode_str(value))
         elif cls is dict:
@@ -296,26 +271,38 @@ def _csv_row(values) -> str:
     return ",".join(repr(v) if isinstance(v, float) else str(v) for v in values)
 
 
+#: One CSV line of a point cloud, from a row (x, y, z, a, b, c, d, tag).
+_POINT_CSV_LINE = "%r,%r,%r,%r,%r,%r,%r,%s\n"
+
+
 def _emit_point_csv(args, rows):
-    """One line per (bell, matrix, tag); every coordinate is a plain float
-    by the BellPoint and Mat2 invariants, so it is written by float.__repr__,
-    looked up first in the document's memo, as in the JSON writer."""
-    lines = ["x,y,z,x1,x2,x3,x4,tag"]
-    memo: dict = {}
-    get = memo.get
-    fmt = float.__repr__
-    for bell, m, tag in rows:
-        texts = []
-        for value in (bell.x, bell.y, bell.z, m.a, m.b, m.c, m.d):
-            text = get(value)
-            if text is None:
-                text = fmt(value)
-                if value:
-                    memo[value] = text
-            texts.append(text)
-        texts.append(tag)
-        lines.append(",".join(texts))
-    _write(args, "\n".join(lines) + "\n")
+    """One line per row (x, y, z, a, b, c, d, tag) of finite floats and a tag."""
+    lines = ["x,y,z,x1,x2,x3,x4,tag\n"]
+    lines += map(_POINT_CSV_LINE.__mod__, rows)
+    _write(args, "".join(lines))
+
+
+def _json_records(head: str, record: dict, rows, indent: str, tail: str) -> str:
+    """head, the JSON list of one record per row, and tail, joined once.
+
+    record is the shape of every item.  Each str value "%r" in it stands for
+    a float of the row, in sorted-key order, depth first, and is filled in by
+    %r, that is by float.__repr__, as the JSON writer would write it; every
+    row value must be finite, since %r writes no NaN or Infinity.  Any other
+    value is written as the JSON writer writes it, so "%s" stays quoted and
+    takes a row's plain-ASCII tag; no other text of record may hold a "%".
+    indent is the newline and indentation of the line the list starts on.
+    """
+    if not rows:
+        return head + "[]" + tail
+    inner = indent + "  "
+    parts = [inner]
+    _dict_parts(record, parts, {}, inner)
+    template = "".join(parts).replace('"%r"', "%r") + ","
+    parts = [head + "["]
+    parts += map(template.__mod__, rows)
+    parts[-1] = parts[-1][:-1] + indent + "]" + tail  # no comma after the last item
+    return "".join(parts)
 
 
 def _family(args):
@@ -354,13 +341,10 @@ def _cmd_roots(args, tol: Tolerance) -> None:
             mats = roots.sample_involutions(args.sample, seed=args.seed, param_range=args.range)
         else:
             mats = roots.sample_skew_involutions(args.sample, seed=args.seed, param_range=args.range)
-        _emit_json(args, {
-            "seed": args.seed,
-            "samples": [
-                {"matrix": m.to_json_dict(), "residual": _root_residual(m, sign)}
-                for m in mats
-            ],
-        })
+        rows = [(m.a, m.b, m.c, m.d, _root_residual(m, sign)) for m in mats]
+        record = {"matrix": dict.fromkeys("abcd", "%r"), "residual": "%r"}
+        _write(args, _json_records('{\n  "samples": ', record, rows, "\n  ",
+                                   ',\n  "seed": ' + int.__repr__(args.seed) + "\n}\n"))
         return
     if args.family is not None:
         if args.of != "identity":
@@ -443,7 +427,8 @@ def _cmd_generators(args, tol: Tolerance) -> None:
         for direction in (u, v):
             for t in ts:
                 m = quadric.generator_point(point, direction, t)
-                rows.append((quadric.to_bell(m, 0.0, tol), m, "generator"))
+                bell = quadric.to_bell(m, 0.0, tol)
+                rows.append((bell.x, bell.y, bell.z, m.a, m.b, m.c, m.d, "generator"))
         _emit_point_csv(args, rows)
         return
     eye = Mat2.identity()
@@ -521,17 +506,14 @@ def _cmd_matfun(args, tol: Tolerance) -> None:
 
 def _cmd_sample(args, tol: Tolerance) -> None:
     quadric = _kernel("quadric")
-    points = quadric.sample_surface(
-        quadric.LocusParams(args.alpha, args.beta), args.nu, args.nv,
-        span=args.span, tol=tol,
-    )
+    params = quadric.LocusParams(args.alpha, args.beta)
+    rows = quadric.surface_rows(params, args.nu, args.nv, span=args.span, tol=tol)
     if args.format == "csv":
-        _emit_point_csv(args, [(p.bell, p.matrix, p.tag) for p in points])
+        _emit_point_csv(args, rows)
         return
-    _emit_json(args, [
-        {"bell": p.bell.to_json_dict(), "matrix": p.matrix.to_json_dict(), "tag": p.tag}
-        for p in points
-    ])
+    record = {"bell": {"alpha": params.alpha, **dict.fromkeys("xyz", "%r")},
+              "matrix": dict.fromkeys("abcd", "%r"), "tag": "%s"}
+    _write(args, _json_records("", record, rows, "\n", "\n"))
 
 
 def _cmd_decompose(args, tol: Tolerance) -> None:

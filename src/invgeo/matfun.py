@@ -110,15 +110,20 @@ def eigen2(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> tuple[float, float]:
 
     The closed form runs on m scaled as by _quarter_scaled, so it is
     bit-identical to the unscaled formula wherever that one stays in range.
-    An eigenvalue beyond the float range raises OverflowError.
+    The spectrum is complex when the discriminant (a - d)^2 + 4bc is below
+    -exact_tol * max|entry|^2, a cut relative to the size of m: scaling m by
+    a power of two does not change the decision.  A discriminant above the
+    cut but below zero, which rounding can leave on a double eigenvalue, is
+    taken as zero.  An eigenvalue beyond the float range raises OverflowError.
     """
     k, a, b, c, d = _quarter_scaled(m)
     e = 2 * k
+    size = max(abs(a), abs(b), abs(c), abs(d))
     tr, det = a + d, a * d - b * c
     # (a - d)^2 + 4bc equals tr^2 - 4 det without cancelling the squares
     diff = a - d
     disc = diff * diff + 4.0 * b * c
-    if disc < 0.0 and disc < -_ldexp_sat(tol.exact_tol, -2 * e):
+    if disc < -tol.exact_tol * size * size:
         raise ComplexEigenvalues(f"discriminant {_ldexp_sat(disc, 2 * e)} < 0")
     # larger-magnitude root first; the other from det, free of cancellation
     big = 0.5 * (tr + math.copysign(math.sqrt(max(disc, 0.0)), tr))

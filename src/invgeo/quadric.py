@@ -269,6 +269,83 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
     return out
 
 
+#: |alpha/2| + |radial| + |z| below this bounds every coordinate and entry of
+#: a ring's points, and every sum that forms them, below the largest float.
+_RING_BOUND = 1e308
+
+
+def surface_rows(
+    params: LocusParams,
+    n_u: int,
+    n_v: int,
+    span: float = 2.0,
+    tol: Tolerance = DEFAULT_TOL,
+) -> list[tuple]:
+    """The grid of sample_surface as plain rows (x, y, z, a, b, c, d, tag).
+
+    (x, y, z) are the Bell coordinates in the hyperplane trace = alpha,
+    (a, b, c, d) the matrix entries by from_bell's expressions, and tag is
+    "surface", or "vertex" for the cone apex.  Every value is a finite float.
+
+    The rows are built ring by ring, a ring being one value of the second
+    coordinate.  A ring whose |alpha/2| + |radial| + |z| is below
+    _RING_BOUND cannot yield a non-finite value, so its rows are written
+    straight from the floats.  Any other ring is built point by point
+    through BellPoint and from_bell, which raise NonFiniteEntry for the first
+    value that is not finite; a ring factor beyond the float range raises
+    OverflowError before its ring is built.  Errors therefore arise in the
+    same order as when every point is a validated object.
+    """
+    if n_u < 1 or n_v < 1:
+        raise InvalidCount(f"need n_u, n_v >= 1, got {n_u}, {n_v}")
+    surface = classify_quadric(params, tol)
+    e, alpha_s, beta_s = _scaled(params.alpha, params.beta)
+    radius_sq = 0.5 * alpha_s * alpha_s - 2.0 * beta_s  # r^2 * 4**-e
+    azimuths = [2.0 * math.pi * j / n_u for j in range(n_u)]
+    trig = [(math.cos(u), math.sin(u)) for u in azimuths]
+    alpha = params.alpha
+    half = 0.5 * alpha
+    rows: list[tuple] = []
+    append = rows.append
+
+    def checked_row(x: float, y: float, z: float, tag: str) -> tuple:
+        bell = BellPoint(x, y, z, alpha)
+        m = from_bell(bell)
+        return (bell.x, bell.y, bell.z, m.a, m.b, m.c, m.d, tag)
+
+    def ring(radial: float, z: float):
+        if abs(half) + abs(radial) + abs(z) < _RING_BOUND:
+            for cos_u, sin_u in trig:
+                x = radial * cos_u
+                y = radial * sin_u
+                # from_bell's expressions, bit for bit
+                append((x, y, z, half + x / _SQRT2, (y - z) / _SQRT2,
+                        (y + z) / _SQRT2, half - x / _SQRT2, "surface"))
+        else:
+            for cos_u, sin_u in trig:
+                append(checked_row(radial * cos_u, radial * sin_u, z, "surface"))
+
+    if surface.tag is SurfaceTag.ONE_SHEET_HYPERBOLOID:
+        r = math.ldexp(math.sqrt(radius_sq), e)
+        for v in _linspace(-span, span, n_v):
+            ring(r * math.cosh(v), r * math.sinh(v))
+    elif surface.tag is SurfaceTag.TWO_SHEET_HYPERBOLOID:
+        m = math.ldexp(math.sqrt(-radius_sq), e)
+        n_top = (n_v + 1) // 2
+        sheets = [(1.0, v) for v in _linspace(0.0, span, n_top)]
+        sheets += [(-1.0, v) for v in _linspace(0.0, span, n_v - n_top)]
+        for sheet, v in sheets:
+            ring(m * math.sinh(v), sheet * m * math.cosh(v))
+    else:
+        # rho ~ 0 rows collapse onto the apex; the tagged vertex covers them
+        for rho in _linspace(-span, span, n_v):
+            if abs(rho) <= tol.exact_tol:
+                continue
+            ring(rho, rho)
+        append(checked_row(0.0, 0.0, 0.0, "vertex"))
+    return rows
+
+
 def sample_surface(
     params: LocusParams,
     n_u: int,
@@ -283,44 +360,14 @@ def sample_surface(
     which spans [-span, span].  The cone vertex is appended, tagged
     "vertex", since the scalar apex is excluded from the locus proper.
 
-    cos/sin are taken once per azimuth and cosh/sinh once per ring, and a
-    point is (ring factor) * (azimuth factor): the same products, bit for
-    bit, as r * cosh(v) * cos(u) evaluated left to right.  The radius comes
-    from alpha and beta scaled as in classify_quadric, so it neither
-    underflows to 0 nor overflows where alpha^2 or beta is out of range.
+    The points are those of surface_rows, in its order, as validated
+    objects; it raises what surface_rows raises.  cos/sin are taken once per
+    azimuth and cosh/sinh once per ring, and a point is (ring factor) *
+    (azimuth factor): the same products, bit for bit, as r * cosh(v) *
+    cos(u) evaluated left to right.  The radius comes from alpha and beta
+    scaled as in classify_quadric, so it neither underflows to 0 nor
+    overflows where alpha^2 or beta is out of range.
     """
-    if n_u < 1 or n_v < 1:
-        raise InvalidCount(f"need n_u, n_v >= 1, got {n_u}, {n_v}")
-    surface = classify_quadric(params, tol)
-    e, alpha_s, beta_s = _scaled(params.alpha, params.beta)
-    radius_sq = 0.5 * alpha_s * alpha_s - 2.0 * beta_s  # r^2 * 4**-e
-    azimuths = [2.0 * math.pi * j / n_u for j in range(n_u)]
-    trig = [(math.cos(u), math.sin(u)) for u in azimuths]
     alpha = params.alpha
-    points: list[SurfacePoint] = []
-
-    def ring(radial: float, z: float):
-        for cos_u, sin_u in trig:
-            bell = BellPoint(radial * cos_u, radial * sin_u, z, alpha)
-            points.append(SurfacePoint(bell, from_bell(bell)))
-
-    if surface.tag is SurfaceTag.ONE_SHEET_HYPERBOLOID:
-        r = math.ldexp(math.sqrt(radius_sq), e)
-        for v in _linspace(-span, span, n_v):
-            ring(r * math.cosh(v), r * math.sinh(v))
-    elif surface.tag is SurfaceTag.TWO_SHEET_HYPERBOLOID:
-        m = math.ldexp(math.sqrt(-radius_sq), e)
-        n_top = (n_v + 1) // 2
-        rows = [(1.0, v) for v in _linspace(0.0, span, n_top)]
-        rows += [(-1.0, v) for v in _linspace(0.0, span, n_v - n_top)]
-        for sheet, v in rows:
-            ring(m * math.sinh(v), sheet * m * math.cosh(v))
-    else:
-        # rho ~ 0 rows collapse onto the apex; the tagged vertex covers them
-        for rho in _linspace(-span, span, n_v):
-            if abs(rho) <= tol.exact_tol:
-                continue
-            ring(rho, rho)
-        vertex = BellPoint(0.0, 0.0, 0.0, alpha)
-        points.append(SurfacePoint(vertex, from_bell(vertex), "vertex"))
-    return points
+    return [SurfacePoint(BellPoint(x, y, z, alpha), Mat2(a, b, c, d), tag)
+            for x, y, z, a, b, c, d, tag in surface_rows(params, n_u, n_v, span, tol)]

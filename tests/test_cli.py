@@ -5,7 +5,6 @@ import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -196,6 +195,22 @@ def test_sampled_root_whose_square_overflows_keeps_its_error(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("flags, err_doc", [
+    (["--alpha", "1e308", "--beta", "0", "--span", "2"],
+     '{"detail": "x must be finite, got inf", "error": "non_finite_entry"}'),
+    (["--alpha", "1.7e308", "--beta=-1e308", "--span", "0.5"],
+     '{"detail": "a must be finite, got inf", "error": "non_finite_entry"}'),
+    (["--alpha=-1.7e308", "--beta=-1e308", "--span", "0.5"],
+     '{"detail": "d must be finite, got -inf", "error": "non_finite_entry"}'),
+    (["--alpha", "0", "--beta", "-1", "--span", "800"],  # cosh(800) overflows
+     '{"detail": "math range error", "error": "numeric_error"}'),
+], ids=["bell_x", "matrix_a", "matrix_d", "ring_factor"])
+def test_sample_beyond_the_float_range_names_the_first_bad_value(flags, err_doc, fmt, capsys):
+    code, out, err = _run(["sample", *flags, "--nu", "4", "--nv", "4", "--format", fmt], capsys)
+    assert (code, out, err) == (1, "", err_doc + "\n")
+
+
 _ANY_FLOAT = st.floats(allow_nan=False, allow_infinity=False)
 
 
@@ -380,7 +395,7 @@ def test_subcommands_call_the_module_bound_on_cli(monkeypatch, capsys):
 
 def test_package_dir_lists_exports_and_unknown_names_raise():
     assert set(invgeo.__all__) <= set(dir(invgeo))
-    assert len(invgeo.__all__) == len(set(invgeo.__all__)) == 73
+    assert len(invgeo.__all__) == len(set(invgeo.__all__)) == 74
     assert sorted(invgeo._HOME) == sorted(invgeo.__all__)  # one home per export
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         invgeo.no_such_name  # noqa: B018
@@ -475,12 +490,10 @@ def test_json_writer_matches_stdlib_indent_encoder(doc):
     assert cli._json_document(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
 
-# Records as the point-cloud commands write them, drawn from small pools so
+# Records like those of the point-cloud documents, drawn from small pools so
 # that float values and dict shapes repeat within a document: 0.0 and -0.0 in
 # one field, the smallest subnormal, str-subclass keys, every insertion order
-# and the same shape at two depths.  The fold threshold is drawn small, so
-# lists pass it at every depth and a failing example shrinks quickly; the
-# explicit examples run at the real threshold.
+# and the same shape at two depths.
 _RECORD_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 0.1, -0.1, 1.0, 2.5,
                                   1e16, 1.7976931348623157e308])
 _RECORD_KEYS = st.sampled_from(["x", "y", "z", "tag", _Str("x"), _Str("w")])
@@ -496,17 +509,12 @@ _RECORD_LISTS = st.builds(
     st.lists(_RECORDS, min_size=1, max_size=12),
     st.integers(min_value=0, max_value=200),
 )
-_TWO_DEPTHS = [{"x": 0.0, "y": {"x": -0.0, "y": 0.0}},
-               {"y": {"y": 5e-324, "x": 0.1}, "x": -0.0}] * cli._FOLD
 
 
 @settings(max_examples=200, deadline=None)
-@given(doc=_RECORD_LISTS, fold=st.integers(min_value=1, max_value=16))
-@example(doc=_TWO_DEPTHS, fold=cli._FOLD)
-@example(doc={"samples": _TWO_DEPTHS[::-1]}, fold=cli._FOLD)
-def test_json_writer_matches_stdlib_on_repeating_records(doc, fold):
-    with mock.patch.object(cli, "_FOLD", fold):
-        got = cli._json_document(doc)
+@given(doc=_RECORD_LISTS)
+def test_json_writer_matches_stdlib_on_repeating_records(doc):
+    got = cli._json_document(doc)
     # compared line by line: a failing report then names the first bad line
     # instead of diffing two long texts
     assert got.split("\n") == json.dumps(doc, indent=2, sort_keys=True).split("\n")
@@ -524,6 +532,19 @@ def test_sample_json_document_matches_stdlib(locus, capsys):
     points = invgeo.sample_surface(invgeo.LocusParams(float(alpha), float(beta)), 80, 80)
     doc = [{"bell": p.bell.to_json_dict(), "matrix": p.matrix.to_json_dict(), "tag": p.tag}
            for p in points]
+    assert out.split("\n") == (json.dumps(doc, indent=2, sort_keys=True) + "\n").split("\n")
+
+
+@pytest.mark.parametrize("of, sign", [("identity", 1.0), ("neg-identity", -1.0)])
+def test_roots_sample_document_matches_stdlib(of, sign, capsys):
+    code, out, err = _run(["roots", "--of", of, "--sample", "6400", "--seed", "5"], capsys)
+    assert code == 0, err
+    sampler = invgeo.sample_involutions if sign > 0 else invgeo.sample_skew_involutions
+    target = sign * invgeo.Mat2.identity()
+    doc = {"seed": 5, "samples": [
+        {"matrix": m.to_json_dict(), "residual": (m @ m).max_diff(target)}
+        for m in sampler(6400, seed=5, param_range=10.0)
+    ]}
     assert out.split("\n") == (json.dumps(doc, indent=2, sort_keys=True) + "\n").split("\n")
 
 
@@ -547,14 +568,15 @@ def test_sample_csv_document_matches_per_row_reference(locus, capsys):
 
 
 def test_point_csv_keeps_the_sign_of_zero(capsys):
-    rows = []
+    points = []
     for i in range(8):
         zero = -0.0 if i % 2 else 0.0
         bell = invgeo.BellPoint(zero, 1.5, -zero, 0.0)
-        rows.append((bell, invgeo.Mat2(zero, 5e-324, -zero, 1.5), "tag"))
+        points.append((bell, invgeo.Mat2(zero, 5e-324, -zero, 1.5), "tag"))
+    rows = [(bell.x, bell.y, bell.z, m.a, m.b, m.c, m.d, tag) for bell, m, tag in points]
     cli._emit_point_csv(SimpleNamespace(output=None), rows)
     out = capsys.readouterr().out
-    assert out == _csv_reference(rows)
+    assert out == _csv_reference(points)
     assert out.splitlines()[1:3] == ["0.0,1.5,-0.0,0.0,5e-324,-0.0,1.5,tag",
                                      "-0.0,1.5,0.0,-0.0,5e-324,0.0,1.5,tag"]
 

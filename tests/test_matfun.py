@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from invgeo import (
@@ -40,8 +40,9 @@ def test_eigen2_examples():
     assert eigen2(Mat2.diag(1, 4)) == (1.0, 4.0)
     assert eigen2(I2) == (1.0, 1.0)
     assert eigen2(Mat2.diag(4, 1)) == (1.0, 4.0)  # ascending
-    with pytest.raises(ComplexEigenvalues):
-        eigen2(Mat2(0, 1, -1, 0))
+    for s in (1.0, 4e-7, 2.0**-30, 1e150):  # a rotation is complex at every scale
+        with pytest.raises(ComplexEigenvalues):
+            eigen2(Mat2(0, s, -s, 0))
 
 
 def test_eigen2_small_eigenvalue_keeps_relative_accuracy():
@@ -80,6 +81,30 @@ def test_eigen2_is_exact_under_power_of_two_scaling(entries, k):
     lam = eigen2(Mat2(a, b, c, d))
     scaled = eigen2(Mat2(*(math.ldexp(x, k) for x in (a, b, c, d))))
     assert scaled == tuple(math.ldexp(x, k) for x in lam)
+
+
+def _is_complex(m: Mat2) -> bool:
+    try:
+        eigen2(m)
+    except ComplexEigenvalues:
+        return True
+    return False
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    entries=st.tuples(*[st.integers(-2**53, 2**53)] * 4),
+    k=st.integers(-500, 500),
+)
+@example(entries=(0, -1, 1, 0), k=-500)
+@example(entries=(2**52, 1, -1, 2**52), k=500)  # 2 +- 2**-52 i: below the cut, real
+def test_eigen2_complex_decision_is_invariant_under_power_of_two_scaling(entries, k):
+    # multiples of 2**-52 in [-2, 2], either sign of bc: every scaled entry
+    # and product stays normal, so scaling by 2**k is exact
+    a, b, c, d = (math.ldexp(n, -52) for n in entries)
+    m = Mat2(a, b, c, d)
+    scaled = Mat2(*(math.ldexp(x, k) for x in (a, b, c, d)))
+    assert _is_complex(scaled) == _is_complex(m)
 
 
 def test_matrix_function_square_on_block():
@@ -473,11 +498,5 @@ def test_principal_sqrt_agrees_with_matrix_function_on_real_spectra(lam1, lam2, 
 def test_matrix_function_sqrt_is_accurate_at_every_gap(s, z, off, gap, conjugate):
     core = (s, s * off, 0.0, s * (1.0 + 10.0**gap))
     m = _conjugate(core, z) if conjugate else Mat2(*core)
-    try:
-        r = matrix_function(m, SQRT)
-    except ComplexEigenvalues:
-        # rounding in the conjugation moves a pair closer than about
-        # sqrt(eps) by as much, which can make it complex
-        assert conjugate and gap < -7
-        return
+    r = matrix_function(m, SQRT)
     assert (r @ r).max_diff(m) <= ROOT_REL * max(r.max_norm() ** 2, m.max_norm())

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from invgeo import (
     principal_axis_point,
     quadric_residual,
     sample_surface,
+    surface_rows,
     to_bell,
 )
 from invgeo.errors import (
@@ -478,6 +480,33 @@ def test_sample_surface_matches_per_point_formulas_bit_for_bit(alpha, beta, kind
     for p, (x, y, z) in zip(points, want):
         assert p.bell.alpha == alpha
         assert p.matrix == from_bell(BellPoint(x, y, z, alpha))
+
+
+_HUGE = st.floats(1e305, 1.7976931348623157e308)
+
+
+@settings(max_examples=300, deadline=None)
+@given(alpha=_HUGE | _HUGE.map(lambda x: -x),
+       beta=st.floats(-1.7976931348623157e308, 1.7976931348623157e308),
+       n_u=st.integers(1, 6), n_v=st.integers(1, 6), span=st.floats(0.0, 1.0))
+@example(alpha=1e308, beta=0.0, n_u=4, n_v=3, span=0.1)  # every value finite
+@example(alpha=1e308, beta=0.0, n_u=4, n_v=3, span=2.0)  # x overflows
+def test_surface_rows_near_the_top_of_the_float_range(alpha, beta, n_u, n_v, span):
+    # rings past _RING_BOUND are built point by point: the same rows, or the
+    # same first error, as validated objects built one point at a time
+    params = LocusParams(alpha, beta)
+    try:
+        want = []
+        for x, y, z in _per_point_grid(params, n_u, n_v, span):
+            m = from_bell(BellPoint(x, y, z, alpha))
+            want.append(tuple(v.hex() for v in (x, y, z, m.a, m.b, m.c, m.d)))
+    except NonFiniteEntry as exc:
+        with pytest.raises(NonFiniteEntry, match=f"^{re.escape(str(exc))}$"):
+            surface_rows(params, n_u, n_v, span)
+        return
+    rows = surface_rows(params, n_u, n_v, span)
+    assert [tuple(v.hex() for v in row[:7]) for row in rows] == want
+    assert {row[7] for row in rows} == {"surface"}
 
 
 @pytest.mark.parametrize("alpha, beta", [

@@ -20,12 +20,14 @@ writer: the sorted key heads of every dict shape, keyed by the indent and the
 keys in insertion order, so a shape is sorted, checked and encoded once.
 
 Point clouds (``sample``, ``generators --format csv`` and ``roots
---sample``) are not built as dicts.  Their kernels hand over rows of finite
-floats, and each row is written by one ``%``-template per document: the
-JSON record, or the CSV line, with ``%r`` (``float.__repr__``) in each
-float's place and any value constant over the document already in the text.
-The output is the same, byte for byte, as the generic writer's would be for
-the dict document, which the tests check against ``json.dumps``.
+--sample``) are written from rows of finite floats, not dicts:
+``quadric.surface_rows`` hands over the sample grid as rows, and the other
+two commands make one row per point.  Each row is written by one
+``%``-template per document, the JSON record or the CSV line with ``%r``
+(``float.__repr__``) in each float's place and any value constant over the
+document already in the text, and the document is joined once.  The output
+is the same, byte for byte, as the generic writer's for the dict document,
+which the tests check against ``json.dumps``.
 
 Each subcommand is described once, in ``_COMMANDS``: its help line, the
 function that adds its flags, and its handler.  ``run()`` parses a command

@@ -15,9 +15,10 @@ because a non-None ``indent`` sends ``json.dumps`` to the stdlib's
 pure-Python encoder.  Exact dicts, lists and tuples are dispatched first;
 inside them, a scalar leaf (an exact finite float or an exact str) is written
 in the container's loop, in one part with its separator, without a call.
-Each document gets one memo, made by ``_json_document`` and passed down the
-writer: the sorted key heads of every dict shape, keyed by the indent and the
-keys in insertion order, so a shape is sorted, checked and encoded once.
+A memo is passed down the writer: the sorted key heads of every dict shape,
+keyed by the indent and the keys in insertion order, so a shape is sorted,
+checked and encoded once.  ``_json_document`` passes one memo kept for the
+process, so the few shapes of the documents are encoded once per process.
 
 Point clouds (``sample``, ``generators --format csv`` and ``roots
 --sample``) are written from rows of finite floats, not dicts:
@@ -30,14 +31,21 @@ is the same, byte for byte, as the generic writer's for the dict document,
 which the tests check against ``json.dumps``.
 
 Each subcommand is described once, in ``_COMMANDS``: its help line, the
-function that adds its flags, and its handler.  ``run()`` parses a command
-line that starts with a subcommand's name with that subcommand's own parser,
-which is what the full ``invgeo`` parser would hand the rest of the line to;
-argparse then parses the line once instead of twice.  Each parser is built on
-first use and kept for the process, so a one-shot call builds one subparser
-instead of nine, and repeated calls in one process cost only the parse and
-the work.  Any other command line goes to the full parser, built from the
-same table, for its help or its usage error.
+function that adds its flags, and its handler.  A command line that starts
+with a subcommand's name goes to that subcommand alone, which is what the
+full ``invgeo`` parser would hand the rest of the line to.  ``run()`` first
+reads it with a flag table derived from that subcommand's parser: its exact
+option strings, with each action's type, choices, default and whether it is
+required.  A line of exact flags only, each ``--flag value`` (a value that
+argparse would not take for an option), ``--flag=value`` or a store_true
+flag, is read from the table, and makes the namespace that argparse would
+make.  Any other line goes to the subcommand's parser unchanged, so an
+abbreviation, ``-h``, ``--``, a missing or bad value and a missing required
+flag keep argparse's help, usage error and exit code.  Each parser and its
+table are built on first use and kept for the process, so a one-shot call
+builds one subparser instead of nine, and repeated calls in one process cost
+only the read and the work.  Any other command line goes to the full parser,
+built from the same ``_COMMANDS``, for its help or its usage error.
 
 Importing this module loads only ``mat2`` and ``errors`` of the package.
 Each subcommand imports the kernel modules it uses when it runs, so
@@ -57,7 +65,7 @@ import os
 import sys
 from importlib import import_module
 
-from .errors import InvalidTolerance, InvGeoError
+from .errors import InvalidCount, InvalidTolerance, InvGeoError
 from .mat2 import DEFAULT_TOL, Mat2, Tolerance, Vec2
 
 _KERNELS = ("householder", "matfun", "quadric", "roots", "splitquat", "xform")
@@ -150,7 +158,10 @@ def _write(args, payload: str):
 _encode_str = json.encoder.encode_basestring_ascii
 _INF = float("inf")
 
-# The memo maps a dict shape (indent, *keys) to _dict_heads of it.
+# A memo maps a dict shape (indent, *keys) to _dict_heads of it.  Documents
+# share _KEY_HEADS: the shapes are those of the code's own documents, few and
+# the same on every call.
+_KEY_HEADS: dict = {}
 
 
 def _json_parts(obj, parts: list, memo: dict, indent: str) -> None:
@@ -261,7 +272,7 @@ def _dict_parts(obj, parts: list, memo: dict, indent: str) -> None:
 def _json_document(doc) -> str:
     """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte."""
     parts: list[str] = []
-    _json_parts(doc, parts, {}, "\n")
+    _json_parts(doc, parts, _KEY_HEADS, "\n")
     return "".join(parts)
 
 
@@ -423,6 +434,8 @@ def _cmd_generators(args, tol: Tolerance) -> None:
     pair = quadric.generator_directions(point, seed, tol)
     u, v = pair.u, pair.v
     if args.format == "csv":
+        if args.points < 1:
+            raise InvalidCount(f"need points >= 1, got {args.points}")
         ts = [args.t_max * (2.0 * i / (args.points - 1) - 1.0) if args.points > 1 else 0.0
               for i in range(args.points)]
         rows = []
@@ -673,21 +686,115 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-#: Parsers built so far, keyed by subcommand name; None keys the full tree.
-_parsers: dict[str | None, argparse.ArgumentParser] = {}
+#: Per subcommand name, its parser and the flag table read off it; None keys
+#: the full tree, which has no table.
+_parsers: dict[str | None, tuple[argparse.ArgumentParser, tuple | None]] = {}
+
+
+def _flag_table(parser) -> tuple:
+    """(flags, defaults, required, number) of a subcommand's parser.
+
+    ``flags`` maps each option string of a plain store or store_true action to
+    (action, convert), convert being the action's type as argparse resolves it,
+    or None for a store_true flag.  ``defaults`` is what argparse starts the
+    namespace from: the action defaults, then the parser's ``set_defaults``.
+    ``required`` holds the actions a line must name.  ``number`` matches a
+    value starting with "-" that argparse reads as a negative number rather
+    than as an option: its own pattern, unless an option string starts like a
+    number, when it is None.
+    """
+    flags = {}
+    defaults = {}
+    for action in parser._actions:
+        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+            defaults[action.dest] = action.default
+        if type(action) is argparse._StoreTrueAction:
+            convert = None
+        elif type(action) is argparse._StoreAction and action.nargs is None:
+            convert = parser._registry_get("type", action.type, action.type)
+        else:
+            continue
+        for option in action.option_strings:
+            flags[option] = action, convert
+    defaults.update(parser._defaults)
+    required = frozenset(a for a in parser._actions if a.required)
+    number = parser._negative_number_matcher.match
+    if any(s[1:2].isdigit() or s[1:2] == "." for s in parser._option_string_actions):
+        number = None
+    return flags, defaults, required, number
+
+
+def _read_flags(table: tuple, line: list[str]) -> argparse.Namespace | None:
+    """The namespace the subcommand's parser builds from line, or None where
+    line needs more of argparse than exact flags and plain values.
+
+    Each token is an exact option string then its value, ``--option=value``,
+    or an exact store_true flag.  A value goes through the action's type and
+    then its choices.  None, with nothing printed, for anything else: an
+    abbreviation, ``-h``, ``--``, a missing value, a bad value, a missing
+    required flag.
+    """
+    flags, defaults, required, number = table
+    values = defaults.copy()
+    seen = set()
+    tokens = iter(line)
+    for token in tokens:
+        entry = flags.get(token)
+        if entry is not None:
+            action, convert = entry
+            if convert is None:
+                values[action.dest] = action.const
+                seen.add(action)
+                continue
+            value = next(tokens, None)
+            if value is None or (value[:1] == "-" and (number is None or not number(value))):
+                return None
+        else:
+            option, eq, value = token.partition("=")
+            entry = flags.get(option)
+            if not eq or entry is None or entry[1] is None or option[:2] != "--":
+                return None
+            action, convert = entry
+        try:
+            value = convert(value)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+        seen.add(action)
+    if not required <= seen:
+        return None
+    args = argparse.Namespace()
+    vars(args).update(values)
+    return args
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The namespace the full ``invgeo`` parser would build for argv.
+
+    A command line that starts with a subcommand's name is read with that
+    subcommand's flag table, or failing that parsed by its parser alone, as
+    the full tree would hand it over; any other goes to the full tree, for its
+    help or its usage error.
+    """
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    entry = _parsers.get(command)
+    if entry is None:  # built on first use, not at import: cold starts stay cheap
+        parser = build_parser(command)
+        entry = _parsers[command] = parser, None if command is None else _flag_table(parser)
+    parser, table = entry
+    if table is None:
+        return parser.parse_args(argv)
+    line = argv[1:]
+    args = _read_flags(table, line)
+    return parser.parse_args(line) if args is None else args
 
 
 def run(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # a command line that starts with a subcommand's name is parsed by that
-    # subcommand's parser alone, as the full tree would hand it over; any
-    # other goes to the full tree, for its help or its usage error
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    parser = _parsers.get(command)
-    if parser is None:  # built on first use, not at import: cold starts stay cheap
-        parser = _parsers[command] = build_parser(command)
-    args = parser.parse_args(argv[1:] if command is not None else argv)
+    args = _parse(argv)
     try:
         tol = _tolerance()
         args.func(args, tol)

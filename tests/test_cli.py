@@ -1,10 +1,13 @@
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -193,6 +196,18 @@ def test_sampled_root_whose_square_overflows_keeps_its_error(capsys):
     assert code == 1
     assert json.loads(err) == {"error": "non_finite_entry", "detail": "c must be finite, got nan"}
     assert out == ""
+
+
+@pytest.mark.parametrize("points", [0, -2])
+def test_generators_csv_without_points_is_an_invalid_count(points, capsys):
+    code, out, err = _run(["generators", "--phi", "0.5", "--format", "csv",
+                           "--points", str(points)], capsys)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "invalid_count",
+                               "detail": f"need points >= 1, got {points}"}
+    # the JSON document has no points, so it ignores the flag
+    assert _run(["generators", "--phi", "0.5", "--points", str(points)], capsys) == \
+        _run(["generators", "--phi", "0.5"], capsys)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -657,9 +672,9 @@ def test_a_subcommand_without_family_flags_does_not_load_roots():
     assert "invgeo.roots" not in loaded
 
 
-# command lines on which run()'s per-subcommand parse must agree with the full
-# tree: abbreviations, attached and negative values, "--", repeated flags,
-# help, unknown commands and bad values
+# command lines on which run()'s parse must agree with the full tree:
+# abbreviations, attached and negative values, "--", repeated flags, help,
+# unknown commands and bad values, and the edges of the flag-table read
 PARSE_CORPUS = [
     ["roots", "--of", "identity", "--a", "0.3", "--b", "2"],
     ["roots", "--fam", "upper-b-plus-minus", "--b", "5"],
@@ -672,24 +687,44 @@ PARSE_CORPUS = [
     ["roots", "-o"],
     ["roots", "--he"],
     ["classify", "--alpha", "0", "--beta", "-1"],
+    ["classify", "--alpha", "0", "--beta", "-1e-3"],
     ["classify", "--alpha=-7", "--beta", "-1e-3"],
     ["classify", "--alpha", "1", "--alpha", "2", "--beta", "3"],
     ["classify", "--alpha", "1e308", "--beta", "inf"],
+    ["classify", "--alpha", "nan", "--beta", "-.5"],
     ["classify", "--matrix=" + SWAP],
+    ["classify", "--matrix="],
+    ["classify", "--alpha=", "--beta", "1"],
+    ["classify", "--matrix", "--alpha", "1"],
+    ["classify", "--alpha", "1", "--beta"],
+    ["classify", "--matrix", SWAP, "--matrix-file", "m.json"],
+    ["classify", "--alpha", "0", "--beta", "1", "-o", "doc.json"],
+    ["classify", "--alpha", "0", "--beta", "1", "-o=doc.json"],
+    ["classify", "--alpha", "0", "--beta", "1", "-o", "-"],
     ["bell", "--x=-7", "--y", "-7", "--z", ".5", "--al", "-0.25"],
     ["bell", "--m", SWAP],
+    ["bell", "--matrix-file=m.json", "--matrix=" + SWAP],
     ["generators", "--t-m", "3", "--phi", "0.5", "--format", "csv"],
+    ["generators", "--phi", "1", "--seed-matrix", "a=b"],
+    ["generators", "--phi=1", "--seed-matrix=x=y"],
     ["quat", "--decompose", "--root", "identity", "--t", "-0.5"],
+    ["quat", "--root", "identity", "--decompose=1"],
+    ["quat", "--root", "identity", "--decompose="],
+    ["quat", "--t", "1", "--to-matrix", '{"w": 1}'],
+    ["quat", "--t=2", "--root", "neg", "--phi=-1"],
     ["quat", "--to-matrix", '{"w": 1}', "-o", "-"],
     ["matfun", "--all", "--matrix", SWAP],
+    ["matfun", "--all-branches", "--matrix", SWAP, "--all-branches"],
     ["matfun", "--function", "cube", "--matrix", SWAP],
     ["sample", "--alpha", "0"],
     ["sample", "--alpha", "x", "--beta", "0"],
     ["sample", "--alpha", "0", "--beta", "-1", "--nu", "0x10"],
+    ["sample", "--alpha=0", "--beta=-1", "--nu=0x10"],
     ["decompose", "--family", "upper-b-plus-minus", "--b", "4", "--c", "1"],
     ["orbit", "--matrix", SWAP, "--x", "1", "--y", "0", "--", "extra"],
     ["orbit", "--", "--x", "1"],
     ["orbit", "--x", "-1", "--y", "-2", "--steps=-3", "--format", "json"],
+    ["orbit", "--x", "1", "--", "--y", "2"],
     ["bogus"],
     ["ROOTS", "--a", "1"],
     [],
@@ -704,37 +739,134 @@ class _Parsed(Exception):
     """Raised in place of running a handler, to hand the namespace out."""
 
 
-def _parse_outcome(parse, argv, capsys):
-    """(namespace without command, exit code, stdout, stderr) of one parse."""
-    try:
-        args, code = parse(argv), None
-    except _Parsed as parsed:
-        args, code = parsed.args[0], None
-    except SystemExit as exc:
-        args, code = None, exc.code
-    captured = capsys.readouterr()
-    fields = None if args is None else {k: v for k, v in vars(args).items() if k != "command"}
-    return fields, code, captured.out, captured.err
+def _parse_outcome(parse, argv):
+    """(namespace without command, exit code, stdout, stderr) of one parse.
+
+    The namespace is compared by the repr of each value, so that nan equals
+    nan, and 0.0 differs from -0.0 and 1.0 from 1.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            args, code = parse(list(argv)), None
+        except _Parsed as parsed:
+            args, code = parsed.args[0], None
+        except SystemExit as exc:
+            args, code = None, exc.code
+    fields = (None if args is None else
+              {k: repr(v) for k, v in vars(args).items() if k != "command"})
+    return fields, code, out.getvalue(), err.getvalue()
+
+
+def _run_outcome(argv):
+    """_parse_outcome of run(argv), with the namespace taken where run()
+    parses, so no handler runs."""
+    real_parse = cli._parse
+
+    def parse_and_stop(argv):
+        raise _Parsed(real_parse(argv))
+
+    with mock.patch.object(cli, "_parse", parse_and_stop):
+        return _parse_outcome(cli.run, argv)
 
 
 @pytest.mark.parametrize("argv", PARSE_CORPUS, ids=[" ".join(a) or "-" for a in PARSE_CORPUS])
-def test_run_parses_like_the_full_tree(argv, monkeypatch, capsys):
-    expected = _parse_outcome(cli.build_parser().parse_args, list(argv), capsys)
-    real_parse_args = cli._Parser.parse_args
-
-    def parse_and_stop(self, args=None, namespace=None):
-        raise _Parsed(real_parse_args(self, args, namespace))
-
+def test_run_parses_like_the_full_tree(argv, monkeypatch):
+    expected = _parse_outcome(cli.build_parser().parse_args, argv)
     monkeypatch.setattr(cli, "_parsers", {})
-    monkeypatch.setattr(cli._Parser, "parse_args", parse_and_stop)
-    assert _parse_outcome(cli.run, list(argv), capsys) == expected
+    assert _run_outcome(argv) == expected
 
 
 @pytest.mark.parametrize("command", list(cli._COMMANDS))
-def test_subcommand_help_matches_the_full_tree(command, capsys):
-    expected = _parse_outcome(cli.build_parser().parse_args, [command, "--help"], capsys)
+def test_subcommand_help_matches_the_full_tree(command):
+    expected = _parse_outcome(cli.build_parser().parse_args, [command, "--help"])
     assert expected[1] == 0 and expected[2].startswith(f"usage: invgeo {command} ")
-    assert _parse_outcome(run, [command, "--help"], capsys) == expected
+    assert _parse_outcome(run, [command, "--help"]) == expected
+
+
+_FULL_TREE = cli.build_parser()
+_SUBPARSERS = {name: cli.build_parser(name) for name in cli._COMMANDS}
+
+# values no flag takes as given, or that argparse reads as an option
+_ODD_VALUES = st.sampled_from(["", "x", "-", "--", "-x", "-1e-3", "-1 2", "-1\n", "0x10",
+                               "1_0", "=", "a=b", "--alpha", "-o", "nan", "-inf", " 1"])
+
+
+def _good_value(action):
+    """Text the action takes, as a user would write it."""
+    if action.choices is not None:
+        return st.sampled_from(list(action.choices))
+    if action.type is float:
+        return (st.floats().map(repr)
+                | st.sampled_from(["0", "-1", "-.5", "-2.5", "1e-3", "1E3", "inf", "-0"]))
+    if action.type is int:
+        return st.integers(-10**6, 10**6).map(str)
+    return st.sampled_from([SWAP, '{"w": 1}', "doc.json", "-1", "a=b"])
+
+
+@st.composite
+def _flag_lines(draw):
+    """(command, tokens, plain) drawn from a subcommand's flag table: each
+    flag in the exact, the "=" or an abbreviated form, or with a bad value, a
+    missing value or a stray "--" beside it; a required flag is sometimes
+    left out.  plain says that every token is an exact flag or its value,
+    that no value starts with "-", and that every required flag is there."""
+    command = draw(st.sampled_from(sorted(_SUBPARSERS)))
+    parser = _SUBPARSERS[command]
+    actions = [a for a in parser._actions if a.option_strings]
+    required = [a for a in actions if a.required]
+    chosen = [a for a in required if draw(st.integers(0, 7))]
+    plain = len(chosen) == len(required)
+    chosen += draw(st.lists(st.sampled_from(actions), max_size=5))
+    line = []
+    for action in draw(st.permutations(chosen)):
+        option = draw(st.sampled_from(action.option_strings))
+        form = draw(st.sampled_from(["exact"] * 4 + ["equals"] * 2
+                                    + ["abbreviated", "bad", "bare", "stray"]))
+        if form == "abbreviated":
+            option = option[:draw(st.integers(2, len(option)))]
+        value = draw(_ODD_VALUES if form == "bad" else _good_value(action))
+        if form == "equals":
+            tokens = [option + "=" + value]
+            plain &= action.nargs is None and option.startswith("--")
+        elif action.nargs == 0 or form == "bare":
+            tokens = [option]
+            plain &= action.nargs == 0
+        else:
+            tokens = [option, value]
+            plain &= not value.startswith("-")
+        plain &= form in ("exact", "equals") or option in action.option_strings
+        plain &= form not in ("bad", "stray") and action.dest != "help"
+        if form == "stray":
+            tokens.insert(draw(st.integers(0, len(tokens))), "--")
+        line += tokens
+    return command, line, plain
+
+
+_FLAG_TABLES = {name: cli._flag_table(parser) for name, parser in _SUBPARSERS.items()}
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(case=_flag_lines())
+def test_flag_table_reads_lines_like_the_full_tree(case):
+    command, line, plain = case
+    argv = [command, *line]
+    assert _run_outcome(argv) == _parse_outcome(_FULL_TREE.parse_args, argv)
+    if plain:  # a line that fell back here would only lose speed
+        assert cli._read_flags(_FLAG_TABLES[command], line) is not None
+
+
+@pytest.mark.parametrize("name, argv", GOLDEN_CASES, ids=[n for n, _ in GOLDEN_CASES])
+def test_golden_lines_are_read_from_the_flag_table(name, argv, monkeypatch, capsys):
+    # a line that fell back to argparse would lose the table's speed and
+    # fail nothing else
+    def refuse(self, args=None, namespace=None):
+        raise AssertionError(f"argparse parsed {args!r}")
+
+    monkeypatch.setattr(cli._Parser, "parse_args", refuse)
+    code, out, err = _run(argv, capsys)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN_DIR / name).read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("of, value", [("identity", "0"), ("neg-identity", "1e-4")])

@@ -62,6 +62,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from importlib import import_module
 
@@ -86,12 +87,25 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+#: argparse's ``^-\d+$|^-\d*\.\d+$`` with an optional exponent; compiled
+#: when a parser is built, so that importing this module does not pay for it
+_NEGATIVE_NUMBER = r"^-(\d+|\d*\.\d+)([eE][-+]?\d+)?$"
+
+
 class UsageError(Exception):
     pass
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports bad flags as JSON usage errors on exit 2."""
+    """argparse that reports bad flags as JSON usage errors on exit 2.
+
+    A value such as ``-1e-3`` or ``-2.5E+10`` is a negative number, not an
+    option: argparse's own pattern (Python 3.10 to 3.13) has no exponent.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(_NEGATIVE_NUMBER)
 
     def error(self, message):
         _emit_error("usage", message)
@@ -335,19 +349,12 @@ def _finite(value: float, what: str) -> float:
 # -- subcommands -----------------------------------------------------------
 
 
-def _root_residual(m: Mat2, sign: float) -> float:
-    """``(m @ m).max_diff(sign * I2)`` without building the product: the same
-    entry expressions, and the same non_finite_entry where one overflows."""
-    a, b, c, d = m.a, m.b, m.c, m.d
-    pa, pb, pc, pd = a * a + b * c, a * b + b * d, c * a + d * c, c * b + d * d
-    if pa - pa + (pb - pb) + (pc - pc) + (pd - pd) != 0.0:
-        Mat2(pa, pb, pc, pd)  # raises for the first entry that is not finite
-    # |pb - 0.0| == |pb| and |pc - 0.0| == |pc| for either sign of zero
-    return max(abs(pa - sign), abs(pb), abs(pc), abs(pd - sign))
-
-
 def _cmd_roots(args, tol: Tolerance) -> None:
     roots = _kernel("roots")
+    # a helper, not a kernel call: taken from the module itself, not from the
+    # cli.roots binding that a caller may have swapped for a traced proxy
+    from .roots import _root_residual
+
     sign = 1.0 if args.of == "identity" else -1.0
     if args.sample is not None:
         if args.of == "identity":

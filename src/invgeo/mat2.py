@@ -44,6 +44,16 @@ def _plain_finite(a, b, c, d) -> bool:
             and a - a + (b - b) + (c - c) + (d - d) == 0.0)
 
 
+def _product_entries(a, b, c, d, e, f, g, h) -> tuple[float, float, float, float]:
+    """The entries of Mat2(a, b, c, d) @ Mat2(e, f, g, h) without building
+    either: the same expressions, and the same NonFiniteEntry for the first
+    entry that is not finite."""
+    pa, pb, pc, pd = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+    if pa - pa + (pb - pb) + (pc - pc) + (pd - pd) != 0.0:
+        Mat2(pa, pb, pc, pd)  # raises for the first entry that is not finite
+    return pa, pb, pc, pd
+
+
 _setattr = object.__setattr__
 
 

@@ -89,6 +89,14 @@ class RootCardinality(_Value):
         return out
 
 
+#: count_real_roots' answers, built once: for a non-scalar matrix by the
+#: number of real roots (one trace each), and for a scalar one.
+_COUNTS = {0: RootCardinality(Cardinality.ZERO),
+           2: RootCardinality(Cardinality.FINITE, 2),
+           4: RootCardinality(Cardinality.FINITE, 4)}
+_INFINITELY_MANY = RootCardinality(Cardinality.INFINITE)
+
+
 def _ldexp_sat(x: float, k: int) -> float:
     """x * 2**k, saturating to +-inf where math.ldexp would raise."""
     try:
@@ -266,9 +274,8 @@ def count_real_roots(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> RootCardinality:
     any other matrix has a pair +-R for each real root trace t.
     """
     if _is_scalar(m):
-        return RootCardinality(Cardinality.INFINITE)
-    n = len(_root_traces(*_quarter_scaled(m)[1:]))
-    return RootCardinality(Cardinality.FINITE, n) if n else RootCardinality(Cardinality.ZERO)
+        return _INFINITELY_MANY
+    return _COUNTS[len(_root_traces(*_quarter_scaled(m)[1:]))]
 
 
 def scaled_roots(m: Mat2, alpha: float, root: Mat2, tol: Tolerance = DEFAULT_TOL) -> Mat2:

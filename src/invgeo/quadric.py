@@ -23,7 +23,9 @@ A + t*V whose direction matrices satisfy
     AU = U,  UA = -U,  U^2 = 0     and     AV = -V,  VA = V,  V^2 = 0,
 
 and such directions are produced by U = (A + I)X(A - I), V = (A - I)X(A + I)
-for almost every seed matrix X.
+for almost every seed matrix X.  generator_directions forms both products
+and their max-norms in plain floats, in the order the Mat2 expressions
+would, and builds only the two normalized direction matrices.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .mat2 import (
     Tolerance,
     _finite,
     _plain_finite,
+    _product_entries,
     _setattr,
     _Value,
 )
@@ -67,8 +70,10 @@ class LocusParams(_Value):
     __slots__ = ("alpha", "beta")
 
     def __init__(self, alpha: float, beta: float):
-        _setattr(self, "alpha", _finite(alpha, "alpha"))
-        _setattr(self, "beta", _finite(beta, "beta"))
+        if not _plain_finite(alpha, beta, 0.0, 0.0):
+            alpha, beta = _finite(alpha, "alpha"), _finite(beta, "beta")
+        _setattr(self, "alpha", alpha)
+        _setattr(self, "beta", beta)
 
 
 class BellPoint(_Value):
@@ -226,6 +231,9 @@ def on_asymptotic_cone(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> bool:
     return abs(m.a * m.a + m.b * m.c) <= tol.abs_tol
 
 
+_INVOLUTION_LOCUS = LocusParams(0.0, -1.0)
+
+
 def generator_directions(
     a: Mat2, x_seed: Mat2, tol: Tolerance = DEFAULT_TOL
 ) -> GeneratorPair:
@@ -235,17 +243,34 @@ def generator_directions(
     max-norm.  Raises DegenerateSeed when the seed nearly annihilates either
     product: when its max-norm is at most sqrt(eps) * |a+I| |X| |a-I|, below
     which the direction is mostly rounding error.  Any generic seed works.
+
+    Past the membership test the work is plain floats.  Each product is
+    formed left to right as Mat2's ``@`` forms it, raising NonFiniteEntry
+    for the first entry of the first product that is not finite, so the
+    results and errors are those of the Mat2 expressions above, bit for bit.
     """
-    if not in_locus(a, LocusParams(0.0, -1.0), tol):
+    if not in_locus(a, _INVOLUTION_LOCUS, tol):
         raise NotAnInvolution(f"{a} is not on S(0, -1)")
-    eye = Mat2.identity()
-    plus, minus = a + eye, a - eye
-    u = plus @ x_seed @ minus
-    v = minus @ x_seed @ plus
-    u_norm, v_norm = u.max_norm(), v.max_norm()
-    if min(u_norm, v_norm) <= _SQRT_EPS * plus.max_norm() * x_seed.max_norm() * minus.max_norm():
+    m_a, m_b, m_c, m_d = a.a, a.b, a.c, a.d
+    x_a, x_b, x_c, x_d = x_seed.a, x_seed.b, x_seed.c, x_seed.d
+    # plus = a + I and minus = a - I; b + 0.0 turns -0.0 into 0.0, b - 0.0 is b
+    p_a, p_b, p_c, p_d = m_a + 1.0, m_b + 0.0, m_c + 0.0, m_d + 1.0
+    n_a, n_d = m_a - 1.0, m_d - 1.0
+    u_a, u_b, u_c, u_d = _product_entries(
+        *_product_entries(p_a, p_b, p_c, p_d, x_a, x_b, x_c, x_d), n_a, m_b, m_c, n_d)
+    v_a, v_b, v_c, v_d = _product_entries(
+        *_product_entries(n_a, m_b, m_c, n_d, x_a, x_b, x_c, x_d), p_a, p_b, p_c, p_d)
+    u_norm = max(abs(u_a), abs(u_b), abs(u_c), abs(u_d))
+    v_norm = max(abs(v_a), abs(v_b), abs(v_c), abs(v_d))
+    scale = (_SQRT_EPS * max(abs(p_a), abs(p_b), abs(p_c), abs(p_d))
+             * max(abs(x_a), abs(x_b), abs(x_c), abs(x_d))
+             * max(abs(n_a), abs(m_b), abs(m_c), abs(n_d)))
+    if min(u_norm, v_norm) <= scale:
         raise DegenerateSeed("seed produced a near-zero direction; retry with another seed")
-    return GeneratorPair((1.0 / u_norm) * u, (1.0 / v_norm) * v)
+    su = 1.0 / u_norm
+    u = Mat2(su * u_a, su * u_b, su * u_c, su * u_d)
+    sv = 1.0 / v_norm
+    return GeneratorPair(u, Mat2(sv * v_a, sv * v_b, sv * v_c, sv * v_d))
 
 
 def generator_point(a: Mat2, direction: Mat2, t: float) -> Mat2:

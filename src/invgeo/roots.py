@@ -12,6 +12,12 @@ four one-parameter triangular families [[+-1, b], [0, -+1]] and
 
 which subsumes the triangular ones as a -> +-1.  Replacing the right-hand
 side by -I2 yields the skew-involutory family [[a, b], [-(1 + a^2)/b, -a]].
+
+Every test of R^2 = +-I2 goes through one helper, _root_residual, which
+forms the four entries of R^2 as plain floats and compares them with +-I2
+without building the product matrix; it raises NonFiniteEntry, as the
+product would, where an entry overflows.  classify_involution makes that one
+test and then reads the family and its parameters off the same floats.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from .errors import (
     NotAnInvolution,
     WrongConstructor,
 )
-from .mat2 import DEFAULT_TOL, Mat2, Tolerance, _setattr, _Value, approx_eq
+from .mat2 import DEFAULT_TOL, Mat2, Tolerance, _setattr, _Value
 
 
 class RootTag(enum.Enum):
@@ -68,8 +74,8 @@ class RootFamily(_Value):
             elif value is not None:
                 raise DegenerateParameter(f"{tag.value} does not take parameter {slot}")
             _setattr(self, slot, value)
-        if tag is RootTag.GENERAL and abs(self.b) <= DEFAULT_TOL.exact_tol:
-            raise DegenerateParameter("general family requires b != 0")
+        if tag is RootTag.GENERAL:
+            _check_general_b(self.b)
 
     def params(self) -> dict:
         return {slot: getattr(self, slot) for slot in _PARAM_SLOTS[self.tag]}
@@ -81,6 +87,23 @@ class RootFamily(_Value):
     def from_json_dict(obj: dict) -> "RootFamily":
         tag = RootTag(obj["tag"])
         return RootFamily(tag, **obj.get("params", {}))
+
+
+def _check_general_b(b: float) -> None:
+    if abs(b) <= DEFAULT_TOL.exact_tol:
+        raise DegenerateParameter("general family requires b != 0")
+
+
+def _family(tag: RootTag, a: float | None = None, b: float | None = None,
+            c: float | None = None) -> RootFamily:
+    """RootFamily(tag, a, b, c) from floats that already fill exactly the
+    tag's slots, without checking them again."""
+    family = object.__new__(RootFamily)
+    _setattr(family, "tag", tag)
+    _setattr(family, "a", a)
+    _setattr(family, "b", b)
+    _setattr(family, "c", c)
+    return family
 
 
 def make_general_root(a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> Mat2:
@@ -126,14 +149,28 @@ def make_skew_root(a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> Mat2:
     return Mat2(a, b, -(1.0 + a * a) / b, -a)
 
 
+def _root_residual(m: Mat2, sign: float) -> float:
+    """``(m @ m).max_diff(sign * I2)`` for sign = +-1.0 without building the
+    product: the same entry expressions, and the same NonFiniteEntry for the
+    first entry of m @ m that is not finite."""
+    a, b, c, d = m.a, m.b, m.c, m.d
+    # _product_entries(a, b, c, d, a, b, c, d) written out: this runs once per
+    # row of roots --sample, where the extra call is a measurable share
+    pa, pb, pc, pd = a * a + b * c, a * b + b * d, c * a + d * c, c * b + d * d
+    if pa - pa + (pb - pb) + (pc - pc) + (pd - pd) != 0.0:
+        Mat2(pa, pb, pc, pd)  # raises for the first entry that is not finite
+    # |pb - 0.0| == |pb| and |pc - 0.0| == |pc| for either sign of zero
+    return max(abs(pa - sign), abs(pb), abs(pc), abs(pd - sign))
+
+
 def is_involution(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff R^2 = I2 within abs_tol."""
-    return approx_eq(m @ m, Mat2.identity(), tol)
+    return _root_residual(m, 1.0) <= tol.abs_tol
 
 
 def is_skew_involution(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff R^2 = -I2 within abs_tol."""
-    return approx_eq(m @ m, -Mat2.identity(), tol)
+    return _root_residual(m, -1.0) <= tol.abs_tol
 
 
 def classify_involution(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> RootFamily:
@@ -153,23 +190,25 @@ def classify_involution(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> RootFamily:
     """
     if not is_involution(m, tol):
         raise NotAnInvolution(f"R^2 != I2 within {tol.abs_tol} for {m}")
-    trace = m.trace()
+    a, b, c = m.a, m.b, m.c
+    trace = a + m.d
     if trace > 1.0:
-        return RootFamily(RootTag.IDENTITY)
+        return _family(RootTag.IDENTITY)
     if trace < -1.0:
-        return RootFamily(RootTag.NEG_IDENTITY)
+        return _family(RootTag.NEG_IDENTITY)
     # trace ~ 0: d = -a and a^2 + bc = 1
-    lower = RootTag.LOWER_C_PLUS_MINUS if m.a > 0 else RootTag.LOWER_C_MINUS_PLUS
-    if abs(m.b) <= tol.exact_tol:
-        return RootFamily(lower, c=m.c)
-    if abs(m.c) <= tol.exact_tol:
-        if m.a > 0:
-            return RootFamily(RootTag.UPPER_B_PLUS_MINUS, b=m.b)
-        return RootFamily(RootTag.UPPER_B_MINUS_PLUS, b=m.b)
-    miss = abs((1.0 - m.a * m.a) / m.b - m.c)
-    if miss > tol.abs_tol * max(1.0, abs(m.c)) and max(abs(m.b), abs(1.0 - abs(m.a))) < miss:
-        return RootFamily(lower, c=m.c)
-    return RootFamily(RootTag.GENERAL, a=m.a, b=m.b)
+    lower = RootTag.LOWER_C_PLUS_MINUS if a > 0 else RootTag.LOWER_C_MINUS_PLUS
+    if abs(b) <= tol.exact_tol:
+        return _family(lower, c=c)
+    if abs(c) <= tol.exact_tol:
+        if a > 0:
+            return _family(RootTag.UPPER_B_PLUS_MINUS, b=b)
+        return _family(RootTag.UPPER_B_MINUS_PLUS, b=b)
+    miss = abs((1.0 - a * a) / b - c)
+    if miss > tol.abs_tol * max(1.0, abs(c)) and max(abs(b), abs(1.0 - abs(a))) < miss:
+        return _family(lower, c=c)
+    _check_general_b(b)  # RootFamily's own cut, for a tol finer than the default
+    return _family(RootTag.GENERAL, a=a, b=b)
 
 
 _MIN_B = 1e-3  # keeps (1 - a^2)/b bounded so sampled roots stay well conditioned

@@ -25,7 +25,16 @@ import math
 
 from .errors import NotInvertible, SingularParameter
 from .householder import householder_from_angle
-from .mat2 import _SAFE_MIN, DEFAULT_TOL, Mat2, Tolerance, _finite, _setattr, _Value
+from .mat2 import (
+    _SAFE_MIN,
+    DEFAULT_TOL,
+    Mat2,
+    Tolerance,
+    _finite,
+    _plain_finite,
+    _setattr,
+    _Value,
+)
 
 
 class CausalClass(enum.Enum):
@@ -42,10 +51,12 @@ class SplitQuat(_Value):
     __slots__ = ("w", "x", "y", "z")
 
     def __init__(self, w: float, x: float, y: float, z: float):
-        _setattr(self, "w", _finite(w, "w"))
-        _setattr(self, "x", _finite(x, "x"))
-        _setattr(self, "y", _finite(y, "y"))
-        _setattr(self, "z", _finite(z, "z"))
+        if not _plain_finite(w, x, y, z):
+            w, x, y, z = _finite(w, "w"), _finite(x, "x"), _finite(y, "y"), _finite(z, "z")
+        _setattr(self, "w", w)
+        _setattr(self, "x", x)
+        _setattr(self, "y", y)
+        _setattr(self, "z", z)
 
     @staticmethod
     def unit(name: str) -> "SplitQuat":

@@ -17,6 +17,10 @@ Note the maps the triangular factors perform, (x, y) -> (x + b*y, y) and
 (x, y) -> (x, c*x + y), displace each point by an amount proportional to
 its other coordinate: shears, not rigid translations, which is what keeps
 every factor linear.
+
+decompose classifies a root once, and a general root's factors are then
+built from its entries without a second involution test; the public
+decompose_general keeps its own checks.
 """
 
 from __future__ import annotations
@@ -58,44 +62,52 @@ class ElementaryTransform(_Value):
         return out
 
 
+#: The parameterless maps are immutable values, built once and shared.
+_REFLECT_X = ElementaryTransform(TransformKind.REFLECT_X, Mat2(1.0, 0.0, 0.0, -1.0))
+_REFLECT_Y = ElementaryTransform(TransformKind.REFLECT_Y, Mat2(-1.0, 0.0, 0.0, 1.0))
+_POINT_REFLECT_ORIGIN = ElementaryTransform(TransformKind.POINT_REFLECT_ORIGIN,
+                                            -Mat2.identity())
+
+
 def reflect_x() -> ElementaryTransform:
-    return ElementaryTransform(TransformKind.REFLECT_X, Mat2(1.0, 0.0, 0.0, -1.0))
+    return _REFLECT_X
 
 
 def reflect_y() -> ElementaryTransform:
-    return ElementaryTransform(TransformKind.REFLECT_Y, Mat2(-1.0, 0.0, 0.0, 1.0))
+    return _REFLECT_Y
 
 
 def point_reflect_origin() -> ElementaryTransform:
-    return ElementaryTransform(TransformKind.POINT_REFLECT_ORIGIN, -Mat2.identity())
+    return _POINT_REFLECT_ORIGIN
 
 
 def shear_x(b: float) -> ElementaryTransform:
-    return ElementaryTransform(TransformKind.SHEAR_X, Mat2(1.0, float(b), 0.0, 1.0), param=float(b))
+    b = float(b)
+    return ElementaryTransform(TransformKind.SHEAR_X, Mat2(1.0, b, 0.0, 1.0), b)
 
 
 def shear_y(c: float) -> ElementaryTransform:
-    return ElementaryTransform(TransformKind.SHEAR_Y, Mat2(1.0, 0.0, float(c), 1.0), param=float(c))
+    c = float(c)
+    return ElementaryTransform(TransformKind.SHEAR_Y, Mat2(1.0, 0.0, c, 1.0), c)
 
 
 def rotate_clockwise(phi: float) -> ElementaryTransform:
     phi = float(phi)
+    cos_phi, sin_phi = math.cos(phi), math.sin(phi)
     return ElementaryTransform(
-        TransformKind.ROTATE_CLOCKWISE,
-        Mat2(math.cos(phi), math.sin(phi), -math.sin(phi), math.cos(phi)),
-        param=phi,
+        TransformKind.ROTATE_CLOCKWISE, Mat2(cos_phi, sin_phi, -sin_phi, cos_phi), phi
     )
 
 
 def magnify(rho: float) -> ElementaryTransform:
     rho = float(rho)
-    return ElementaryTransform(TransformKind.MAGNIFY, Mat2.scalar(rho), param=rho)
+    return ElementaryTransform(TransformKind.MAGNIFY, Mat2(rho, 0.0, 0.0, rho), rho)
 
 
 def shear_y_add(kappa: float) -> ElementaryTransform:
+    kappa = float(kappa)
     return ElementaryTransform(
-        TransformKind.SHEAR_Y_ADD, Mat2(0.0, 0.0, float(kappa), 0.0),
-        param=float(kappa), additive=True,
+        TransformKind.SHEAR_Y_ADD, Mat2(0.0, 0.0, kappa, 0.0), kappa, additive=True
     )
 
 
@@ -154,6 +166,14 @@ def decompose_case(family: RootFamily) -> Decomposition:
     raise WrongDecomposer("general roots decompose via decompose_general")
 
 
+def _general_factors(a: float, b: float, c: float) -> Decomposition:
+    """decompose_general's factors of [[a, b], [c, -a]], with no checks."""
+    rho = math.hypot(a, b)
+    phi = math.atan2(b, a)
+    kappa = c - rho * math.sin(phi)
+    return Decomposition((magnify(rho), _REFLECT_X, rotate_clockwise(phi)), shear_y_add(kappa))
+
+
 def decompose_general(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> Decomposition:
     """Magnified rotation-reflection plus additive shear for a general root.
 
@@ -166,20 +186,19 @@ def decompose_general(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> Decomposition:
         raise NotAnInvolution(f"{m} does not square to I2")
     if abs(m.b) <= tol.exact_tol:
         raise DegenerateAngle("sin(phi) ~ 0: decompose as a triangular case")
-    rho = math.hypot(m.a, m.b)
-    phi = math.atan2(m.b, m.a)
-    kappa = m.c - rho * math.sin(phi)
-    return Decomposition(
-        (magnify(rho), reflect_x(), rotate_clockwise(phi)),
-        additive_part=shear_y_add(kappa),
-    )
+    return _general_factors(m.a, m.b, m.c)
 
 
 def decompose(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> Decomposition:
-    """Decompose any square root of I2 per its family classification."""
+    """Decompose any square root of I2 per its family classification.
+
+    The involution test is classify_involution's alone: a general family
+    already has R^2 = I2 and |b| > exact_tol, so its factors are built
+    without decompose_general's second check.
+    """
     family = classify_involution(m, tol)
     if family.tag is RootTag.GENERAL:
-        return decompose_general(m, tol)
+        return _general_factors(m.a, m.b, m.c)
     return decompose_case(family)
 
 

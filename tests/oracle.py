@@ -1,0 +1,148 @@
+"""Reference forms of the involution kernels, for the tests to compare against.
+
+Each function is a kernel as it reads when written with ``Mat2`` objects:
+products by ``@``, tests by ``approx_eq`` and ``in_locus``, and values built
+through their validating constructors.  The library computes the same
+results from the entries as plain floats; the properties in the tests
+require the two to agree bit for bit (by ``repr``), and to raise the same
+exception class with the same message.
+"""
+
+from __future__ import annotations
+
+import math
+import sys
+
+from invgeo import matfun
+from invgeo.errors import DegenerateAngle, DegenerateSeed, NotAnInvolution
+from invgeo.mat2 import DEFAULT_TOL, Mat2, Tolerance, _finite, approx_eq
+from invgeo.matfun import Cardinality, RootCardinality
+from invgeo.quadric import GeneratorPair, LocusParams, in_locus
+from invgeo.roots import RootFamily, RootTag
+from invgeo.xform import Decomposition, ElementaryTransform, TransformKind
+
+_SQRT_EPS = math.sqrt(sys.float_info.epsilon)
+
+
+def root_residual(m: Mat2, sign: float) -> float:
+    target = Mat2.identity() if sign > 0 else -Mat2.identity()
+    return (m @ m).max_diff(target)
+
+
+def is_involution(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> bool:
+    return approx_eq(m @ m, Mat2.identity(), tol)
+
+
+def is_skew_involution(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> bool:
+    return approx_eq(m @ m, -Mat2.identity(), tol)
+
+
+def classify_involution(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> RootFamily:
+    if not is_involution(m, tol):
+        raise NotAnInvolution(f"R^2 != I2 within {tol.abs_tol} for {m}")
+    trace = m.trace()
+    if trace > 1.0:
+        return RootFamily(RootTag.IDENTITY)
+    if trace < -1.0:
+        return RootFamily(RootTag.NEG_IDENTITY)
+    lower = RootTag.LOWER_C_PLUS_MINUS if m.a > 0 else RootTag.LOWER_C_MINUS_PLUS
+    if abs(m.b) <= tol.exact_tol:
+        return RootFamily(lower, c=m.c)
+    if abs(m.c) <= tol.exact_tol:
+        if m.a > 0:
+            return RootFamily(RootTag.UPPER_B_PLUS_MINUS, b=m.b)
+        return RootFamily(RootTag.UPPER_B_MINUS_PLUS, b=m.b)
+    miss = abs((1.0 - m.a * m.a) / m.b - m.c)
+    if miss > tol.abs_tol * max(1.0, abs(m.c)) and max(abs(m.b), abs(1.0 - abs(m.a))) < miss:
+        return RootFamily(lower, c=m.c)
+    return RootFamily(RootTag.GENERAL, a=m.a, b=m.b)
+
+
+def householder_angle(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> float | None:
+    if not is_involution(m, tol):
+        return None
+    if not m.is_symmetric(tol):
+        return None
+    if approx_eq(m, Mat2.identity(), tol) or approx_eq(m, -Mat2.identity(), tol):
+        return None
+    return math.atan2(m.b, m.a) % (2.0 * math.pi)
+
+
+def decompose_general(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> Decomposition:
+    if not is_involution(m, tol):
+        raise NotAnInvolution(f"{m} does not square to I2")
+    if abs(m.b) <= tol.exact_tol:
+        raise DegenerateAngle("sin(phi) ~ 0: decompose as a triangular case")
+    rho = math.hypot(m.a, m.b)
+    phi = math.atan2(m.b, m.a)
+    kappa = m.c - rho * math.sin(phi)
+    return Decomposition(
+        (
+            ElementaryTransform(TransformKind.MAGNIFY, Mat2.scalar(rho), param=rho),
+            ElementaryTransform(TransformKind.REFLECT_X, Mat2(1.0, 0.0, 0.0, -1.0)),
+            ElementaryTransform(
+                TransformKind.ROTATE_CLOCKWISE,
+                Mat2(math.cos(phi), math.sin(phi), -math.sin(phi), math.cos(phi)),
+                param=phi,
+            ),
+        ),
+        additive_part=ElementaryTransform(
+            TransformKind.SHEAR_Y_ADD, Mat2(0.0, 0.0, float(kappa), 0.0),
+            param=float(kappa), additive=True,
+        ),
+    )
+
+
+def decompose_case(family: RootFamily) -> Decomposition:
+    def factor(kind, matrix, param=None):
+        return ElementaryTransform(kind, matrix, param=param)
+
+    reflect_x = factor(TransformKind.REFLECT_X, Mat2(1.0, 0.0, 0.0, -1.0))
+    reflect_y = factor(TransformKind.REFLECT_Y, Mat2(-1.0, 0.0, 0.0, 1.0))
+    tag = family.tag
+    if tag is RootTag.IDENTITY:
+        return Decomposition((factor(TransformKind.MAGNIFY, Mat2.scalar(1.0), 1.0),))
+    if tag is RootTag.NEG_IDENTITY:
+        return Decomposition((factor(TransformKind.POINT_REFLECT_ORIGIN, -Mat2.identity()),))
+    if tag in (RootTag.UPPER_B_PLUS_MINUS, RootTag.UPPER_B_MINUS_PLUS):
+        shear = factor(TransformKind.SHEAR_X, Mat2(1.0, float(family.b), 0.0, 1.0),
+                       float(family.b))
+        if tag is RootTag.UPPER_B_PLUS_MINUS:
+            return Decomposition((reflect_x, shear))
+        return Decomposition((shear, reflect_y))
+    shear = factor(TransformKind.SHEAR_Y, Mat2(1.0, 0.0, float(family.c), 1.0), float(family.c))
+    if tag is RootTag.LOWER_C_PLUS_MINUS:
+        return Decomposition((shear, reflect_x))
+    return Decomposition((reflect_y, shear))
+
+
+def decompose(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> Decomposition:
+    family = classify_involution(m, tol)
+    if family.tag is RootTag.GENERAL:
+        return decompose_general(m, tol)
+    return decompose_case(family)
+
+
+def generator_directions(a: Mat2, x_seed: Mat2, tol: Tolerance = DEFAULT_TOL) -> GeneratorPair:
+    if not in_locus(a, LocusParams(0.0, -1.0), tol):
+        raise NotAnInvolution(f"{a} is not on S(0, -1)")
+    eye = Mat2.identity()
+    plus, minus = a + eye, a - eye
+    u = plus @ x_seed @ minus
+    v = minus @ x_seed @ plus
+    u_norm, v_norm = u.max_norm(), v.max_norm()
+    if min(u_norm, v_norm) <= _SQRT_EPS * plus.max_norm() * x_seed.max_norm() * minus.max_norm():
+        raise DegenerateSeed("seed produced a near-zero direction; retry with another seed")
+    return GeneratorPair((1.0 / u_norm) * u, (1.0 / v_norm) * v)
+
+
+def count_real_roots(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> RootCardinality:
+    if matfun._is_scalar(m):
+        return RootCardinality(Cardinality.INFINITE)
+    n = len(matfun._root_traces(*matfun._quarter_scaled(m)[1:]))
+    return RootCardinality(Cardinality.FINITE, n) if n else RootCardinality(Cardinality.ZERO)
+
+
+def checked_fields(names: str, values: tuple) -> tuple[float, ...]:
+    """The fields a value type validating each one with ``_finite`` stores."""
+    return tuple(_finite(value, name) for name, value in zip(names, values))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from invgeo import (
@@ -19,8 +19,14 @@ from invgeo import (
     sample_involutions,
     sample_skew_involutions,
 )
-from invgeo import _pcg64
-from invgeo.errors import DegenerateParameter, InvalidCount, NotAnInvolution, WrongConstructor
+from invgeo import _pcg64, roots
+from invgeo.errors import (
+    DegenerateParameter,
+    InvalidCount,
+    NonFiniteEntry,
+    NotAnInvolution,
+    WrongConstructor,
+)
 
 I2 = Mat2.identity()
 
@@ -241,3 +247,25 @@ def test_pcg64_rejects_what_numpy_rejects(seed, low, high):
         np.random.default_rng(seed).uniform(low, high)
     with pytest.raises(theirs.type, match=str(theirs.value)):
         _pcg64.Generator(seed).uniform(low, high)
+
+
+_ANY_FLOAT = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=st.tuples(_ANY_FLOAT, _ANY_FLOAT, _ANY_FLOAT, _ANY_FLOAT),
+       sign=st.sampled_from([1.0, -1.0]))
+@example(entries=(5e153, 1e160, -1e160, -5e153), sign=1.0)
+@example(entries=(0.0, -0.0, -0.0, 0.0), sign=-1.0)
+def test_root_residual_matches_the_product_matrix(entries, sign):
+    m = Mat2(*entries)
+    target = Mat2.identity() if sign > 0 else -Mat2.identity()
+    try:
+        expected = repr((m @ m).max_diff(target))
+    except NonFiniteEntry as exc:
+        expected = str(exc)
+    try:
+        got = repr(roots._root_residual(m, sign))
+    except NonFiniteEntry as exc:
+        got = str(exc)
+    assert got == expected

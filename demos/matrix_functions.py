@@ -34,13 +34,14 @@ except FunctionUndefinedAtEigenvalue as exc:
 
 print()
 print("=== all real square roots, closed form (A + sI)/t ===")
-for m, label in [
+branch_suite = [
     (ig.Mat2.diag(1, 4), "diag(1,4)"),
     (ig.Mat2(4, 1, 0, 4), "[[4,1],[0,4]]"),
     (ig.Mat2(0, 1, 0, 0), "[[0,1],[0,0]]"),
     (ig.Mat2.scalar(4), "4*I2"),
     (ig.Mat2(0, -1, 1, 0), "rotation 90deg"),
-]:
+]
+for m, label in branch_suite:
     branches = ig.sqrt_branches(m)
     print(f"{label:14s} {len(branches)} roots")
     for r in branches:
@@ -63,11 +64,10 @@ for m, label in suite:
     print(f"{label:14s} -> {verdict.to_json_dict()}")
 
 print()
-print("=== cross-checking with the multi-start numerical oracle ===")
-for m, label in [(ig.Mat2.diag(1, 4), "diag(1,4)"), (-ig.Mat2.identity(), "-I2")]:
-    found = ig.brute_force_roots(m)
-    print(f"{label:10s}: oracle found {len(found)} distinct roots"
-          f" (scalar matrices keep producing more as the start grid refines)")
+print("=== self-check: every branch squares back to A ===")
+for m, label in branch_suite:
+    residuals = [(r @ r).max_diff(m) for r in ig.sqrt_branches(m)]
+    print(f"{label:14s} ||R^2 - A|| =", ", ".join(f"{x:.1e}" for x in residuals) or "(no roots)")
 
 print()
 print("=== scaling and conjugation carry roots around ===")

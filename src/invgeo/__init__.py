@@ -11,8 +11,8 @@ The package covers, for 2x2 real matrices:
   (``householder``);
 - the split-quaternion algebra, its matrix isomorphism, and parametrized
   roots of +-1 (``splitquat``);
-- closed-form square roots and root counts, matrix functions f(A) by
-  two-point interpolation, and a brute-force root oracle (``matfun``);
+- closed-form square roots and root counts, and matrix functions f(A) by
+  two-point interpolation (``matfun``);
 - plane-transformation factorizations and orbits (``xform``).
 
 A CLI (``invgeo``) exposes each capability with JSON/CSV output.
@@ -52,9 +52,9 @@ _EXPORTS = {
         "sq_mul", "to_matrix", "unit_root_identity", "unit_root_neg",
     ),
     "matfun": (
-        "Cardinality", "RootCardinality", "RootSearchGrid", "SQRT", "SQUARE",
-        "ScalarFunction", "brute_force_roots", "conjugated_roots", "count_real_roots",
-        "eigen2", "matrix_function", "principal_sqrt", "scaled_roots", "sqrt_branches",
+        "Cardinality", "RootCardinality", "SQRT", "SQUARE", "ScalarFunction",
+        "conjugated_roots", "count_real_roots", "eigen2", "matrix_function",
+        "principal_sqrt", "scaled_roots", "sqrt_branches",
     ),
     "xform": (
         "Decomposition", "ElementaryTransform", "TransformKind", "decompose",
@@ -65,82 +65,7 @@ _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BELL_BASIS",
-    "BellPoint",
-    "Cardinality",
-    "CausalClass",
-    "DEFAULT_TOL",
-    "Decomposition",
-    "ElementaryTransform",
-    "GeneratorPair",
-    "InvGeoError",
-    "LocusParams",
-    "Mat2",
-    "RootCardinality",
-    "RootFamily",
-    "RootSearchGrid",
-    "RootTag",
-    "SQRT",
-    "SQUARE",
-    "ScalarFunction",
-    "SplitQuat",
-    "SurfaceClass",
-    "SurfacePoint",
-    "SurfaceTag",
-    "Tolerance",
-    "TransformKind",
-    "UnitVec2",
-    "Vec2",
-    "approx_eq",
-    "brute_force_roots",
-    "classify_involution",
-    "classify_quadric",
-    "conjugated_roots",
-    "count_real_roots",
-    "decompose",
-    "decompose_case",
-    "decompose_general",
-    "decompose_root",
-    "eigen2",
-    "from_bell",
-    "from_matrix",
-    "generator_directions",
-    "generator_point",
-    "householder_angle",
-    "householder_from_angle",
-    "householder_from_unit",
-    "in_locus",
-    "is_involution",
-    "is_skew_involution",
-    "make_case_root",
-    "make_general_root",
-    "make_root",
-    "make_skew_root",
-    "matrix_function",
-    "on_asymptotic_cone",
-    "orbit",
-    "principal_axis_point",
-    "principal_sqrt",
-    "pythagorean_root",
-    "quadric_residual",
-    "reflection_axis",
-    "root_matrix_identity",
-    "root_matrix_neg",
-    "sample_involutions",
-    "sample_skew_involutions",
-    "sample_surface",
-    "scaled_roots",
-    "sq_classify",
-    "sq_inverse",
-    "sq_mul",
-    "sqrt_branches",
-    "surface_rows",
-    "to_bell",
-    "to_matrix",
-    "unit_root_identity",
-    "unit_root_neg",
-]
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):

@@ -541,9 +541,13 @@ def _cmd_sample(args, tol: Tolerance) -> None:
 def _cmd_decompose(args, tol: Tolerance) -> None:
     xform = _kernel("xform")
     if args.family is not None:
+        roots = _kernel("roots")
         family = _family(args)
-        decomposition = xform.decompose_case(family)
-        matrix = _kernel("roots").make_root(family)
+        matrix = roots.make_root(family)
+        if family.tag is roots.RootTag.GENERAL:  # as decompose --matrix does
+            decomposition = xform.decompose(matrix, tol)
+        else:
+            decomposition = xform.decompose_case(family)
     else:
         matrix = _parse_matrix(args.matrix, args.matrix_file)
         decomposition = xform.decompose(matrix, tol)

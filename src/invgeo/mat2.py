@@ -37,6 +37,27 @@ def _finite(value, name: str) -> float:
     return value
 
 
+def _json_numbers(obj: dict, keys: str, what: str) -> tuple:
+    """The four numbers under keys of a JSON object, such as a matrix's
+    "a" to "d".  A missing key, a str, a bool, a null, or an int beyond the
+    float range raises ValueError naming the key."""
+    try:
+        values = obj[keys[0]], obj[keys[1]], obj[keys[2]], obj[keys[3]]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{what} JSON needs keys {', '.join(keys)}: {obj!r}") from exc
+    if type(values[0]) is type(values[1]) is type(values[2]) is type(values[3]) is float:
+        return values
+    numbers = []
+    for key, value in zip(keys, values):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"JSON key {key!r} must be a number, got {value!r}")
+        try:
+            numbers.append(float(value))
+        except OverflowError:
+            raise ValueError(f"JSON key {key!r} is an integer beyond the float range") from None
+    return tuple(numbers)
+
+
 def _plain_finite(a, b, c, d) -> bool:
     """True iff all four are exact ``float`` and finite, in one test."""
     # x - x is 0.0 only for finite x, and the sum cannot overflow
@@ -124,6 +145,8 @@ class Tolerance(_Value):
             raise InvalidTolerance(
                 f"need 0 < exact_tol <= abs_tol, got {exact_tol}, {abs_tol}"
             )
+        if abs_tol == math.inf:  # every residual check would pass
+            raise InvalidTolerance(f"abs_tol must be finite, got {abs_tol}")
 
 
 DEFAULT_TOL = Tolerance()
@@ -187,19 +210,20 @@ class Mat2(_Value):
 
     @staticmethod
     def from_array(arr) -> "Mat2":
-        import numpy as np
-
-        arr = np.asarray(arr, dtype=float)
-        if arr.shape != (2, 2):
-            raise ValueError(f"expected shape (2, 2), got {arr.shape}")
-        return Mat2(arr[0, 0], arr[0, 1], arr[1, 0], arr[1, 1])
+        """The matrix of a 2x2 NumPy array or nested lists or tuples, read by
+        indexing.  Each entry is checked as by the constructor."""
+        shape = getattr(arr, "shape", None)
+        if shape is None and isinstance(arr, (list, tuple)):
+            rows = {len(row) if isinstance(row, (list, tuple)) else None for row in arr}
+            shape = (len(arr), *rows) if None not in rows and len(rows) < 2 else None
+        if shape != (2, 2):
+            got = type(arr).__name__ if shape is None else shape
+            raise ValueError(f"expected shape (2, 2), got {got}")
+        return Mat2(arr[0][0], arr[0][1], arr[1][0], arr[1][1])
 
     @staticmethod
     def from_json_dict(obj: dict) -> "Mat2":
-        try:
-            return Mat2(obj["a"], obj["b"], obj["c"], obj["d"])
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"matrix JSON needs keys a, b, c, d: {obj!r}") from exc
+        return Mat2(*_json_numbers(obj, "abcd", "matrix"))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -262,6 +286,7 @@ class Mat2(_Value):
     # -- interop -----------------------------------------------------------
 
     def to_array(self) -> np.ndarray:
+        """The matrix as a 2x2 NumPy array; needs NumPy, which invgeo does not."""
         import numpy as np
 
         return np.array([[self.a, self.b], [self.c, self.d]])

@@ -22,7 +22,6 @@ with the divided difference f[l, l] = f'(l) (Higham 2008, sec. 1.2).
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 import sys
 from typing import Callable
@@ -296,55 +295,3 @@ def conjugated_roots(m: Mat2, zc: Mat2, root: Mat2, tol: Tolerance = DEFAULT_TOL
         raise NotASquareRoot("root^2 != m within tolerance")
     zc_inv = zc.inverse()
     return zc_inv @ root @ zc
-
-
-class RootSearchGrid(_Value):
-    """Start-point lattice for the brute-force root search.
-
-    dedup_tol is deliberately coarse: near a zero eigenvalue the residual
-    ||X^2 - A|| is quadratically flat, so converged iterates can sit up to
-    sqrt(residual_tol) away from the true root.
-    """
-
-    __slots__ = ("points_per_axis", "lo", "hi", "residual_tol", "dedup_tol")
-
-    def __init__(self, points_per_axis: int = 4, lo: float = -3.0, hi: float = 3.0,
-                 residual_tol: float = 1e-9, dedup_tol: float = 1e-4):
-        _setattr(self, "points_per_axis", points_per_axis)
-        _setattr(self, "lo", lo)
-        _setattr(self, "hi", hi)
-        _setattr(self, "residual_tol", residual_tol)
-        _setattr(self, "dedup_tol", dedup_tol)
-
-
-def brute_force_roots(m: Mat2, grid: RootSearchGrid = RootSearchGrid()) -> list[Mat2]:
-    """Independent enumeration oracle: multi-start solves of X^2 = m.
-
-    Returns the de-duplicated solutions found from a deterministic lattice
-    of starting points.  Exhaustive only in the finite-root cases; for
-    matrices with infinitely many roots the count simply grows with the
-    lattice density.  Needs SciPy (a test extra, not a runtime
-    dependency), which it loads on first call.
-    """
-    import numpy as np
-    from scipy import optimize
-
-    target = m.to_array()
-
-    def residual(v: np.ndarray) -> np.ndarray:
-        x = v.reshape(2, 2)
-        return (x @ x - target).ravel()
-
-    axis = np.linspace(grid.lo, grid.hi, grid.points_per_axis)
-    found: list[Mat2] = []
-    for start in itertools.product(axis, repeat=4):
-        sol = optimize.root(residual, np.array(start), method="hybr")
-        x = sol.x.reshape(2, 2)
-        if not np.isfinite(x).all():
-            continue
-        if np.abs(x @ x - target).max() > grid.residual_tol:
-            continue
-        candidate = Mat2.from_array(x)
-        if all(candidate.max_diff(r) > grid.dedup_tol for r in found):
-            found.append(candidate)
-    return found

@@ -31,6 +31,7 @@ from .mat2 import (
     Mat2,
     Tolerance,
     _finite,
+    _json_numbers,
     _plain_finite,
     _setattr,
     _Value,
@@ -99,10 +100,7 @@ class SplitQuat(_Value):
 
     @staticmethod
     def from_json_dict(obj: dict) -> "SplitQuat":
-        try:
-            return SplitQuat(obj["w"], obj["x"], obj["y"], obj["z"])
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"quaternion JSON needs keys w, x, y, z: {obj!r}") from exc
+        return SplitQuat(*_json_numbers(obj, "wxyz", "quaternion"))
 
 
 ONE = SplitQuat(1.0, 0.0, 0.0, 0.0)

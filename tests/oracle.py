@@ -1,21 +1,26 @@
-"""Reference forms of the involution kernels, for the tests to compare against.
+"""Reference forms for the tests to compare against.
 
-Each function is a kernel as it reads when written with ``Mat2`` objects:
+Most functions are a kernel as it reads when written with ``Mat2`` objects:
 products by ``@``, tests by ``approx_eq`` and ``in_locus``, and values built
 through their validating constructors.  The library computes the same
 results from the entries as plain floats; the properties in the tests
 require the two to agree bit for bit (by ``repr``), and to raise the same
 exception class with the same message.
+
+``brute_force_roots`` is the independent check on the closed-form square
+roots: a multi-start numerical solve of X^2 = A with SciPy, which the
+library itself does not use.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 
 from invgeo import matfun
 from invgeo.errors import DegenerateAngle, DegenerateSeed, NotAnInvolution
-from invgeo.mat2 import DEFAULT_TOL, Mat2, Tolerance, _finite, approx_eq
+from invgeo.mat2 import DEFAULT_TOL, Mat2, Tolerance, _finite, _setattr, _Value, approx_eq
 from invgeo.matfun import Cardinality, RootCardinality
 from invgeo.quadric import GeneratorPair, LocusParams, in_locus
 from invgeo.roots import RootFamily, RootTag
@@ -146,3 +151,55 @@ def count_real_roots(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> RootCardinality:
 def checked_fields(names: str, values: tuple) -> tuple[float, ...]:
     """The fields a value type validating each one with ``_finite`` stores."""
     return tuple(_finite(value, name) for name, value in zip(names, values))
+
+
+class RootSearchGrid(_Value):
+    """Start-point lattice for the brute-force root search.
+
+    dedup_tol is deliberately coarse: near a zero eigenvalue the residual
+    ||X^2 - A|| is quadratically flat, so converged iterates can sit up to
+    sqrt(residual_tol) away from the true root.
+    """
+
+    __slots__ = ("points_per_axis", "lo", "hi", "residual_tol", "dedup_tol")
+
+    def __init__(self, points_per_axis: int = 4, lo: float = -3.0, hi: float = 3.0,
+                 residual_tol: float = 1e-9, dedup_tol: float = 1e-4):
+        _setattr(self, "points_per_axis", points_per_axis)
+        _setattr(self, "lo", lo)
+        _setattr(self, "hi", hi)
+        _setattr(self, "residual_tol", residual_tol)
+        _setattr(self, "dedup_tol", dedup_tol)
+
+
+def brute_force_roots(m: Mat2, grid: RootSearchGrid = RootSearchGrid()) -> list[Mat2]:
+    """Independent enumeration oracle: multi-start solves of X^2 = m.
+
+    Returns the de-duplicated solutions found from a deterministic lattice
+    of starting points.  Exhaustive only in the finite-root cases; for
+    matrices with infinitely many roots the count simply grows with the
+    lattice density.  Needs SciPy (a test extra, not a runtime
+    dependency), which it loads on first call.
+    """
+    import numpy as np
+    from scipy import optimize
+
+    target = m.to_array()
+
+    def residual(v: np.ndarray) -> np.ndarray:
+        x = v.reshape(2, 2)
+        return (x @ x - target).ravel()
+
+    axis = np.linspace(grid.lo, grid.hi, grid.points_per_axis)
+    found: list[Mat2] = []
+    for start in itertools.product(axis, repeat=4):
+        sol = optimize.root(residual, np.array(start), method="hybr")
+        x = sol.x.reshape(2, 2)
+        if not np.isfinite(x).all():
+            continue
+        if np.abs(x @ x - target).max() > grid.residual_tol:
+            continue
+        candidate = Mat2.from_array(x)
+        if all(candidate.max_diff(r) > grid.dedup_tol for r in found):
+            found.append(candidate)
+    return found

@@ -73,11 +73,27 @@ def test_byte_identical_across_runs(name, argv, capsys):
 
 
 def test_malformed_matrix_is_usage_error(capsys):
-    code, out, err = _run(["bell", "--matrix", "not json"], capsys)
-    assert code == 2
-    doc = json.loads(err)
-    assert doc["error"] == "usage"
-    assert out == ""
+    # JSON that parses but holds a str, a bool, a null or an int beyond the
+    # float range where a number belongs is malformed too
+    for argv, detail in [
+        (["bell", "--matrix", "not json"], "malformed matrix JSON"),
+        (["classify", "--matrix", '{"a": "1", "b": 0, "c": 0, "d": true}'],
+         "JSON key 'a' must be a number, got '1'"),
+        (["classify", "--matrix", '{"a": 1, "b": 0, "c": null, "d": 1}'],
+         "JSON key 'c' must be a number, got None"),
+        (["classify", "--matrix", '{"a": 1, "b": 0, "c": 0, "d": 1%s}' % ("0" * 400)],
+         "JSON key 'd' is an integer beyond the float range"),
+        (["quat", "--to-matrix", '{"w": "2", "x": false, "y": 0, "z": 0}'],
+         "JSON key 'w' must be a number, got '2'"),
+        (["quat", "--to-matrix", '{"w": 1, "x": false, "y": 0, "z": 0}'],
+         "JSON key 'x' must be a number, got False"),
+    ]:
+        code, out, err = _run(argv, capsys)
+        assert code == 2, argv
+        doc = json.loads(err)
+        assert doc["error"] == "usage"
+        assert doc["detail"].startswith(detail)
+        assert out == ""
 
 
 def test_missing_required_input_is_usage_error(capsys):
@@ -225,6 +241,13 @@ def test_sample_beyond_the_float_range_names_the_first_bad_value(flags, err_doc,
     assert (code, out, err) == (1, "", err_doc + "\n")
 
 
+def test_decompose_family_general_is_its_matrix_decomposed(capsys):
+    code, out, err = _run(["decompose", "--family", "general", "--a", "0.5", "--b", "2"], capsys)
+    assert code == 0, err
+    root = invgeo.make_root(invgeo.RootFamily(invgeo.RootTag.GENERAL, a=0.5, b=2.0))
+    assert _run(["decompose", "--matrix", json.dumps(root.to_json_dict())], capsys) == (0, out, "")
+
+
 def test_output_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "doc.json"
     code, out, _ = _run(["classify", "--alpha", "0", "--beta", "-1", "-o", str(target)], capsys)
@@ -252,7 +275,7 @@ def test_tolerance_env_override(capsys, monkeypatch):
     assert json.loads(out)["tag"] == "lower_c_plus_minus"
 
 
-@pytest.mark.parametrize("value", ["0", "-1", "nan"])
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
 def test_invalid_tolerance_env_is_usage_error(value, capsys, monkeypatch):
     monkeypatch.setenv("INVGEO_TOL", value)
     code, out, err = _run(["classify", "--alpha", "0", "--beta", "-1"], capsys)
@@ -294,6 +317,40 @@ def test_roots_sample_loads_neither_numpy_nor_scipy():
     *doc, after_run = proc.stdout.splitlines()
     assert len(json.loads("\n".join(doc))["samples"]) == 2
     assert json.loads(after_run) == []
+
+
+REPO = Path(__file__).resolve().parent.parent
+DEMOS = sorted(path.name for path in (REPO / "demos").glob("*.py"))
+
+
+def _without_site_packages(*args: str) -> subprocess.CompletedProcess:
+    """``python -S ARGS`` with only src/ added to the path.  Without the site
+    packages, NumPy, SciPy and hypothesis cannot be imported."""
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    env.pop("INVGEO_TOL", None)
+    return subprocess.run([sys.executable, "-S", *args], capture_output=True, env=env)
+
+
+def test_no_third_party_package_is_importable_without_site_packages():
+    probe = ("import importlib.util, json\n"
+             "print(json.dumps([m for m in ('numpy', 'scipy', 'hypothesis')"
+             " if importlib.util.find_spec(m)]))")
+    proc = _without_site_packages("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
+@pytest.mark.parametrize("name, argv", GOLDEN_CASES, ids=[n for n, _ in GOLDEN_CASES])
+def test_golden_output_without_site_packages(name, argv):
+    proc = _without_site_packages("-m", "invgeo.cli", *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN_DIR / name).read_bytes()
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs_without_site_packages(demo):
+    proc = _without_site_packages(str(REPO / "demos" / demo))
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 def _modules_in_fresh_process(code: str, *args: str) -> list[str]:
@@ -387,7 +444,7 @@ def test_subcommands_call_the_module_bound_on_cli(monkeypatch, capsys):
 
 def test_package_dir_lists_exports_and_unknown_names_raise():
     assert set(invgeo.__all__) <= set(dir(invgeo))
-    assert len(invgeo.__all__) == len(set(invgeo.__all__)) == 74
+    assert len(invgeo.__all__) == len(set(invgeo.__all__)) == 72
     assert sorted(invgeo._HOME) == sorted(invgeo.__all__)  # one home per export
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         invgeo.no_such_name  # noqa: B018

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -115,6 +116,8 @@ def test_tolerance_ordering_enforced():
         Tolerance(abs_tol=1e-12, exact_tol=1e-9)
     with pytest.raises(InvalidTolerance):
         Tolerance(abs_tol=1e-9, exact_tol=0.0)
+    with pytest.raises(InvalidTolerance, match="^abs_tol must be finite, got inf$"):
+        Tolerance(abs_tol=math.inf)
 
 
 def _random_mats(n, seed, scale=2.0):
@@ -154,12 +157,45 @@ def test_json_round_trip():
     assert Mat2.from_json_dict(m.to_json_dict()) == m
     with pytest.raises(ValueError):
         Mat2.from_json_dict({"a": 1.0, "b": 2.0})
+    m = Mat2.from_json_dict({"a": 1, "b": 0, "c": -2, "d": 2**1023})
+    assert m.entries() == (1.0, 0.0, -2.0, 2.0**1023)
+    assert all(type(x) is float for x in m.entries())
+    # JSON gives str, bool, null and unbounded ints too; none is a matrix entry
+    for key, bad, message in [("a", "1", "must be a number, got '1'"),
+                              ("d", True, "must be a number, got True"),
+                              ("b", None, "must be a number, got None"),
+                              ("c", 2**1024, "is an integer beyond the float range")]:
+        with pytest.raises(ValueError, match=f"^JSON key '{key}' {message}$"):
+            Mat2.from_json_dict({"a": 1.0, "b": 0.0, "c": 0.0, "d": 1.0, key: bad})
 
 
 def test_array_round_trip():
     m = Mat2(1, 2, 3, 4)
     assert Mat2.from_array(m.to_array()) == m
     assert m.to_array().shape == (2, 2)
+    assert Mat2.from_array([[1, 2], [3, 4]]) == Mat2.from_array(((1.0, 2.0), (3, 4.0))) == m
+
+
+@pytest.mark.parametrize("arr, got", [
+    (np.zeros((2, 3)), "(2, 3)"),
+    (np.zeros(4), "(4,)"),
+    (np.float64(1.0), "()"),
+    ([[1, 2], [3, 4], [5, 6]], "(3, 2)"),
+    ([[1, 2, 3], [4, 5, 6]], "(2, 3)"),
+    ([[1, 2], [3]], "list"),
+    ([1, 2, 3, 4], "list"),
+    ("abcd", "str"),
+])
+def test_from_array_needs_a_2x2_input(arr, got):
+    with pytest.raises(ValueError, match=rf"^expected shape \(2, 2\), got {re.escape(got)}$"):
+        Mat2.from_array(arr)
+
+
+def test_from_array_checks_each_entry():
+    with pytest.raises(NonFiniteEntry, match="^c must be finite"):
+        Mat2.from_array([[1.0, 2.0], [math.inf, 4.0]])
+    with pytest.raises(NonFiniteEntry, match="^b must be finite"):
+        Mat2.from_array(np.array([[1.0, np.nan], [3.0, 4.0]]))
 
 
 def test_scalar_distance():

@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 from invgeo import (
     Cardinality,
     Mat2,
-    RootSearchGrid,
     SQRT,
     SQUARE,
     ScalarFunction,
-    brute_force_roots,
     conjugated_roots,
     count_real_roots,
     eigen2,
@@ -29,6 +27,7 @@ from invgeo.errors import (
     NotASquareRoot,
     SingularConjugator,
 )
+from oracle import RootSearchGrid, brute_force_roots
 
 EPS = 2.0**-52
 I2 = Mat2.identity()

@@ -201,6 +201,15 @@ def test_neg_root_covers_both_sheets():
 def test_json_round_trip():
     q = SplitQuat(0.5, -1.5, 2.0, 0.0)
     assert SplitQuat.from_json_dict(q.to_json_dict()) == q
+    assert SplitQuat.from_json_dict({"w": 2, "x": 0, "y": -1, "z": 0.5}) == SplitQuat(2, 0, -1, 0.5)
+    with pytest.raises(ValueError, match="^quaternion JSON needs keys w, x, y, z"):
+        SplitQuat.from_json_dict({"w": 1.0})
+    for key, bad, message in [("w", "2", "must be a number, got '2'"),
+                              ("x", False, "must be a number, got False"),
+                              ("z", None, "must be a number, got None"),
+                              ("y", -(2**1024), "is an integer beyond the float range")]:
+        with pytest.raises(ValueError, match=f"^JSON key '{key}' {message}$"):
+            SplitQuat.from_json_dict({"w": 1.0, "x": 0.0, "y": 0.0, "z": 0.0, key: bad})
 
 
 # -- scale-relative lightlike decision ----------------------------------------------

@@ -21,13 +21,7 @@ from invgeo.errors import (
 )
 from invgeo.householder import UnitVec2
 from invgeo.mat2 import Mat2, Tolerance, Vec2
-from invgeo.matfun import (
-    SQRT,
-    Cardinality,
-    RootCardinality,
-    RootSearchGrid,
-    ScalarFunction,
-)
+from invgeo.matfun import SQRT, Cardinality, RootCardinality, ScalarFunction
 from invgeo.quadric import (
     BellPoint,
     GeneratorPair,
@@ -39,6 +33,7 @@ from invgeo.quadric import (
 from invgeo.roots import RootFamily, RootTag
 from invgeo.splitquat import SplitQuat
 from invgeo.xform import Decomposition, ElementaryTransform, TransformKind
+from oracle import RootSearchGrid
 
 M = Mat2(1.0, 2.0, 3.0, 4.0)
 REFLECT = ElementaryTransform(TransformKind.REFLECT_X, Mat2(1.0, 0.0, 0.0, -1.0))

@@ -4,7 +4,7 @@ Exit codes: 0 success, 1 domain error, 2 usage error.  Errors are emitted
 to stderr as JSON documents {"error": <stable code>, "detail": <message>}.
 Floats use Python's shortest round-trip repr, so identical invocations
 produce byte-identical documents.  The INVGEO_TOL environment variable
-overrides the default absolute tolerance.
+overrides the default residual threshold (abs_tol).
 
 JSON documents are written by a small recursive writer whose output is
 still byte-identical to ``json.dumps(doc, indent=2, sort_keys=True)``: same
@@ -139,24 +139,19 @@ def _parse_matrix(text: str | None, path: str | None, what: str = "matrix") -> M
                 text = fh.read()
         except OSError as exc:
             raise UsageError(f"cannot read {path}: {exc}") from exc
+    return _read_json(text, what, Mat2.from_json_dict)
+
+
+def _read_json(text: str, what: str, from_json_dict):
+    """from_json_dict of the JSON text; malformed JSON (an integer literal
+    longer than the int-string limit included) or a bad value is a usage
+    error."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # json.JSONDecodeError is a ValueError
         raise UsageError(f"malformed {what} JSON: {exc}") from exc
     try:
-        return Mat2.from_json_dict(obj)
-    except (ValueError, InvGeoError) as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _parse_quat(text: str):
-    splitquat = _kernel("splitquat")
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"malformed quaternion JSON: {exc}") from exc
-    try:
-        return splitquat.SplitQuat.from_json_dict(obj)
+        return from_json_dict(obj)
     except (ValueError, InvGeoError) as exc:
         raise UsageError(str(exc)) from exc
 
@@ -496,7 +491,7 @@ def _cmd_quat(args, tol: Tolerance) -> None:
         _emit_json(args, doc)
         return
     if args.to_matrix is not None:
-        q = _parse_quat(args.to_matrix)
+        q = _read_json(args.to_matrix, "quaternion", splitquat.SplitQuat.from_json_dict)
     elif args.from_matrix is not None or args.matrix_file is not None:
         q = splitquat.from_matrix(_parse_matrix(args.from_matrix, args.matrix_file))
     else:

@@ -16,10 +16,12 @@ from __future__ import annotations
 import math
 
 from .errors import NotPythagorean, NotUnitVector
-from .mat2 import DEFAULT_TOL, Mat2, Tolerance, _setattr, _Value
+from .mat2 import DEFAULT_TOL, Mat2, Tolerance, _setattr, _Value, approx_eq
 from .roots import is_involution
 
 _NORM_SLACK = 1e-6  # inputs this close to unit length are renormalized
+_I2 = Mat2.identity()
+_NEG_I2 = -_I2
 
 
 class UnitVec2(_Value):
@@ -70,16 +72,9 @@ def householder_angle(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> float | None:
     """The unique phi in [0, 2*pi) with m = H(phi), or None.
 
     Returns None unless m is a symmetric involution different from +-I2
-    (the identity is not a Householder matrix).  Each test is the Mat2 one
-    (is_involution, is_symmetric, approx_eq with +-I2) on the entries.
+    (the identity is not a Householder matrix).
     """
-    if not is_involution(m, tol):
+    if (not is_involution(m, tol) or not m.is_symmetric(tol)
+            or approx_eq(m, _I2, tol) or approx_eq(m, _NEG_I2, tol)):
         return None
-    a, b, c, d = m.a, m.b, m.c, m.d
-    if not abs(b - c) <= tol.abs_tol:
-        return None
-    off = max(abs(b), abs(c))
-    if (max(abs(a - 1.0), off, abs(d - 1.0)) <= tol.abs_tol
-            or max(abs(a + 1.0), off, abs(d + 1.0)) <= tol.abs_tol):
-        return None
-    return math.atan2(b, a) % (2.0 * math.pi)
+    return math.atan2(m.b, m.a) % (2.0 * math.pi)

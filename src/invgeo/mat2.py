@@ -25,9 +25,17 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-#: A sum of squares above this is accurate far below any tolerance even when
-#: some of its terms underflowed; below it, scale the terms up first.
-_SAFE_MIN = 1e-290
+def _pow2_scaled(values: tuple, squares: tuple, norm_sq: float) -> tuple:
+    """(e, *values * 2**-e, *squares * 4**-e), exact, with e even and the size
+    max(|values|, sqrt|squares|) scaled into [1/4, 1); e = 0 with no work where
+    norm_sq, the caller's square of the size, is in (2**-800, 2**800)."""
+    if 2.0**-800 < norm_sq < 2.0**800:
+        return (0,) + values + squares
+    size = max(map(abs, values))
+    if squares:
+        size = max(size, math.sqrt(max(map(abs, squares))))
+    e = 2 * ((math.frexp(size)[1] + 1) >> 1)
+    return (e, *(math.ldexp(v, -e) for v in values), *(math.ldexp(v, -2 * e) for v in squares))
 
 
 def _finite(value, name: str) -> float:
@@ -37,15 +45,15 @@ def _finite(value, name: str) -> float:
     return value
 
 
-def _json_numbers(obj: dict, keys: str, what: str) -> tuple:
-    """The four numbers under keys of a JSON object, such as a matrix's
-    "a" to "d".  A missing key, a str, a bool, a null, or an int beyond the
-    float range raises ValueError naming the key."""
+def _json_numbers(obj: dict, keys: str | tuple, what: str) -> tuple:
+    """The numbers under keys of a JSON object, such as a matrix's "a" to
+    "d".  A missing key, a str, a bool, a null, or an int beyond the float
+    range raises ValueError naming the key."""
     try:
-        values = obj[keys[0]], obj[keys[1]], obj[keys[2]], obj[keys[3]]
+        values = tuple([obj[key] for key in keys])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{what} JSON needs keys {', '.join(keys)}: {obj!r}") from exc
-    if type(values[0]) is type(values[1]) is type(values[2]) is type(values[3]) is float:
+    if all(type(value) is float for value in values):
         return values
     numbers = []
     for key, value in zip(keys, values):
@@ -133,8 +141,9 @@ class _Value:
 
 
 class Tolerance(_Value):
-    """Comparison tolerances: ``abs_tol`` for residual checks, ``exact_tol``
-    for round-trips and degeneracy cutoffs (b ~ 0, scalar-matrix distance)."""
+    """Two thresholds relative to the size of the inputs, read by ``negligible``:
+    ``abs_tol`` for residuals (R^2 = A, a trace, a det, an equality), and
+    ``exact_tol`` for degeneracy (b ~ 0, the cone, lightlike, a scalar matrix)."""
 
     __slots__ = ("abs_tol", "exact_tol")
 
@@ -147,6 +156,10 @@ class Tolerance(_Value):
             )
         if abs_tol == math.inf:  # every residual check would pass
             raise InvalidTolerance(f"abs_tol must be finite, got {abs_tol}")
+
+    def negligible(self, x: float, scale: float, exact: bool = False) -> bool:
+        """|x| <= tol * scale: exact_tol where ``exact`` is set, else abs_tol."""
+        return abs(x) <= (self.exact_tol if exact else self.abs_tol) * scale
 
 
 DEFAULT_TOL = Tolerance()
@@ -262,10 +275,18 @@ class Mat2(_Value):
         return self.a * self.d - self.b * self.c
 
     def inverse(self) -> "Mat2":
-        det = self.det()
-        if abs(det) < 1e-300:
-            raise NotInvertible(f"matrix is singular: det = {det}")
-        return Mat2(self.d / det, -self.b / det, -self.c / det, self.a / det)
+        """The inverse, worked out from the entries scaled by a power of two,
+        so that neither an overflowing nor an underflowing det decides.
+        NotInvertible where the scaled det is 0 or an entry of the inverse
+        is beyond the float range."""
+        size = self.max_norm()
+        e, a, b, c, d = _pow2_scaled(self.entries(), (), size * size)
+        det = a * d - b * c
+        try:
+            inverse = Mat2(d / det, -b / det, -c / det, a / det)
+            return inverse if e == 0 else Mat2(*(math.ldexp(v, -e) for v in inverse.entries()))
+        except (ZeroDivisionError, OverflowError, NonFiniteEntry):
+            raise NotInvertible(f"matrix is singular: det = {self.det()}") from None
 
     def max_norm(self) -> float:
         return max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
@@ -276,7 +297,7 @@ class Mat2(_Value):
                    abs(self.c - other.c), abs(self.d - other.d))
 
     def is_symmetric(self, tol: Tolerance = DEFAULT_TOL) -> bool:
-        return abs(self.b - self.c) <= tol.abs_tol
+        return tol.negligible(self.b - self.c, self.max_norm())
 
     def scalar_distance(self) -> float:
         """Max-norm distance to the nearest scalar matrix t*I2."""
@@ -299,5 +320,8 @@ class Mat2(_Value):
 
 
 def approx_eq(lhs: Mat2, rhs: Mat2, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff the entrywise max-norm of (lhs - rhs) is within abs_tol."""
-    return lhs.max_diff(rhs) <= tol.abs_tol
+    """True iff |lhs - rhs| is negligible next to max(|lhs|, |rhs|), max-norms."""
+    a, b, c, d = lhs.a, lhs.b, lhs.c, lhs.d
+    p, q, r, s = rhs.a, rhs.b, rhs.c, rhs.d
+    return tol.negligible(max(abs(a - p), abs(b - q), abs(c - r), abs(d - s)),
+                          max(abs(a), abs(b), abs(c), abs(d), abs(p), abs(q), abs(r), abs(s)))

@@ -31,9 +31,10 @@ from .errors import (
     FunctionUndefinedAtEigenvalue,
     NonPositiveScale,
     NotASquareRoot,
+    NotInvertible,
     SingularConjugator,
 )
-from .mat2 import DEFAULT_TOL, Mat2, Tolerance, _setattr, _Value, approx_eq
+from .mat2 import DEFAULT_TOL, Mat2, Tolerance, _pow2_scaled, _setattr, _Value
 
 
 class ScalarFunction(_Value):
@@ -96,42 +97,27 @@ _COUNTS = {0: RootCardinality(Cardinality.ZERO),
 _INFINITELY_MANY = RootCardinality(Cardinality.INFINITE)
 
 
-def _ldexp_sat(x: float, k: int) -> float:
-    """x * 2**k, saturating to +-inf where math.ldexp would raise."""
-    try:
-        return math.ldexp(x, k)
-    except OverflowError:
-        return math.copysign(math.inf, x)
-
-
-def _quarter_scaled(m: Mat2) -> tuple[int, float, float, float, float]:
-    """(k, m * 4**-k) with the largest entry in [0.25, 1): exact, and no
-    product of the scaled entries can overflow."""
-    k = (math.frexp(max(abs(m.a), abs(m.b), abs(m.c), abs(m.d)))[1] + 1) >> 1
-    return (k, math.ldexp(m.a, -2 * k), math.ldexp(m.b, -2 * k),
-            math.ldexp(m.c, -2 * k), math.ldexp(m.d, -2 * k))
-
-
 def eigen2(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> tuple[float, float]:
     """Real eigenvalues in ascending order; raises on a complex spectrum.
 
-    The closed form runs on m scaled as by _quarter_scaled, so it is
-    bit-identical to the unscaled formula wherever that one stays in range.
+    The closed form runs on m, rescaled by _pow2_scaled where its squares
+    would leave the float range, which is exact.
     The spectrum is complex when the discriminant (a - d)^2 + 4bc is below
-    -exact_tol * max|entry|^2, a cut relative to the size of m: scaling m by
-    a power of two does not change the decision.  A discriminant above the
-    cut but below zero, which rounding can leave on a double eigenvalue, is
-    taken as zero.  An eigenvalue beyond the float range raises OverflowError.
+    zero and not negligible (exact_tol) next to max|entry|^2, a decision that
+    scaling m by a power of two does not change.  A negligible negative one,
+    which rounding can leave on a double eigenvalue, is taken as zero.  An
+    eigenvalue beyond the float range raises OverflowError.
     """
-    k, a, b, c, d = _quarter_scaled(m)
-    e = 2 * k
-    size = max(abs(a), abs(b), abs(c), abs(d))
+    size = m.max_norm()
+    e, a, b, c, d, size = _pow2_scaled((*m.entries(), size), (), size * size)
     tr, det = a + d, a * d - b * c
     # (a - d)^2 + 4bc equals tr^2 - 4 det without cancelling the squares
     diff = a - d
     disc = diff * diff + 4.0 * b * c
-    if disc < -tol.exact_tol * size * size:
-        raise ComplexEigenvalues(f"discriminant {_ldexp_sat(disc, 2 * e)} < 0")
+    if disc < 0.0 and not tol.negligible(disc, size * size, exact=True):
+        diff = m.a - m.d  # the unscaled discriminant: -inf where its terms overflow
+        disc = diff * diff + 4.0 * m.b * m.c
+        raise ComplexEigenvalues(f"discriminant {-math.inf if math.isnan(disc) else disc} < 0")
     # larger-magnitude root first; the other from det, free of cancellation
     big = 0.5 * (tr + math.copysign(math.sqrt(max(disc, 0.0)), tr))
     if big == 0.0:
@@ -215,10 +201,10 @@ def _branches(m: Mat2, tol: Tolerance, limit: int = 4) -> list[Mat2]:
             s = math.sqrt(m.a)
             return [Mat2.scalar(s), Mat2.scalar(-s)][:limit]
         return [Mat2.zero()] if m.a == 0.0 else []
-    k, a, b, c, d = _quarter_scaled(m)
+    norm = m.max_norm()
+    e, a, b, c, d, norm = _pow2_scaled((*m.entries(), norm), (), norm * norm)
+    k = e >> 1  # a root of m * 4**-k is a root of m times 2**-k
     half_diff = 0.5 * (a - d)
-    # max(1, ||m||) in units of the scaled matrix
-    floor = max(_ldexp_sat(1.0, -2 * k), abs(a), abs(b), abs(c), abs(d))
     roots: list[Mat2] = []
     for t in _root_traces(a, b, c, d)[:limit]:
         p, h = half_diff / t, 0.5 * t
@@ -228,7 +214,7 @@ def _branches(m: Mat2, tol: Tolerance, limit: int = 4) -> list[Mat2]:
         residual = max(abs(ra * ra + bc - a), abs(rb * tr - b), abs(rc * tr - c),
                        abs(rd * rd + bc - d))
         size = max(abs(ra), abs(rb), abs(rc), abs(rd))
-        if residual <= tol.abs_tol * max(floor, size * size):
+        if tol.negligible(residual, max(norm, size * size)):
             roots.append(Mat2(math.ldexp(ra, k), math.ldexp(rb, k),
                               math.ldexp(rc, k), math.ldexp(rd, k)))
     return roots
@@ -240,7 +226,7 @@ def sqrt_branches(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> list[Mat2]:
     R = (m + sI)/t is evaluated on m * 4**-k as N/t + (t/2) I, N the
     traceless part, free of the cancellation in m + sI near coincident
     eigenvalues; the primary root comes first.  Each root passes
-    ||R^2 - m|| <= abs_tol * max(1, ||m||, ||R||^2); one beyond the float
+    ||R^2 - m|| <= abs_tol * max(||m||, ||R||^2); one beyond the float
     range raises OverflowError.  A positive scalar matrix gives only its
     primary roots, zero gives [0], a negative one [].
     """
@@ -274,7 +260,14 @@ def count_real_roots(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> RootCardinality:
     """
     if _is_scalar(m):
         return _INFINITELY_MANY
-    return _COUNTS[len(_root_traces(*_quarter_scaled(m)[1:]))]
+    size = m.max_norm()
+    return _COUNTS[len(_root_traces(*_pow2_scaled(m.entries(), (), size * size)[1:]))]
+
+
+def _is_square_root(root: Mat2, m: Mat2, tol: Tolerance) -> bool:
+    """sqrt_branches' residual test: ||root^2 - m|| <= abs_tol * max(||root||^2, ||m||)."""
+    size = root.max_norm()
+    return tol.negligible((root @ root).max_diff(m), max(size * size, m.max_norm()))
 
 
 def scaled_roots(m: Mat2, alpha: float, root: Mat2, tol: Tolerance = DEFAULT_TOL) -> Mat2:
@@ -282,16 +275,17 @@ def scaled_roots(m: Mat2, alpha: float, root: Mat2, tol: Tolerance = DEFAULT_TOL
     alpha = float(alpha)
     if alpha <= 0:
         raise NonPositiveScale(f"need alpha > 0, got {alpha}")
-    if not approx_eq(root @ root, m, tol):
+    if not _is_square_root(root, m, tol):
         raise NotASquareRoot("root^2 != m within tolerance")
     return math.sqrt(alpha) * root
 
 
 def conjugated_roots(m: Mat2, zc: Mat2, root: Mat2, tol: Tolerance = DEFAULT_TOL) -> Mat2:
     """Map a root of m to a root of zc^-1 m zc: zc^-1 root zc."""
-    if abs(zc.det()) <= tol.exact_tol:
-        raise SingularConjugator(f"det = {zc.det()}")
-    if not approx_eq(root @ root, m, tol):
+    try:
+        zc_inv = zc.inverse()
+    except NotInvertible as exc:
+        raise SingularConjugator(str(exc)) from exc
+    if not _is_square_root(root, m, tol):
         raise NotASquareRoot("root^2 != m within tolerance")
-    zc_inv = zc.inverse()
     return zc_inv @ root @ zc

@@ -42,12 +42,12 @@ from .errors import (
     NotInHyperplane,
 )
 from .mat2 import (
-    _SAFE_MIN,
     DEFAULT_TOL,
     Mat2,
     Tolerance,
     _finite,
     _plain_finite,
+    _pow2_scaled,
     _product_entries,
     _setattr,
     _Value,
@@ -142,36 +142,30 @@ class SurfacePoint(_Value):
 
 
 def in_locus(m: Mat2, params: LocusParams, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Membership test: trace and det match and m is not a scalar matrix."""
-    if abs(m.trace() - params.alpha) > tol.abs_tol:
+    """Trace and det match and m is not scalar, each relative to |m| (|m|^2 for det)."""
+    a, b, c, d = m.a, m.b, m.c, m.d
+    size = max(abs(a), abs(b), abs(c), abs(d))
+    if tol.negligible(m.scalar_distance(), size, exact=True):
         return False
-    if abs(m.det() - params.beta) > tol.abs_tol:
-        return False
-    return m.scalar_distance() >= tol.exact_tol
-
-
-def _scaled(alpha: float, beta: float) -> tuple[int, float, float]:
-    """(e, alpha * 2**-e, beta * 4**-e), exact, with e = 0 unless the squares
-    in alpha^2 + 4|beta| would overflow or lose precision."""
-    if _SAFE_MIN < alpha * alpha + 4.0 * abs(beta) < math.inf:
-        return 0, alpha, beta
-    e = math.frexp(max(abs(alpha), math.sqrt(abs(beta))))[1]
-    return e, math.ldexp(alpha, -e), math.ldexp(beta, -2 * e)
+    _, a, b, c, d, alpha, size, beta = _pow2_scaled(
+        (a, b, c, d, params.alpha, size), (params.beta,), size * size)
+    return (tol.negligible(a + d - alpha, size)
+            and tol.negligible(a * d - b * c - beta, size * size))
 
 
 def classify_quadric(params: LocusParams, tol: Tolerance = DEFAULT_TOL) -> SurfaceClass:
     """Surface type of S(alpha, beta) by the sign of alpha^2 - 4*beta.
 
-    It is a cone when |alpha^2 - 4 beta| <= exact_tol * (alpha^2 + 4|beta|),
-    a test that does not change when alpha and beta are scaled as alpha*s
-    and beta*s^2.  Where the squares would overflow or lose precision it
-    runs on alpha * 2**-e and beta * 4**-e, which is exact.
+    It is a cone when alpha^2 - 4 beta is negligible (exact_tol) next to
+    alpha^2 + 4|beta|, a test that does not change when alpha and beta are
+    scaled as alpha*s and beta*s^2.  Where the squares would overflow or
+    lose precision it runs on alpha * 2**-e and beta * 4**-e, which is exact.
     """
-    radius_sq = 0.5 * params.alpha * params.alpha - 2.0 * params.beta
-    _, alpha, beta = _scaled(params.alpha, params.beta)
-    scale = alpha * alpha + 4.0 * abs(beta)
+    alpha, beta = params.alpha, params.beta
+    radius_sq = 0.5 * alpha * alpha - 2.0 * beta
+    _, alpha, beta = _pow2_scaled((alpha,), (beta,), alpha * alpha + 4.0 * abs(beta))
     disc = alpha * alpha - 4.0 * beta
-    if abs(disc) <= tol.exact_tol * scale:
+    if tol.negligible(disc, alpha * alpha + 4.0 * abs(beta), exact=True):
         return SurfaceClass(SurfaceTag.RIGHT_CIRCULAR_CONE, radius_sq)
     if disc > 0:
         return SurfaceClass(SurfaceTag.ONE_SHEET_HYPERBOLOID, radius_sq)
@@ -182,14 +176,15 @@ def to_bell(m: Mat2, alpha: float, tol: Tolerance = DEFAULT_TOL) -> BellPoint:
     """Bell coordinates of a matrix lying in the hyperplane trace = alpha.
 
     Inverts x1 = alpha/2 + x/sqrt2, x2 = (y-z)/sqrt2, x3 = (y+z)/sqrt2,
-    x4 = alpha/2 - x/sqrt2.
+    x4 = alpha/2 - x/sqrt2.  The trace must match alpha relative to |m|.
     """
-    if abs(m.trace() - alpha) > tol.abs_tol:
-        raise NotInHyperplane(f"trace {m.trace()} != alpha {alpha}")
+    a, b, c, d = m.a, m.b, m.c, m.d
+    if not tol.negligible(a + d - alpha, max(abs(a), abs(b), abs(c), abs(d))):
+        raise NotInHyperplane(f"trace {a + d} != alpha {alpha}")
     return BellPoint(
-        x=_SQRT2 * (m.a - 0.5 * alpha),
-        y=(m.b + m.c) / _SQRT2,
-        z=(m.c - m.b) / _SQRT2,
+        x=_SQRT2 * (a - 0.5 * alpha),
+        y=(b + c) / _SQRT2,
+        z=(c - b) / _SQRT2,
         alpha=alpha,
     )
 
@@ -207,7 +202,8 @@ def from_bell(p: BellPoint) -> Mat2:
 
 def quadric_residual(p: BellPoint, params: LocusParams, tol: Tolerance = DEFAULT_TOL) -> float:
     """x^2 + y^2 - z^2 - (alpha^2/2 - 2*beta); zero iff p lies on the quadric."""
-    if abs(p.alpha - params.alpha) > tol.exact_tol:
+    size = max(abs(p.x), abs(p.y), abs(p.z), abs(p.alpha), abs(params.alpha))
+    if not tol.negligible(p.alpha - params.alpha, size, exact=True):
         raise AlphaMismatch(f"point alpha {p.alpha} != locus alpha {params.alpha}")
     return p.x * p.x + p.y * p.y - p.z * p.z - (
         0.5 * params.alpha * params.alpha - 2.0 * params.beta
@@ -226,9 +222,9 @@ def on_asymptotic_cone(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> bool:
     In Bell coordinates the cone is x^2 + y^2 - z^2 = 0, which pulls back to
     trace = 0 and x1^2 + x2*x3 = 0, i.e. det = 0: the nilpotent matrices.
     """
-    if abs(m.trace()) > tol.abs_tol:
-        return False
-    return abs(m.a * m.a + m.b * m.c) <= tol.abs_tol
+    size = m.max_norm()
+    _, a, b, c, d, size = _pow2_scaled((*m.entries(), size), (), size * size)
+    return tol.negligible(a + d, size) and tol.negligible(a * a + b * c, size * size)
 
 
 _INVOLUTION_LOCUS = LocusParams(0.0, -1.0)
@@ -324,11 +320,11 @@ def surface_rows(
     if n_u < 1 or n_v < 1:
         raise InvalidCount(f"need n_u, n_v >= 1, got {n_u}, {n_v}")
     surface = classify_quadric(params, tol)
-    e, alpha_s, beta_s = _scaled(params.alpha, params.beta)
+    alpha, beta = params.alpha, params.beta
+    e, alpha_s, beta_s = _pow2_scaled((alpha,), (beta,), alpha * alpha + 4.0 * abs(beta))
     radius_sq = 0.5 * alpha_s * alpha_s - 2.0 * beta_s  # r^2 * 4**-e
     azimuths = [2.0 * math.pi * j / n_u for j in range(n_u)]
     trig = [(math.cos(u), math.sin(u)) for u in azimuths]
-    alpha = params.alpha
     half = 0.5 * alpha
     rows: list[tuple] = []
     append = rows.append
@@ -364,7 +360,7 @@ def surface_rows(
     else:
         # rho ~ 0 rows collapse onto the apex; the tagged vertex covers them
         for rho in _linspace(-span, span, n_v):
-            if abs(rho) <= tol.exact_tol:
+            if tol.negligible(rho, abs(span), exact=True):
                 continue
             ring(rho, rho)
         append(checked_row(0.0, 0.0, 0.0, "vertex"))

@@ -31,7 +31,7 @@ from .errors import (
     NotAnInvolution,
     WrongConstructor,
 )
-from .mat2 import DEFAULT_TOL, Mat2, Tolerance, _setattr, _Value
+from .mat2 import DEFAULT_TOL, Mat2, Tolerance, _json_numbers, _setattr, _Value
 
 
 class RootTag(enum.Enum):
@@ -74,8 +74,8 @@ class RootFamily(_Value):
             elif value is not None:
                 raise DegenerateParameter(f"{tag.value} does not take parameter {slot}")
             _setattr(self, slot, value)
-        if tag is RootTag.GENERAL:
-            _check_general_b(self.b)
+        if tag is RootTag.GENERAL and self.b == 0.0:
+            raise DegenerateParameter("general family requires b != 0")
 
     def params(self) -> dict:
         return {slot: getattr(self, slot) for slot in _PARAM_SLOTS[self.tag]}
@@ -86,12 +86,9 @@ class RootFamily(_Value):
     @staticmethod
     def from_json_dict(obj: dict) -> "RootFamily":
         tag = RootTag(obj["tag"])
-        return RootFamily(tag, **obj.get("params", {}))
-
-
-def _check_general_b(b: float) -> None:
-    if abs(b) <= DEFAULT_TOL.exact_tol:
-        raise DegenerateParameter("general family requires b != 0")
+        params = obj.get("params", {})
+        keys = tuple(params)
+        return RootFamily(tag, **dict(zip(keys, _json_numbers(params, keys, "root family"))))
 
 
 def _family(tag: RootTag, a: float | None = None, b: float | None = None,
@@ -106,10 +103,15 @@ def _family(tag: RootTag, a: float | None = None, b: float | None = None,
     return family
 
 
+def _b_negligible(a: float, b: float, tol: Tolerance) -> bool:
+    """b ~ 0 in a root [[a, b], [c, -a]] of +-I2: negligible next to max(1, |a|)."""
+    return tol.negligible(b, max(1.0, abs(a)), exact=True)
+
+
 def make_general_root(a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> Mat2:
     """General two-parameter square root of I2: [[a, b], [(1-a^2)/b, -a]]."""
     a, b = float(a), float(b)
-    if abs(b) <= tol.exact_tol:
+    if _b_negligible(a, b, tol):
         raise DegenerateParameter(
             "b ~ 0: use make_case_root with a triangular or scalar family"
         )
@@ -144,7 +146,7 @@ def make_root(family: RootFamily) -> Mat2:
 def make_skew_root(a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> Mat2:
     """Square root of -I2: [[a, b], [-(1+a^2)/b, -a]] with b != 0."""
     a, b = float(a), float(b)
-    if abs(b) <= tol.exact_tol:
+    if _b_negligible(a, b, tol):
         raise DegenerateParameter("skew-involutory family requires b != 0")
     return Mat2(a, b, -(1.0 + a * a) / b, -a)
 
@@ -163,21 +165,27 @@ def _root_residual(m: Mat2, sign: float) -> float:
     return max(abs(pa - sign), abs(pb), abs(pc), abs(pd - sign))
 
 
+def _negligible_residual(residual: float, m: Mat2, tol: Tolerance) -> bool:
+    """residual negligible next to max(|m|^2, 1); below abs_tol it needs no norm."""
+    a, b, c, d = m.a, m.b, m.c, m.d
+    return tol.negligible(residual, 1.0) or tol.negligible(residual, max(a * a, b * b, c * c, d * d))
+
+
 def is_involution(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff R^2 = I2 within abs_tol."""
-    return _root_residual(m, 1.0) <= tol.abs_tol
+    """True iff R^2 = I2 within abs_tol relative to max(|R|^2, 1)."""
+    return _negligible_residual(_root_residual(m, 1.0), m, tol)
 
 
 def is_skew_involution(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff R^2 = -I2 within abs_tol."""
-    return _root_residual(m, -1.0) <= tol.abs_tol
+    """True iff R^2 = -I2 within abs_tol relative to max(|R|^2, 1)."""
+    return _negligible_residual(_root_residual(m, -1.0), m, tol)
 
 
 def classify_involution(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> RootFamily:
     """Recover the family tag and parameters of a square root of I2.
 
     Case order mirrors the trace split: the scalar pair first, then the
-    triangular families (an off-diagonal entry within exact_tol of zero),
+    triangular families (an off-diagonal entry that _b_negligible cuts),
     then the general family.  Degeneracy uses exact_tol so that a general
     root with a small but genuine b stays classified as general.
 
@@ -198,16 +206,15 @@ def classify_involution(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> RootFamily:
         return _family(RootTag.NEG_IDENTITY)
     # trace ~ 0: d = -a and a^2 + bc = 1
     lower = RootTag.LOWER_C_PLUS_MINUS if a > 0 else RootTag.LOWER_C_MINUS_PLUS
-    if abs(b) <= tol.exact_tol:
+    if _b_negligible(a, b, tol):
         return _family(lower, c=c)
-    if abs(c) <= tol.exact_tol:
+    if _b_negligible(a, c, tol):
         if a > 0:
             return _family(RootTag.UPPER_B_PLUS_MINUS, b=b)
         return _family(RootTag.UPPER_B_MINUS_PLUS, b=b)
     miss = abs((1.0 - a * a) / b - c)
-    if miss > tol.abs_tol * max(1.0, abs(c)) and max(abs(b), abs(1.0 - abs(a))) < miss:
+    if max(abs(b), abs(1.0 - abs(a))) < miss and not tol.negligible(miss, max(1.0, abs(c))):
         return _family(lower, c=c)
-    _check_general_b(b)  # RootFamily's own cut, for a tol finer than the default
     return _family(RootTag.GENERAL, a=a, b=b)
 
 

@@ -26,13 +26,13 @@ import math
 from .errors import NotInvertible, SingularParameter
 from .householder import householder_from_angle
 from .mat2 import (
-    _SAFE_MIN,
     DEFAULT_TOL,
     Mat2,
     Tolerance,
     _finite,
     _json_numbers,
     _plain_finite,
+    _pow2_scaled,
     _setattr,
     _Value,
 )
@@ -117,19 +117,15 @@ def sq_mul(p: SplitQuat, q: SplitQuat) -> SplitQuat:
 
 
 def sq_classify(q: SplitQuat, tol: Tolerance = DEFAULT_TOL) -> CausalClass:
-    """Sign class of q q*; lightlike when |q q*| <= exact_tol * (w^2 + x^2 + y^2 + z^2).
+    """Sign class of q q*; lightlike when negligible (exact_tol) next to w^2+x^2+y^2+z^2.
 
     The test does not change when q is scaled.  Where the squares would
     overflow or lose precision it runs on q * 2**-e, which is exact.
     """
     w, x, y, z = q.w, q.x, q.y, q.z
-    norm_sq = w * w + x * x + y * y + z * z
-    if not _SAFE_MIN < norm_sq < math.inf:
-        e = math.frexp(max(abs(w), abs(x), abs(y), abs(z)))[1]
-        w, x, y, z = (math.ldexp(v, -e) for v in (w, x, y, z))
-        norm_sq = w * w + x * x + y * y + z * z
+    _, w, x, y, z = _pow2_scaled((w, x, y, z), (), w * w + x * x + y * y + z * z)
     mod = w * w + x * x - y * y - z * z
-    if abs(mod) <= tol.exact_tol * norm_sq:
+    if tol.negligible(mod, w * w + x * x + y * y + z * z, exact=True):
         return CausalClass.LIGHTLIKE
     return CausalClass.TIMELIKE if mod > 0 else CausalClass.SPACELIKE
 
@@ -173,10 +169,10 @@ def unit_root_neg(t: float, phi: float, tol: Tolerance = DEFAULT_TOL) -> SplitQu
     """Square root of -1: i*sec(t) + (j*sin(phi) + k*cos(phi))*tan(t).
 
     The coefficients sweep x^2 - y^2 - z^2 = 1; the sign of sec(t) selects
-    the sheet.  Undefined where cos(t) vanishes.
+    the sheet.  Undefined where cos(t) is negligible (exact_tol) next to 1.
     """
     cos_t = math.cos(t)
-    if abs(cos_t) <= tol.exact_tol:
+    if tol.negligible(cos_t, 1.0, exact=True):
         raise SingularParameter(f"cos(t) ~ 0 at t = {t}")
     tan_t = math.sin(t) / cos_t
     return SplitQuat(0.0, 1.0 / cos_t, tan_t * math.sin(phi), tan_t * math.cos(phi))
@@ -212,8 +208,6 @@ def decompose_root(
     if which == "identity":
         return math.cosh(t), h, math.sinh(t), SKEW_J
     if which == "neg":
-        cos_t = math.cos(t)
-        if abs(cos_t) <= tol.exact_tol:
-            raise SingularParameter(f"cos(t) ~ 0 at t = {t}")
-        return math.sin(t) / cos_t, h, 1.0 / cos_t, SKEW_J
+        q = unit_root_neg(t, 0.0, tol)  # x = sec(t), z = tan(t) cos(0)
+        return q.z, h, q.x, SKEW_J
     raise ValueError(f"which must be 'identity' or 'neg', got {which!r}")

@@ -30,7 +30,7 @@ import math
 
 from .errors import DegenerateAngle, InvalidCount, NotAnInvolution, WrongDecomposer
 from .mat2 import DEFAULT_TOL, Mat2, Tolerance, Vec2, _setattr, _Value
-from .roots import RootFamily, RootTag, classify_involution, is_involution
+from .roots import RootFamily, RootTag, _b_negligible, classify_involution, is_involution
 
 
 class TransformKind(enum.Enum):
@@ -177,14 +177,14 @@ def _general_factors(a: float, b: float, c: float) -> Decomposition:
 def decompose_general(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> Decomposition:
     """Magnified rotation-reflection plus additive shear for a general root.
 
-    Requires an involution with b != 0 (sin(phi) away from zero); b ~ 0
-    roots are triangular and belong to decompose_case.  The additive
+    Requires an involution with b not negligible (sin(phi) away from zero);
+    b ~ 0 roots are triangular and belong to decompose_case.  The additive
     coefficient (1 - rho^2)/(rho*sin(phi)) is evaluated as the residual
     c - rho*sin(phi), which is the same number without the cancellation.
     """
     if not is_involution(m, tol):
         raise NotAnInvolution(f"{m} does not square to I2")
-    if abs(m.b) <= tol.exact_tol:
+    if _b_negligible(m.a, m.b, tol):
         raise DegenerateAngle("sin(phi) ~ 0: decompose as a triangular case")
     return _general_factors(m.a, m.b, m.c)
 
@@ -193,7 +193,7 @@ def decompose(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> Decomposition:
     """Decompose any square root of I2 per its family classification.
 
     The involution test is classify_involution's alone: a general family
-    already has R^2 = I2 and |b| > exact_tol, so its factors are built
+    already has R^2 = I2 and b not negligible, so its factors are built
     without decompose_general's second check.
     """
     family = classify_involution(m, tol)

@@ -20,7 +20,8 @@ import sys
 
 from invgeo import matfun
 from invgeo.errors import DegenerateAngle, DegenerateSeed, NotAnInvolution
-from invgeo.mat2 import DEFAULT_TOL, Mat2, Tolerance, _finite, _setattr, _Value, approx_eq
+from invgeo.mat2 import (DEFAULT_TOL, Mat2, Tolerance, _finite, _pow2_scaled, _setattr, _Value,
+                         approx_eq)
 from invgeo.matfun import Cardinality, RootCardinality
 from invgeo.quadric import GeneratorPair, LocusParams, in_locus
 from invgeo.roots import RootFamily, RootTag
@@ -35,11 +36,15 @@ def root_residual(m: Mat2, sign: float) -> float:
 
 
 def is_involution(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> bool:
-    return approx_eq(m @ m, Mat2.identity(), tol)
+    return tol.negligible((m @ m).max_diff(Mat2.identity()), max(m.max_norm() * m.max_norm(), 1.0))
 
 
 def is_skew_involution(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> bool:
-    return approx_eq(m @ m, -Mat2.identity(), tol)
+    return tol.negligible((m @ m).max_diff(-Mat2.identity()), max(m.max_norm() * m.max_norm(), 1.0))
+
+
+def b_negligible(m: Mat2, b: float, tol: Tolerance) -> bool:
+    return tol.negligible(b, max(1.0, abs(m.a)), exact=True)
 
 
 def classify_involution(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> RootFamily:
@@ -51,14 +56,14 @@ def classify_involution(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> RootFamily:
     if trace < -1.0:
         return RootFamily(RootTag.NEG_IDENTITY)
     lower = RootTag.LOWER_C_PLUS_MINUS if m.a > 0 else RootTag.LOWER_C_MINUS_PLUS
-    if abs(m.b) <= tol.exact_tol:
+    if b_negligible(m, m.b, tol):
         return RootFamily(lower, c=m.c)
-    if abs(m.c) <= tol.exact_tol:
+    if b_negligible(m, m.c, tol):
         if m.a > 0:
             return RootFamily(RootTag.UPPER_B_PLUS_MINUS, b=m.b)
         return RootFamily(RootTag.UPPER_B_MINUS_PLUS, b=m.b)
     miss = abs((1.0 - m.a * m.a) / m.b - m.c)
-    if miss > tol.abs_tol * max(1.0, abs(m.c)) and max(abs(m.b), abs(1.0 - abs(m.a))) < miss:
+    if max(abs(m.b), abs(1.0 - abs(m.a))) < miss and not tol.negligible(miss, max(1.0, abs(m.c))):
         return RootFamily(lower, c=m.c)
     return RootFamily(RootTag.GENERAL, a=m.a, b=m.b)
 
@@ -76,7 +81,7 @@ def householder_angle(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> float | None:
 def decompose_general(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> Decomposition:
     if not is_involution(m, tol):
         raise NotAnInvolution(f"{m} does not square to I2")
-    if abs(m.b) <= tol.exact_tol:
+    if b_negligible(m, m.b, tol):
         raise DegenerateAngle("sin(phi) ~ 0: decompose as a triangular case")
     rho = math.hypot(m.a, m.b)
     phi = math.atan2(m.b, m.a)
@@ -144,7 +149,8 @@ def generator_directions(a: Mat2, x_seed: Mat2, tol: Tolerance = DEFAULT_TOL) ->
 def count_real_roots(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> RootCardinality:
     if matfun._is_scalar(m):
         return RootCardinality(Cardinality.INFINITE)
-    n = len(matfun._root_traces(*matfun._quarter_scaled(m)[1:]))
+    size = m.max_norm()
+    n = len(matfun._root_traces(*_pow2_scaled(m.entries(), (), size * size)[1:]))
     return RootCardinality(Cardinality.FINITE, n) if n else RootCardinality(Cardinality.ZERO)
 
 

@@ -1,3 +1,4 @@
+import importlib.util
 import io
 import json
 import math
@@ -5,6 +6,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -87,6 +89,11 @@ def test_malformed_matrix_is_usage_error(capsys):
          "JSON key 'w' must be a number, got '2'"),
         (["quat", "--to-matrix", '{"w": 1, "x": false, "y": 0, "z": 0}'],
          "JSON key 'x' must be a number, got False"),
+        # an integer literal longer than Python's 4300-digit int-string limit
+        (["classify", "--matrix", '{"a": 1%s, "b": 0, "c": 0, "d": 1}' % ("0" * 5000)],
+         "malformed matrix JSON"),
+        (["quat", "--to-matrix", '{"w": 1%s, "x": 0, "y": 0, "z": 0}' % ("0" * 5000)],
+         "malformed quaternion JSON"),
     ]:
         code, out, err = _run(argv, capsys)
         assert code == 2, argv
@@ -273,6 +280,51 @@ def test_tolerance_env_override(capsys, monkeypatch):
     code, out, _ = _run(["classify", "--matrix", matrix], capsys)
     assert code == 0
     assert json.loads(out)["tag"] == "lower_c_plus_minus"
+
+
+def test_a_fine_tolerance_keeps_a_small_genuine_b_general(capsys, monkeypatch):
+    matrix = '{"a": 0.5, "b": 1e-13, "c": 7.5e12, "d": -0.5}'
+    monkeypatch.setenv("INVGEO_TOL", "1e-14")
+    for command in ("classify", "decompose"):
+        code, out, err = _run([command, "--matrix", matrix], capsys)
+        assert code == 0, err
+    code, out, _ = _run(["classify", "--matrix", matrix], capsys)
+    assert json.loads(out) == {"params": {"a": 0.5, "b": 1e-13}, "tag": "general"}
+
+
+def test_a_root_far_from_order_one_is_read_back_by_every_command(capsys):
+    code, out, err = _run(["roots", "--of", "identity", "--a", "6715.3", "--b", "-1344.7"], capsys)
+    assert code == 0, err
+    matrix = json.dumps(json.loads(out)["matrix"])
+    for argv in (["classify", "--matrix", matrix], ["decompose", "--matrix", matrix],
+                 ["generators", "--matrix", matrix]):
+        code, out, err = _run(argv, capsys)
+        assert code == 0, (argv, err)
+    code, out, _ = _run(["classify", "--matrix", matrix], capsys)
+    assert json.loads(out) == {"params": {"a": 6715.3, "b": -1344.7}, "tag": "general"}
+
+
+def _perfbench_check():
+    """perfbench/check.py, the benchmark's own answer checker."""
+    path = Path(__file__).parents[1] / "perfbench" / "check.py"
+    spec = importlib.util.spec_from_file_location("perfbench_check", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("t_max", ["1e8", "1e10"])
+def test_a_long_ruling_stays_in_the_hyperplane(t_max, capsys):
+    check = _perfbench_check()
+    argv = ["generators", "--phi", "0.5", "--format", "csv", "--points", "3", "--t-max", t_max]
+    code, out, err = _run(argv, capsys)
+    assert code == 0, err
+    assert check._check_generators_csv(SimpleNamespace(rows=6), out) is None
+    for row in out.splitlines()[1:]:
+        m = tuple(float(v) for v in row.split(",")[3:7])
+        size = check.norm(m)
+        assert abs(check.exact_det(m) + 1) <= check.REL * size * size
+        assert abs(sum(map(Fraction, m[::3]))) <= check.REL * size
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])

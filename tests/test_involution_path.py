@@ -31,7 +31,7 @@ from invgeo import (
 from invgeo.errors import NonFiniteEntry
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
-#: the default, a coarse one, and one whose exact_tol is below RootFamily's own cut
+#: the default, a coarse one, and a fine one
 TOLS = [DEFAULT_TOL, Tolerance(1e-6, 1e-9), Tolerance(1e-14, 1e-15)]
 SEED = (1.0, 0.0, 0.0, 0.0)
 SEEDS = (st.just(SEED) | st.tuples(FINITE, FINITE, FINITE, FINITE)

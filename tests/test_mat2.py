@@ -152,6 +152,15 @@ def test_inverse():
         Mat2(1, 2, 2, 4).inverse()
 
 
+def test_inverse_at_both_ends_of_the_range():
+    # det overflows to inf at the top and underflows to 1e-320 at the bottom;
+    # both matrices have condition number 1
+    assert Mat2(1e200, 0, 0, 1e200).inverse() == Mat2(1e-200, 0, 0, 1e-200)
+    assert Mat2(1e-160, 0, 0, 1e-160).inverse() == Mat2(1e160, 0, 0, 1e160)
+    with pytest.raises(NotInvertible):
+        Mat2(1e-310, 0, 0, 1e-310).inverse()  # its inverse is beyond the float range
+
+
 def test_json_round_trip():
     m = Mat2(0.1, -2.5, 3.75, 4.0)
     assert Mat2.from_json_dict(m.to_json_dict()) == m

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from invgeo import (
     BELL_BASIS,
+    DEFAULT_TOL,
     BellPoint,
     LocusParams,
     Mat2,
@@ -460,7 +461,7 @@ def _per_point_grid(params, n_u, n_v, span):
                             sheet * m * math.cosh(v)))
     else:
         for rho in np.linspace(-span, span, n_v).tolist():
-            if abs(rho) > 1e-12:
+            if not DEFAULT_TOL.negligible(rho, abs(span), exact=True):
                 out.extend((rho * math.cos(u), rho * math.sin(u), rho) for u in azimuths)
         out.append((0.0, 0.0, 0.0))
     return out

@@ -103,6 +103,12 @@ def test_root_family_validates_params():
 def test_root_family_json_round_trip():
     fam = RootFamily(RootTag.GENERAL, a=0.5, b=-2.0)
     assert RootFamily.from_json_dict(fam.to_json_dict()) == fam
+    # a parameter that is not a JSON number in the float range names its key
+    for params, message in [({"a": "0.5", "b": 2.0}, "^JSON key 'a' must be a number"),
+                            ({"a": 0.5, "b": True}, "^JSON key 'b' must be a number"),
+                            ({"a": 0.5, "b": 10**400}, "^JSON key 'b' is an integer beyond")]:
+        with pytest.raises(ValueError, match=message):
+            RootFamily.from_json_dict({"tag": "general", "params": params})
 
 
 def test_classify_examples():

@@ -178,7 +178,7 @@ NAN, INF = float("nan"), float("inf")
      "^identity does not take parameter b$"),
     (lambda: RootFamily(RootTag.UPPER_B_PLUS_MINUS, a=1.0), DegenerateParameter,
      "^upper_b_plus_minus does not take parameter a$"),
-    (lambda: RootFamily(RootTag.GENERAL, a=1.0, b=1e-13), DegenerateParameter,
+    (lambda: RootFamily(RootTag.GENERAL, a=1.0, b=0.0), DegenerateParameter,
      "^general family requires b != 0$"),
     (lambda: UnitVec2(1.0, 1.0), NotUnitVector, r"^\|v\| = "),
     (lambda: Tolerance(abs_tol=1e-12, exact_tol=1e-9), InvalidTolerance,

@@ -30,41 +30,44 @@ document already in the text, and the document is joined once.  The output
 is the same, byte for byte, as the generic writer's for the dict document,
 which the tests check against ``json.dumps``.
 
-Each subcommand is described once, in ``_COMMANDS``: its help line, the
-function that adds its flags, and its handler.  A command line that starts
-with a subcommand's name goes to that subcommand alone, which is what the
-full ``invgeo`` parser would hand the rest of the line to.  ``run()`` first
-reads it with a flag table derived from that subcommand's parser: its exact
-option strings, with each action's type, choices, default and whether it is
-required.  A line of exact flags only, each ``--flag value`` (a value that
-argparse would not take for an option), ``--flag=value`` or a store_true
-flag, is read from the table, and makes the namespace that argparse would
-make.  Any other line goes to the subcommand's parser unchanged, so an
-abbreviation, ``-h``, ``--``, a missing or bad value and a missing required
-flag keep argparse's help, usage error and exit code.  Each parser and its
-table are built on first use and kept for the process, so a one-shot call
-builds one subparser instead of nine, and repeated calls in one process cost
-only the read and the work.  Any other command line goes to the full parser,
-built from the same ``_COMMANDS``, for its help or its usage error.
+Each subcommand is described once, in ``_COMMANDS``: its help line, its
+handler, and its flags as data, each flag the option strings and the keyword
+arguments ``add_argument`` takes for it.  A command line that starts with a
+subcommand's name goes to that subcommand alone, which is what the full
+``invgeo`` parser would hand the rest of the line to.  ``run()`` first reads
+it from that data, without argparse: a line of exact flags only, each
+``--flag value``, ``--flag=value`` or a store_true flag, with every value of
+the flag's type and among its choices and every required flag given, makes
+the namespace that argparse would make.  A value may start with "-" only as
+a negative number, exponent included, as argparse reads it.  Any other line
+goes to an argparse parser built from the same data, the subcommand's or the
+full tree's, so an abbreviation, ``-h``, ``--``, a missing or bad value, a
+missing required flag and an unknown subcommand keep argparse's help, usage
+error and exit code.  Only that path imports argparse; each parser is built
+on its first such line and kept for the process.  Each parser is a
+``_Parser``: argparse with JSON usage errors and one override of a private
+name, its negative-number pattern.  argparse's own pattern has no exponent,
+so without the override ``--beta -1e-3`` would be a number to the reader
+and an option to the fallback.
 
 Importing this module loads only ``mat2`` and ``errors`` of the package.
 Each subcommand imports the kernel modules it uses when it runs, so
 ``invgeo classify --alpha 0 --beta -1`` loads neither ``matfun`` nor
-``roots``; a subcommand with ``--family`` loads ``roots`` as its parser is
-built, for the list of families.  The kernel
-modules are also attributes of this module (``cli.matfun`` imports
-``invgeo.matfun`` on first access), and a subcommand uses whatever that
-attribute is bound to, so a caller may rebind it, for instance to trace calls.
+``roots``.  The kernel modules are also attributes of this module
+(``cli.matfun`` imports ``invgeo.matfun`` on first access), and a subcommand
+uses whatever that attribute is bound to, so a caller may rebind it, for
+instance to trace calls.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
 import sys
+from functools import cache
 from importlib import import_module
+from types import SimpleNamespace
 
 from .errors import InvalidCount, InvalidTolerance, InvGeoError
 from .mat2 import DEFAULT_TOL, Mat2, Tolerance, Vec2
@@ -88,28 +91,12 @@ def __getattr__(name: str):
 
 
 #: argparse's ``^-\d+$|^-\d*\.\d+$`` with an optional exponent; compiled
-#: when a parser is built, so that importing this module does not pay for it
+#: on first use, so that importing this module does not pay for it
 _NEGATIVE_NUMBER = r"^-(\d+|\d*\.\d+)([eE][-+]?\d+)?$"
 
 
 class UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse that reports bad flags as JSON usage errors on exit 2.
-
-    A value such as ``-1e-3`` or ``-2.5E+10`` is a negative number, not an
-    option: argparse's own pattern (Python 3.10 to 3.13) has no exponent.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(_NEGATIVE_NUMBER)
-
-    def error(self, message):
-        _emit_error("usage", message)
-        raise SystemExit(2)
 
 
 def _emit_error(code: str, detail: str):
@@ -365,7 +352,7 @@ def _cmd_roots(args, tol: Tolerance) -> None:
         if args.of != "identity":
             raise UsageError("--family names a root of I2; it cannot be used with --of neg-identity")
         family = _family(args)
-        matrix = roots.make_root(family)
+        matrix = roots.make_root(family, tol)
     elif args.of == "identity":
         if args.a is None or args.b is None:
             raise UsageError("roots --of identity needs --a and --b (or --family/--sample)")
@@ -499,7 +486,7 @@ def _cmd_quat(args, tol: Tolerance) -> None:
     _emit_json(args, {
         "quaternion": q.to_json_dict(),
         "matrix": splitquat.to_matrix(q).to_json_dict(),
-        "modulus": q.modulus(),
+        "modulus": _finite(q.modulus(), "modulus = w^2 + x^2 - y^2 - z^2"),
         "class": splitquat.sq_classify(q, tol).value,
     })
 
@@ -538,7 +525,7 @@ def _cmd_decompose(args, tol: Tolerance) -> None:
     if args.family is not None:
         roots = _kernel("roots")
         family = _family(args)
-        matrix = roots.make_root(family)
+        matrix = roots.make_root(family, tol)
         if family.tag is roots.RootTag.GENERAL:  # as decompose --matrix does
             decomposition = xform.decompose(matrix, tol)
         else:
@@ -564,237 +551,254 @@ def _cmd_orbit(args, tol: Tolerance) -> None:
     _emit_json(args, [{"step": i, "x": p.x, "y": p.y} for i, p in enumerate(points)])
 
 
-def _add_matrix_flags(parser):
-    parser.add_argument("--matrix", help="matrix as JSON {\"a\":..,\"b\":..,\"c\":..,\"d\":..}")
-    parser.add_argument("--matrix-file", help="path to a matrix JSON file")
+def _flag(*options: str, **kwargs) -> tuple:
+    """A flag as data: what ``add_argument`` takes for it."""
+    return options, kwargs
 
 
-def _add_family_flags(parser):
-    parser.add_argument("--a", type=float)
-    parser.add_argument("--b", type=float)
-    parser.add_argument("--c", type=float)
-    parser.add_argument("--family",
-                        choices=[t.value.replace("_", "-") for t in _kernel("roots").RootTag])
+#: The root families --family names: ``roots.RootTag``'s values, hyphenated.
+#: Written out, so that reading a line does not load ``roots``.
+_FAMILIES = ("identity", "neg-identity", "upper-b-plus-minus", "upper-b-minus-plus",
+             "lower-c-plus-minus", "lower-c-minus-plus", "general")
 
+_MATRIX = (
+    _flag("--matrix", help="matrix as JSON {\"a\":..,\"b\":..,\"c\":..,\"d\":..}"),
+    _flag("--matrix-file", help="path to a matrix JSON file"),
+)
+_FAMILY = (
+    _flag("--a", type=float),
+    _flag("--b", type=float),
+    _flag("--c", type=float),
+    _flag("--family", choices=_FAMILIES),
+)
+#: The flags every subcommand ends with.
+_COMMON = (
+    _flag("-o", "--output", help="write the document here instead of stdout"),
+    _flag("--seed", type=int, default=0, help="seed for any sampling"),
+)
 
-def _roots_flags(p):
-    p.add_argument("--of", choices=["identity", "neg-identity"], default="identity")
-    _add_family_flags(p)
-    p.add_argument("--sample", type=int, help="emit this many sampled roots instead")
-    p.add_argument("--range", type=float, default=10.0, help="sampling range for a, b")
-
-
-def _classify_flags(p):
-    _add_matrix_flags(p)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-
-
-def _bell_flags(p):
-    _add_matrix_flags(p)
-    p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--beta", type=float, help="also report the quadric residual")
-    p.add_argument("--x", type=float)
-    p.add_argument("--y", type=float)
-    p.add_argument("--z", type=float)
-
-
-def _generators_flags(p):
-    _add_matrix_flags(p)
-    p.add_argument("--phi", type=float, help="use the principal-section point H(phi)")
-    p.add_argument("--seed-matrix", help="seed matrix JSON (default [[1,0],[0,0]])")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--points", type=int, default=9, help="points per line in csv mode")
-    p.add_argument("--t-max", type=float, default=2.0)
-
-
-def _quat_flags(p):
-    p.add_argument("--to-matrix", metavar="QUAT", help="quaternion JSON to map to a matrix")
-    p.add_argument("--from-matrix", metavar="MATRIX", help="matrix JSON to map to a quaternion")
-    p.add_argument("--matrix-file", help="path to a matrix JSON file (with --from-matrix semantics)")
-    p.add_argument("--root", choices=["identity", "neg"], help="emit a parametrized root")
-    p.add_argument("--t", type=float, default=0.0)
-    p.add_argument("--phi", type=float, default=0.0)
-    p.add_argument("--decompose", action="store_true",
-                   help="include the Householder + skew split of the root")
-
-
-def _matfun_flags(p):
-    _add_matrix_flags(p)
-    p.add_argument("--function", choices=["sqrt", "square"], default="sqrt",
-                   help="sqrt: the principal square root; square: the matrix squared")
-    p.add_argument("--all-branches", action="store_true",
-                   help="enumerate all branch square roots and the root count")
-
-
-def _sample_flags(p):
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--nu", type=int, default=16, help="azimuth steps")
-    p.add_argument("--nv", type=int, default=16, help="second-coordinate steps")
-    p.add_argument("--span", type=float, default=2.0)
-    p.add_argument("--format", choices=["json", "csv"], default="csv")
-
-
-def _decompose_flags(p):
-    _add_matrix_flags(p)
-    _add_family_flags(p)
-
-
-def _orbit_flags(p):
-    _add_matrix_flags(p)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--y", type=float, required=True)
-    p.add_argument("--steps", type=int, default=2)
-    p.add_argument("--format", choices=["json", "csv"], default="csv")
-
-
-#: Each subcommand once: name -> (help, function adding its flags, handler).
+#: Each subcommand once: name -> (help, handler, flags).
 _COMMANDS = {
-    "roots": ("construct square roots of +-I2", _roots_flags, _cmd_roots),
-    "classify": ("classify an involution or a locus S(alpha, beta)", _classify_flags,
-                 _cmd_classify),
-    "bell": ("convert between matrices and Bell coordinates", _bell_flags, _cmd_bell),
-    "generators": ("ruling directions through a point of S(0,-1)", _generators_flags,
-                   _cmd_generators),
-    "quat": ("split-quaternion round trips and unit roots", _quat_flags, _cmd_quat),
-    "matfun": ("matrix functions and square-root branches", _matfun_flags, _cmd_matfun),
-    "sample": ("point cloud covering S(alpha, beta)", _sample_flags, _cmd_sample),
-    "decompose": ("factor a root into elementary transformations", _decompose_flags,
-                  _cmd_decompose),
-    "orbit": ("trace a point under repeated application", _orbit_flags, _cmd_orbit),
+    "roots": ("construct square roots of +-I2", _cmd_roots, (
+        _flag("--of", choices=("identity", "neg-identity"), default="identity"),
+        *_FAMILY,
+        _flag("--sample", type=int, help="emit this many sampled roots instead"),
+        _flag("--range", type=float, default=10.0, help="sampling range for a, b"),
+        *_COMMON,
+    )),
+    "classify": ("classify an involution or a locus S(alpha, beta)", _cmd_classify, (
+        *_MATRIX,
+        _flag("--alpha", type=float),
+        _flag("--beta", type=float),
+        *_COMMON,
+    )),
+    "bell": ("convert between matrices and Bell coordinates", _cmd_bell, (
+        *_MATRIX,
+        _flag("--alpha", type=float, default=0.0),
+        _flag("--beta", type=float, help="also report the quadric residual"),
+        _flag("--x", type=float),
+        _flag("--y", type=float),
+        _flag("--z", type=float),
+        *_COMMON,
+    )),
+    "generators": ("ruling directions through a point of S(0,-1)", _cmd_generators, (
+        *_MATRIX,
+        _flag("--phi", type=float, help="use the principal-section point H(phi)"),
+        _flag("--seed-matrix", help="seed matrix JSON (default [[1,0],[0,0]])"),
+        _flag("--format", choices=("json", "csv"), default="json"),
+        _flag("--points", type=int, default=9, help="points per line in csv mode"),
+        _flag("--t-max", type=float, default=2.0),
+        *_COMMON,
+    )),
+    "quat": ("split-quaternion round trips and unit roots", _cmd_quat, (
+        _flag("--to-matrix", metavar="QUAT", help="quaternion JSON to map to a matrix"),
+        _flag("--from-matrix", metavar="MATRIX", help="matrix JSON to map to a quaternion"),
+        _flag("--matrix-file", help="path to a matrix JSON file (with --from-matrix semantics)"),
+        _flag("--root", choices=("identity", "neg"), help="emit a parametrized root"),
+        _flag("--t", type=float, default=0.0),
+        _flag("--phi", type=float, default=0.0),
+        _flag("--decompose", action="store_true",
+              help="include the Householder + skew split of the root"),
+        *_COMMON,
+    )),
+    "matfun": ("matrix functions and square-root branches", _cmd_matfun, (
+        *_MATRIX,
+        _flag("--function", choices=("sqrt", "square"), default="sqrt",
+              help="sqrt: the principal square root; square: the matrix squared"),
+        _flag("--all-branches", action="store_true",
+              help="enumerate all branch square roots and the root count"),
+        *_COMMON,
+    )),
+    "sample": ("point cloud covering S(alpha, beta)", _cmd_sample, (
+        _flag("--alpha", type=float, required=True),
+        _flag("--beta", type=float, required=True),
+        _flag("--nu", type=int, default=16, help="azimuth steps"),
+        _flag("--nv", type=int, default=16, help="second-coordinate steps"),
+        _flag("--span", type=float, default=2.0),
+        _flag("--format", choices=("json", "csv"), default="csv"),
+        *_COMMON,
+    )),
+    "decompose": ("factor a root into elementary transformations", _cmd_decompose, (
+        *_MATRIX,
+        *_FAMILY,
+        *_COMMON,
+    )),
+    "orbit": ("trace a point under repeated application", _cmd_orbit, (
+        *_MATRIX,
+        _flag("--x", type=float, required=True),
+        _flag("--y", type=float, required=True),
+        _flag("--steps", type=int, default=2),
+        _flag("--format", choices=("json", "csv"), default="csv"),
+        *_COMMON,
+    )),
 }
 
 
-def _command_flags(parser, name: str) -> None:
-    """Give parser the flags and the handler of subcommand name."""
-    _, flags, handler = _COMMANDS[name]
-    flags(parser)
-    parser.add_argument("-o", "--output", help="write the document here instead of stdout")
-    parser.add_argument("--seed", type=int, default=0, help="seed for any sampling")
-    parser.set_defaults(func=handler)
+@cache
+def _parser_class():
+    """``_Parser``: argparse that reports bad flags as JSON usage errors on
+    exit 2.  Defined on first use, so that a command line the flag reader
+    takes does not import argparse."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """A value such as ``-1e-3`` or ``-2.5E+10`` is a negative number, not
+        an option: argparse's own pattern (Python 3.10 to 3.13) has no
+        exponent, and the flag reader takes it as a number too."""
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self._negative_number_matcher = re.compile(_NEGATIVE_NUMBER)
+
+        def error(self, message):
+            _emit_error("usage", message)
+            raise SystemExit(2)
+
+    return _Parser
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The full ``invgeo`` parser, or with ``command`` that subcommand's own
-    parser: the one the full tree hands the rest of the command line to."""
+def build_parser(command: str | None = None):
+    """The full ``invgeo`` argparse parser, or with ``command`` that
+    subcommand's own parser: the one the full tree hands the rest of the
+    command line to.  Both declare the flags of ``_COMMANDS``."""
+    parser_class = _parser_class()
     if command is not None:
-        parser = _Parser(prog=f"invgeo {command}")
-        _command_flags(parser, command)
-        return parser
-    # --help shows the summary and the paragraph on exit codes and output;
-    # the rest of the docstring is about the code
-    description = "\n\n".join((__doc__ or "").split("\n\n")[:2])
-    parser = _Parser(prog="invgeo", description=description)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _, _) in _COMMANDS.items():
-        _command_flags(sub.add_parser(name, help=help_text), name)
-    return parser
+        root = parser_class(prog=f"invgeo {command}")
+        parsers = {command: root}
+    else:
+        # --help shows the summary and the paragraph on exit codes and output;
+        # the rest of the docstring is about the code
+        description = "\n\n".join((__doc__ or "").split("\n\n")[:2])
+        root = parser_class(prog="invgeo", description=description)
+        sub = root.add_subparsers(dest="command", required=True)
+        parsers = {name: sub.add_parser(name, help=help_text)
+                   for name, (help_text, _, _) in _COMMANDS.items()}
+    for name, parser in parsers.items():
+        _, handler, flags = _COMMANDS[name]
+        for options, kwargs in flags:
+            parser.add_argument(*options, **kwargs)
+        parser.set_defaults(func=handler)
+    return root
 
 
-#: Per subcommand name, its parser and the flag table read off it; None keys
-#: the full tree, which has no table.
-_parsers: dict[str | None, tuple[argparse.ArgumentParser, tuple | None]] = {}
+#: Per subcommand name, its argparse parser; None keys the full tree.  Built
+#: on first use, for a line the flag reader declines.
+_parsers: dict = {}
 
 
-def _flag_table(parser) -> tuple:
-    """(flags, defaults, required, number) of a subcommand's parser.
+@cache
+def _flag_index(command: str) -> tuple:
+    """(flags, defaults, required) of a subcommand, from its ``_COMMANDS``
+    entry, built on first use and kept for the process.
 
-    ``flags`` maps each option string of a plain store or store_true action to
-    (action, convert), convert being the action's type as argparse resolves it,
-    or None for a store_true flag.  ``defaults`` is what argparse starts the
-    namespace from: the action defaults, then the parser's ``set_defaults``.
-    ``required`` holds the actions a line must name.  ``number`` matches a
-    value starting with "-" that argparse reads as a negative number rather
-    than as an option: its own pattern, unless an option string starts like a
-    number, when it is None.
+    ``flags`` maps each option string to (dest, convert, choices): convert is
+    the flag's type (``str`` where it has none), or None for a store_true
+    flag.  The dest is argparse's: the first long option, or else the first
+    option, without its leading dashes and with "-" read as "_".
+    ``defaults`` is the namespace argparse starts from, each flag's default
+    and then the handler as ``func``; ``required`` holds the dests a line
+    must name.
     """
-    flags = {}
-    defaults = {}
-    for action in parser._actions:
-        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
-            defaults[action.dest] = action.default
-        if type(action) is argparse._StoreTrueAction:
-            convert = None
-        elif type(action) is argparse._StoreAction and action.nargs is None:
-            convert = parser._registry_get("type", action.type, action.type)
+    _, handler, declared = _COMMANDS[command]
+    flags, defaults, required = {}, {}, set()
+    for options, kwargs in declared:
+        dest = ([o for o in options if o[:2] == "--"] or options)[0].lstrip("-").replace("-", "_")
+        if kwargs.get("action") == "store_true":
+            convert, default = None, False
         else:
-            continue
-        for option in action.option_strings:
-            flags[option] = action, convert
-    defaults.update(parser._defaults)
-    required = frozenset(a for a in parser._actions if a.required)
-    number = parser._negative_number_matcher.match
-    if any(s[1:2].isdigit() or s[1:2] == "." for s in parser._option_string_actions):
-        number = None
-    return flags, defaults, required, number
+            convert, default = kwargs.get("type", str), None
+        defaults[dest] = kwargs.get("default", default)
+        if kwargs.get("required"):
+            required.add(dest)
+        for option in options:
+            flags[option] = dest, convert, kwargs.get("choices")
+    defaults["func"] = handler
+    return flags, defaults, frozenset(required)
 
 
-def _read_flags(table: tuple, line: list[str]) -> argparse.Namespace | None:
+def _read_flags(command: str, line: list[str]) -> SimpleNamespace | None:
     """The namespace the subcommand's parser builds from line, or None where
     line needs more of argparse than exact flags and plain values.
 
     Each token is an exact option string then its value, ``--option=value``,
-    or an exact store_true flag.  A value goes through the action's type and
-    then its choices.  None, with nothing printed, for anything else: an
-    abbreviation, ``-h``, ``--``, a missing value, a bad value, a missing
-    required flag.
+    or an exact store_true flag.  A value starting with "-" must be a
+    negative number, as argparse reads it.  A value goes through the flag's
+    type and then its choices.  None, with nothing printed, for anything
+    else: an abbreviation, ``-h``, ``--``, a missing value, a bad value, a
+    missing required flag.
     """
-    flags, defaults, required, number = table
+    flags, defaults, required = _flag_index(command)
     values = defaults.copy()
     seen = set()
     tokens = iter(line)
     for token in tokens:
         entry = flags.get(token)
         if entry is not None:
-            action, convert = entry
+            dest, convert, choices = entry
             if convert is None:
-                values[action.dest] = action.const
-                seen.add(action)
+                values[dest] = True
+                seen.add(dest)
                 continue
             value = next(tokens, None)
-            if value is None or (value[:1] == "-" and (number is None or not number(value))):
+            if value is None or (value[:1] == "-" and not re.match(_NEGATIVE_NUMBER, value)):
                 return None
         else:
             option, eq, value = token.partition("=")
             entry = flags.get(option)
             if not eq or entry is None or entry[1] is None or option[:2] != "--":
                 return None
-            action, convert = entry
+            dest, convert, choices = entry
         try:
             value = convert(value)
-        except (argparse.ArgumentTypeError, TypeError, ValueError):
+        except (TypeError, ValueError):
             return None
-        if action.choices is not None and value not in action.choices:
+        if choices is not None and value not in choices:
             return None
-        values[action.dest] = value
-        seen.add(action)
+        values[dest] = value
+        seen.add(dest)
     if not required <= seen:
         return None
-    args = argparse.Namespace()
-    vars(args).update(values)
-    return args
+    return SimpleNamespace(**values)
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
+def _parse(argv: list[str]):
     """The namespace the full ``invgeo`` parser would build for argv.
 
-    A command line that starts with a subcommand's name is read with that
-    subcommand's flag table, or failing that parsed by its parser alone, as
-    the full tree would hand it over; any other goes to the full tree, for its
-    help or its usage error.
+    A command line that starts with a subcommand's name is read by
+    ``_read_flags``, or failing that parsed by that subcommand's parser
+    alone, as the full tree would hand it over; any other goes to the full
+    tree, for its help or its usage error.
     """
     command = argv[0] if argv and argv[0] in _COMMANDS else None
-    entry = _parsers.get(command)
-    if entry is None:  # built on first use, not at import: cold starts stay cheap
-        parser = build_parser(command)
-        entry = _parsers[command] = parser, None if command is None else _flag_table(parser)
-    parser, table = entry
-    if table is None:
-        return parser.parse_args(argv)
-    line = argv[1:]
-    args = _read_flags(table, line)
-    return parser.parse_args(line) if args is None else args
+    if command is not None:
+        args = _read_flags(command, argv[1:])
+        if args is not None:
+            return args
+        argv = argv[1:]
+    parser = _parsers.get(command)
+    if parser is None:
+        parser = _parsers[command] = build_parser(command)
+    return parser.parse_args(argv)
 
 
 def run(argv: list[str] | None = None) -> int:

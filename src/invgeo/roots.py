@@ -136,10 +136,11 @@ def make_case_root(family: RootFamily) -> Mat2:
     raise WrongConstructor("use make_general_root for the general family")
 
 
-def make_root(family: RootFamily) -> Mat2:
-    """Dispatch to the matching constructor for any family tag."""
+def make_root(family: RootFamily, tol: Tolerance = DEFAULT_TOL) -> Mat2:
+    """Dispatch to the matching constructor for any family tag; tol is the
+    general family's b ~ 0 threshold."""
     if family.tag is RootTag.GENERAL:
-        return make_general_root(family.a, family.b)
+        return make_general_root(family.a, family.b, tol)
     return make_case_root(family)
 
 

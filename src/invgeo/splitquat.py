@@ -88,7 +88,18 @@ class SplitQuat(_Value):
         return SplitQuat(self.w, -self.x, -self.y, -self.z)
 
     def modulus(self) -> float:
-        return self.w * self.w + self.x * self.x - self.y * self.y - self.z * self.z
+        """q q* = w^2 + x^2 - y^2 - z^2, +-inf beyond the float range.
+
+        Where the squares would overflow or lose precision it is taken on
+        q * 2**-e, which is exact, and scaled back by 4**e.
+        """
+        e, _, _, _, _, mod = _scaled(self)
+        if e == 0:
+            return mod
+        try:
+            return math.ldexp(mod, 2 * e)
+        except OverflowError:
+            return math.copysign(math.inf, mod)
 
     def max_diff(self, other: "SplitQuat") -> float:
         """Max-norm of self - other; inf where a difference overflows."""
@@ -104,6 +115,14 @@ class SplitQuat(_Value):
 
 
 ONE = SplitQuat(1.0, 0.0, 0.0, 0.0)
+
+
+def _scaled(q: SplitQuat) -> tuple:
+    """(e, w, x, y, z, w^2 + x^2 - y^2 - z^2) of q * 2**-e, which is exact;
+    e = 0 unless the squares of q would overflow or lose precision."""
+    w, x, y, z = q.w, q.x, q.y, q.z
+    e, w, x, y, z = _pow2_scaled((w, x, y, z), (), w * w + x * x + y * y + z * z)
+    return e, w, x, y, z, w * w + x * x - y * y - z * z
 
 
 def sq_mul(p: SplitQuat, q: SplitQuat) -> SplitQuat:
@@ -122,19 +141,25 @@ def sq_classify(q: SplitQuat, tol: Tolerance = DEFAULT_TOL) -> CausalClass:
     The test does not change when q is scaled.  Where the squares would
     overflow or lose precision it runs on q * 2**-e, which is exact.
     """
-    w, x, y, z = q.w, q.x, q.y, q.z
-    _, w, x, y, z = _pow2_scaled((w, x, y, z), (), w * w + x * x + y * y + z * z)
-    mod = w * w + x * x - y * y - z * z
+    _, w, x, y, z, mod = _scaled(q)
     if tol.negligible(mod, w * w + x * x + y * y + z * z, exact=True):
         return CausalClass.LIGHTLIKE
     return CausalClass.TIMELIKE if mod > 0 else CausalClass.SPACELIKE
 
 
 def sq_inverse(q: SplitQuat, tol: Tolerance = DEFAULT_TOL) -> SplitQuat:
-    """q* / (q q*); lightlike elements are the non-invertible ones."""
+    """q* / (q q*); lightlike elements are the non-invertible ones.
+
+    Where q q* would overflow or underflow it is 2**-e * q'* / (q' q'*) with
+    q' = q * 2**-e, which is exact; OverflowError where the inverse of a
+    near-subnormal q is beyond the float range.
+    """
     if sq_classify(q, tol) is CausalClass.LIGHTLIKE:
         raise NotInvertible("lightlike split-quaternion has no inverse")
-    return (1.0 / q.modulus()) * q.conjugate()
+    e, w, x, y, z, mod = _scaled(q)
+    r = 1.0 / mod
+    inverse = r * w, r * -x, r * -y, r * -z
+    return SplitQuat(*inverse) if e == 0 else SplitQuat(*(math.ldexp(v, -e) for v in inverse))
 
 
 def to_matrix(q: SplitQuat) -> Mat2:

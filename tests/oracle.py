@@ -10,6 +10,11 @@ exception class with the same message.
 ``brute_force_roots`` is the independent check on the closed-form square
 roots: a multi-start numerical solve of X^2 = A with SciPy, which the
 library itself does not use.
+
+``reference_parser`` is the command line declared to argparse one
+``add_argument`` call per flag, the form the CLI's flags had before they
+became data.  The tests compare ``cli.run`` and ``cli.build_parser`` with
+it: every namespace, help text, usage error and exit code.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import itertools
 import math
 import sys
 
-from invgeo import matfun
+from invgeo import cli, matfun
 from invgeo.errors import DegenerateAngle, DegenerateSeed, NotAnInvolution
 from invgeo.mat2 import (DEFAULT_TOL, Mat2, Tolerance, _finite, _pow2_scaled, _setattr, _Value,
                          approx_eq)
@@ -209,3 +214,134 @@ def brute_force_roots(m: Mat2, grid: RootSearchGrid = RootSearchGrid()) -> list[
         if all(candidate.max_diff(r) > grid.dedup_tol for r in found):
             found.append(candidate)
     return found
+
+
+# -- the command line, as argparse declarations ---------------------------
+
+
+def _add_matrix_flags(parser):
+    parser.add_argument("--matrix", help="matrix as JSON {\"a\":..,\"b\":..,\"c\":..,\"d\":..}")
+    parser.add_argument("--matrix-file", help="path to a matrix JSON file")
+
+
+def _add_family_flags(parser):
+    parser.add_argument("--a", type=float)
+    parser.add_argument("--b", type=float)
+    parser.add_argument("--c", type=float)
+    parser.add_argument("--family",
+                        choices=[t.value.replace("_", "-") for t in RootTag])
+
+
+def _roots_flags(p):
+    p.add_argument("--of", choices=["identity", "neg-identity"], default="identity")
+    _add_family_flags(p)
+    p.add_argument("--sample", type=int, help="emit this many sampled roots instead")
+    p.add_argument("--range", type=float, default=10.0, help="sampling range for a, b")
+
+
+def _classify_flags(p):
+    _add_matrix_flags(p)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--beta", type=float)
+
+
+def _bell_flags(p):
+    _add_matrix_flags(p)
+    p.add_argument("--alpha", type=float, default=0.0)
+    p.add_argument("--beta", type=float, help="also report the quadric residual")
+    p.add_argument("--x", type=float)
+    p.add_argument("--y", type=float)
+    p.add_argument("--z", type=float)
+
+
+def _generators_flags(p):
+    _add_matrix_flags(p)
+    p.add_argument("--phi", type=float, help="use the principal-section point H(phi)")
+    p.add_argument("--seed-matrix", help="seed matrix JSON (default [[1,0],[0,0]])")
+    p.add_argument("--format", choices=["json", "csv"], default="json")
+    p.add_argument("--points", type=int, default=9, help="points per line in csv mode")
+    p.add_argument("--t-max", type=float, default=2.0)
+
+
+def _quat_flags(p):
+    p.add_argument("--to-matrix", metavar="QUAT", help="quaternion JSON to map to a matrix")
+    p.add_argument("--from-matrix", metavar="MATRIX", help="matrix JSON to map to a quaternion")
+    p.add_argument("--matrix-file", help="path to a matrix JSON file (with --from-matrix semantics)")
+    p.add_argument("--root", choices=["identity", "neg"], help="emit a parametrized root")
+    p.add_argument("--t", type=float, default=0.0)
+    p.add_argument("--phi", type=float, default=0.0)
+    p.add_argument("--decompose", action="store_true",
+                   help="include the Householder + skew split of the root")
+
+
+def _matfun_flags(p):
+    _add_matrix_flags(p)
+    p.add_argument("--function", choices=["sqrt", "square"], default="sqrt",
+                   help="sqrt: the principal square root; square: the matrix squared")
+    p.add_argument("--all-branches", action="store_true",
+                   help="enumerate all branch square roots and the root count")
+
+
+def _sample_flags(p):
+    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--beta", type=float, required=True)
+    p.add_argument("--nu", type=int, default=16, help="azimuth steps")
+    p.add_argument("--nv", type=int, default=16, help="second-coordinate steps")
+    p.add_argument("--span", type=float, default=2.0)
+    p.add_argument("--format", choices=["json", "csv"], default="csv")
+
+
+def _decompose_flags(p):
+    _add_matrix_flags(p)
+    _add_family_flags(p)
+
+
+def _orbit_flags(p):
+    _add_matrix_flags(p)
+    p.add_argument("--x", type=float, required=True)
+    p.add_argument("--y", type=float, required=True)
+    p.add_argument("--steps", type=int, default=2)
+    p.add_argument("--format", choices=["json", "csv"], default="csv")
+
+
+#: Each subcommand once: name -> (help, function adding its flags, handler).
+_REFERENCE_COMMANDS = {
+    "roots": ("construct square roots of +-I2", _roots_flags, cli._cmd_roots),
+    "classify": ("classify an involution or a locus S(alpha, beta)", _classify_flags,
+                 cli._cmd_classify),
+    "bell": ("convert between matrices and Bell coordinates", _bell_flags, cli._cmd_bell),
+    "generators": ("ruling directions through a point of S(0,-1)", _generators_flags,
+                   cli._cmd_generators),
+    "quat": ("split-quaternion round trips and unit roots", _quat_flags, cli._cmd_quat),
+    "matfun": ("matrix functions and square-root branches", _matfun_flags, cli._cmd_matfun),
+    "sample": ("point cloud covering S(alpha, beta)", _sample_flags, cli._cmd_sample),
+    "decompose": ("factor a root into elementary transformations", _decompose_flags,
+                  cli._cmd_decompose),
+    "orbit": ("trace a point under repeated application", _orbit_flags, cli._cmd_orbit),
+}
+
+
+def _command_flags(parser, name: str) -> None:
+    """Give parser the flags and the handler of subcommand name."""
+    _, flags, handler = _REFERENCE_COMMANDS[name]
+    flags(parser)
+    parser.add_argument("-o", "--output", help="write the document here instead of stdout")
+    parser.add_argument("--seed", type=int, default=0, help="seed for any sampling")
+    parser.set_defaults(func=handler)
+
+
+def reference_parser(command: str | None = None):
+    """The full ``invgeo`` parser, or with ``command`` that subcommand's own
+    parser: the one the full tree hands the rest of the command line to."""
+    if command is not None:
+        parser = cli._parser_class()(prog=f"invgeo {command}")
+        _command_flags(parser, command)
+        return parser
+    # --help shows the summary and the paragraph on exit codes and output;
+    # the rest of the docstring is about the code
+    description = "\n\n".join((cli.__doc__ or "").split("\n\n")[:2])
+    parser = cli._parser_class()(prog="invgeo", description=description)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, _) in _REFERENCE_COMMANDS.items():
+        _command_flags(sub.add_parser(name, help=help_text), name)
+    return parser

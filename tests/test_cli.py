@@ -18,6 +18,9 @@ from hypothesis import strategies as st
 import invgeo
 from invgeo import cli
 from invgeo.cli import run
+from invgeo.roots import RootTag
+
+from oracle import reference_parser
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -292,6 +295,34 @@ def test_a_fine_tolerance_keeps_a_small_genuine_b_general(capsys, monkeypatch):
     assert json.loads(out) == {"params": {"a": 0.5, "b": 1e-13}, "tag": "general"}
 
 
+@pytest.mark.parametrize("command", ["roots", "decompose"])
+def test_a_fine_tolerance_keeps_a_small_genuine_b_general_family(command, capsys, monkeypatch):
+    monkeypatch.setenv("INVGEO_TOL", "1e-14")
+    code, out, err = _run([command, "--family", "general", "--a", "0.5", "--b", "1e-13"], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["recomposed" if command == "decompose" else "matrix"] == {
+        "a": 0.5, "b": 1e-13, "c": 7.5e12, "d": -0.5}
+
+
+def _no_constant(name):
+    raise AssertionError(f"non-strict JSON constant {name}")
+
+
+def test_quat_modulus_beyond_the_float_range_is_a_numeric_error(capsys):
+    code, out, err = _run(["quat", "--to-matrix", '{"w": 0, "x": 0, "y": 0, "z": 1e200}'], capsys)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "numeric_error",
+                               "detail": "modulus = w^2 + x^2 - y^2 - z^2 is beyond the float range"}
+
+
+def test_quat_modulus_of_large_entries_is_strict_json(capsys):
+    code, out, err = _run(["quat", "--to-matrix", '{"w": 1e200, "x": 0, "y": 1e200, "z": 0}'],
+                          capsys)
+    assert (code, err) == (0, "")
+    doc = json.loads(out, parse_constant=_no_constant)
+    assert (doc["modulus"], doc["class"]) == (0.0, "lightlike")
+
+
 def test_a_root_far_from_order_one_is_read_back_by_every_command(capsys):
     code, out, err = _run(["roots", "--of", "identity", "--a", "6715.3", "--b", "-1344.7"], capsys)
     assert code == 0, err
@@ -434,7 +465,12 @@ def test_classify_as_main_loads_only_the_modules_it_uses():
     loaded = _modules_in_fresh_process(RUN_AS_MAIN, "classify", "--alpha", "0", "--beta", "-1")
     assert "invgeo.quadric" in loaded
     assert {"invgeo.matfun", "invgeo.xform", "invgeo.splitquat", "invgeo.householder",
-            "dataclasses", "inspect", "numpy", "scipy"}.isdisjoint(loaded)
+            "argparse", "dataclasses", "inspect", "numpy", "scipy"}.isdisjoint(loaded)
+
+
+@pytest.mark.parametrize("name, argv", GOLDEN_CASES, ids=[n for n, _ in GOLDEN_CASES])
+def test_golden_line_does_not_import_argparse(name, argv):
+    assert "argparse" not in _modules_in_fresh_process(RUN_AS_MAIN, *argv)
 
 
 def test_each_subcommand_loads_its_kernel_modules():
@@ -729,14 +765,18 @@ def test_run_builds_the_parser_once_per_process(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "_parsers", {})
     monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    for _, argv in GOLDEN_CASES:
+        _run_in_process(argv, capsys)
+    assert built == []  # a golden line is read without argparse
     for _ in range(5):
         for argv in REUSE_SEQUENCE + [["bogus"], []]:
             _run_in_process(argv, capsys)
         for _, argv in GOLDEN_CASES:
             _run_in_process(argv, capsys)
-    # each subcommand's parser once, and the full tree (None) for the bad command lines
+    # each parser at most once: roots for --bogus, the full tree (None) for
+    # the bad command lines
     assert len(built) == len(set(built))
-    assert set(built) == set(cli._COMMANDS) | {None}
+    assert set(built) == {"roots", None}
 
 
 def test_help_describes_the_command_line_not_the_code():
@@ -758,7 +798,16 @@ def test_a_subcommand_without_family_flags_does_not_load_roots():
     assert "invgeo.roots" not in loaded
 
 
-# command lines on which run()'s parse must agree with the full tree:
+def test_family_choices_are_the_root_tags():
+    assert cli._FAMILIES == tuple(t.value.replace("_", "-") for t in RootTag)
+
+
+@pytest.mark.parametrize("command", [None, *cli._COMMANDS])
+def test_help_matches_the_reference_declarations(command):
+    assert cli.build_parser(command).format_help() == reference_parser(command).format_help()
+
+
+# command lines on which run()'s parse must agree with the reference tree:
 # abbreviations, attached and negative values, "--", repeated flags, help,
 # unknown commands and bad values, and the edges of the flag-table read
 PARSE_CORPUS = [
@@ -858,20 +907,20 @@ def _run_outcome(argv):
 
 @pytest.mark.parametrize("argv", PARSE_CORPUS, ids=[" ".join(a) or "-" for a in PARSE_CORPUS])
 def test_run_parses_like_the_full_tree(argv, monkeypatch):
-    expected = _parse_outcome(cli.build_parser().parse_args, argv)
+    expected = _parse_outcome(reference_parser().parse_args, argv)
     monkeypatch.setattr(cli, "_parsers", {})
     assert _run_outcome(argv) == expected
 
 
 @pytest.mark.parametrize("command", list(cli._COMMANDS))
 def test_subcommand_help_matches_the_full_tree(command):
-    expected = _parse_outcome(cli.build_parser().parse_args, [command, "--help"])
+    expected = _parse_outcome(reference_parser().parse_args, [command, "--help"])
     assert expected[1] == 0 and expected[2].startswith(f"usage: invgeo {command} ")
     assert _parse_outcome(run, [command, "--help"]) == expected
 
 
-_FULL_TREE = cli.build_parser()
-_SUBPARSERS = {name: cli.build_parser(name) for name in cli._COMMANDS}
+_FULL_TREE = reference_parser()
+_SUBPARSERS = {name: reference_parser(name) for name in cli._COMMANDS}
 
 # values no flag takes as given, or that argparse reads as an option
 _ODD_VALUES = st.sampled_from(["", "x", "-", "--", "-x", "-1e-3", "-1 2", "-1\n", "0x10",
@@ -892,7 +941,7 @@ def _good_value(action):
 
 @st.composite
 def _flag_lines(draw):
-    """(command, tokens, plain) drawn from a subcommand's flag table: each
+    """(command, tokens, plain) drawn from a subcommand's reference parser: each
     flag in the exact, the "=" or an abbreviated form, or with a bad value, a
     missing value or a stray "--" beside it; a required flag is sometimes
     left out.  plain says that every token is an exact flag or its value,
@@ -929,9 +978,6 @@ def _flag_lines(draw):
     return command, line, plain
 
 
-_FLAG_TABLES = {name: cli._flag_table(parser) for name, parser in _SUBPARSERS.items()}
-
-
 @settings(max_examples=1000, deadline=None, derandomize=True)
 @given(case=_flag_lines())
 def test_flag_table_reads_lines_like_the_full_tree(case):
@@ -939,17 +985,18 @@ def test_flag_table_reads_lines_like_the_full_tree(case):
     argv = [command, *line]
     assert _run_outcome(argv) == _parse_outcome(_FULL_TREE.parse_args, argv)
     if plain:  # a line that fell back here would only lose speed
-        assert cli._read_flags(_FLAG_TABLES[command], line) is not None
+        assert cli._read_flags(command, line) is not None
 
 
 @pytest.mark.parametrize("name, argv", GOLDEN_CASES, ids=[n for n, _ in GOLDEN_CASES])
 def test_golden_lines_are_read_from_the_flag_table(name, argv, monkeypatch, capsys):
-    # a line that fell back to argparse would lose the table's speed and
+    # a line that fell back to argparse would lose the reader's speed and
     # fail nothing else
-    def refuse(self, args=None, namespace=None):
-        raise AssertionError(f"argparse parsed {args!r}")
+    def refuse(command=None):
+        raise AssertionError(f"built a parser for {command!r}")
 
-    monkeypatch.setattr(cli._Parser, "parse_args", refuse)
+    monkeypatch.setattr(cli, "_parsers", {})
+    monkeypatch.setattr(cli, "build_parser", refuse)
     code, out, err = _run(argv, capsys)
     assert (code, err) == (0, "")
     assert out == (GOLDEN_DIR / name).read_text(encoding="utf-8")
@@ -958,7 +1005,7 @@ def test_golden_lines_are_read_from_the_flag_table(name, argv, monkeypatch, caps
 @pytest.mark.parametrize("value", ["-1e-3", "-2.5E+10"])
 def test_negative_value_in_exponent_notation_is_a_number(value, capsys):
     line = ["--alpha", "0", "--beta", value]
-    assert cli._read_flags(_FLAG_TABLES["classify"], line) is not None
+    assert cli._read_flags("classify", line) is not None
     assert _parse_outcome(_FULL_TREE.parse_args, ["classify", *line])[1] is None
     code, out, err = _run(["classify", *line], capsys)
     assert (code, err) == (0, "")

@@ -19,6 +19,7 @@ from invgeo import (
     sample_involutions,
     sample_skew_involutions,
 )
+from invgeo.mat2 import Tolerance
 from invgeo import _pcg64, roots
 from invgeo.errors import (
     DegenerateParameter,
@@ -179,6 +180,14 @@ def test_make_root_dispatches_all_tags():
     for family, expected in CASE_MATRICES:
         assert make_root(family) == expected
     assert make_root(RootFamily(RootTag.GENERAL, a=2.0, b=4.0)) == make_general_root(2.0, 4.0)
+
+
+def test_make_root_passes_its_tolerance_to_the_general_constructor():
+    family = RootFamily(RootTag.GENERAL, a=0.5, b=1e-13)
+    with pytest.raises(DegenerateParameter):
+        make_root(family)
+    fine = Tolerance(abs_tol=1e-14, exact_tol=1e-14)
+    assert make_root(family, fine) == make_general_root(0.5, 1e-13, fine)
 
 
 def test_is_involution_examples():

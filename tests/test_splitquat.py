@@ -24,6 +24,7 @@ from invgeo import (
     unit_root_neg,
 )
 from invgeo.errors import NotInvertible, SingularParameter
+from invgeo.mat2 import DEFAULT_TOL
 
 ONE = SplitQuat(1, 0, 0, 0)
 I_ = SplitQuat(0, 1, 0, 0)
@@ -246,6 +247,50 @@ def test_lightlike_decision_is_scale_invariant(s):
     assert sq_classify(SplitQuat(s, 0, 0, 0)) is CausalClass.TIMELIKE
     assert sq_classify(SplitQuat(0, 0, 0, s)) is CausalClass.SPACELIKE
 
+
+
+@given(q=quats.filter(lambda q: q.w * q.w + q.x * q.x + q.y * q.y + q.z * q.z > 2.0**-800))
+def test_modulus_in_the_normal_range_is_the_plain_formula(q):
+    # below 2**-800 the plain squares lose precision or underflow
+    assert repr(q.modulus()) == repr(q.w * q.w + q.x * q.x - q.y * q.y - q.z * q.z)
+
+
+@pytest.mark.parametrize("k", [-530, -511, -400, -1, 0, 1, 400, 510])
+def test_modulus_scales_exactly_by_powers_of_four(k):
+    q0 = SplitQuat(1.0, 0.5, -0.25, 2.0)  # dyadic entries: every square is exact
+    q = SplitQuat(*(math.ldexp(v, k) for v in (q0.w, q0.x, q0.y, q0.z)))
+    assert q.modulus() == math.ldexp(q0.modulus(), 2 * k) == math.ldexp(-2.8125, 2 * k)
+
+
+def test_modulus_beyond_the_float_range_is_infinite_and_large_equal_squares_cancel():
+    assert SplitQuat(0, 0, 0, 1e200).modulus() == -math.inf
+    assert SplitQuat(1e200, 0, 0, 0).modulus() == math.inf
+    assert SplitQuat(1e200, 0, 1e200, 0).modulus() == 0.0
+    assert SplitQuat(1e-200, 0, 0, 0).modulus() == 0.0  # 1e-400 underflows
+
+
+def test_inverse_at_both_ends_of_the_float_range():
+    # q^2 would overflow, or underflow to 0, in the plain q* / (q q*)
+    for q, inverse in [(SplitQuat(1e200, 0, 0, 0), SplitQuat(1e-200, 0, 0, 0)),
+                       (SplitQuat(3e-170, 0, 0, 0), SplitQuat(1 / 3e-170, 0, 0, 0)),
+                       (SplitQuat(0, 0, 0, 1e200), SplitQuat(0, 0, 0, 1e-200))]:
+        got = sq_inverse(q)
+        assert got.max_diff(inverse) <= 1e-15 * max(abs(v) for v in (got.w, got.x, got.y, got.z))
+
+
+def _well_conditioned(q: SplitQuat) -> bool:
+    """|q q*| at least a quarter of w^2 + x^2 + y^2 + z^2, and the largest
+    coefficient at least 1/2."""
+    norm_sq = q.w * q.w + q.x * q.x + q.y * q.y + q.z * q.z
+    return abs(q.modulus()) >= 0.25 * norm_sq and norm_sq >= 0.25
+
+
+@settings(max_examples=300, deadline=None)
+@given(q0=quats.filter(_well_conditioned), k=st.integers(-1000, 1000))
+def test_inverse_of_a_scaled_quaternion_is_within_tolerance(q0, k):
+    q = SplitQuat(*(math.ldexp(v, k) for v in (q0.w, q0.x, q0.y, q0.z)))
+    assert sq_classify(q) is (CausalClass.TIMELIKE if q0.modulus() > 0 else CausalClass.SPACELIKE)
+    assert DEFAULT_TOL.negligible(sq_mul(q, sq_inverse(q)).max_diff(ONE), 1.0)
 
 
 def test_max_diff_is_inf_where_a_difference_overflows():

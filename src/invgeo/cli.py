@@ -21,14 +21,14 @@ checked and encoded once.  ``_json_document`` passes one memo kept for the
 process, so the few shapes of the documents are encoded once per process.
 
 Point clouds (``sample``, ``generators --format csv`` and ``roots
---sample``) are written from rows of finite floats, not dicts:
-``quadric.surface_rows`` hands over the sample grid as rows, and the other
-two commands make one row per point.  Each row is written by one
-``%``-template per document, the JSON record or the CSV line with ``%r``
-(``float.__repr__``) in each float's place and any value constant over the
-document already in the text, and the document is joined once.  The output
-is the same, byte for byte, as the generic writer's for the dict document,
-which the tests check against ``json.dumps``.
+--sample``) and ``orbit --format csv`` are written from rows of finite
+floats, not dicts: ``quadric.surface_rows`` hands over the sample grid as
+rows, and the other commands make one row per point.  Each row is written
+by one ``%``-template per document, the JSON record or the CSV line with
+``%r`` (``float.__repr__``) in each float's place and any value constant
+over the document already in the text, and the document is joined once.
+The output is the same, byte for byte, as the generic writer's for the dict
+document, which the tests check against ``json.dumps``.
 
 Each subcommand is described once, in ``_COMMANDS``: its help line, its
 handler, and its flags as data, each flag the option strings and the keyword
@@ -70,7 +70,7 @@ from importlib import import_module
 from types import SimpleNamespace
 
 from .errors import InvalidCount, InvalidTolerance, InvGeoError
-from .mat2 import DEFAULT_TOL, Mat2, Tolerance, Vec2
+from .mat2 import DEFAULT_TOL, Mat2, Tolerance, Vec2, _square_residual
 
 _KERNELS = ("householder", "matfun", "quadric", "roots", "splitquat", "xform")
 
@@ -276,12 +276,10 @@ def _emit_json(args, doc):
     _write(args, _json_document(doc) + "\n")
 
 
-def _csv_row(values) -> str:
-    return ",".join(repr(v) if isinstance(v, float) else str(v) for v in values)
-
-
 #: One CSV line of a point cloud, from a row (x, y, z, a, b, c, d, tag).
 _POINT_CSV_LINE = "%r,%r,%r,%r,%r,%r,%r,%s\n"
+#: One CSV line of an orbit, from a row (step, x, y).
+_ORBIT_CSV_LINE = "%d,%r,%r\n"
 
 
 def _emit_point_csv(args, rows):
@@ -333,17 +331,14 @@ def _finite(value: float, what: str) -> float:
 
 def _cmd_roots(args, tol: Tolerance) -> None:
     roots = _kernel("roots")
-    # a helper, not a kernel call: taken from the module itself, not from the
-    # cli.roots binding that a caller may have swapped for a traced proxy
-    from .roots import _root_residual
-
     sign = 1.0 if args.of == "identity" else -1.0
     if args.sample is not None:
         if args.of == "identity":
             mats = roots.sample_involutions(args.sample, seed=args.seed, param_range=args.range)
         else:
             mats = roots.sample_skew_involutions(args.sample, seed=args.seed, param_range=args.range)
-        rows = [(m.a, m.b, m.c, m.d, _root_residual(m, sign)) for m in mats]
+        rows = [(m.a, m.b, m.c, m.d, _square_residual(m.a, m.b, m.c, m.d, sign, 0.0, 0.0, sign))
+                for m in mats]
         record = {"matrix": dict.fromkeys("abcd", "%r"), "residual": "%r"}
         _write(args, _json_records('{\n  "samples": ', record, rows, "\n  ",
                                    ',\n  "seed": ' + int.__repr__(args.seed) + "\n}\n"))
@@ -365,7 +360,7 @@ def _cmd_roots(args, tol: Tolerance) -> None:
         family = None
     doc = {
         "matrix": matrix.to_json_dict(),
-        "residual": _root_residual(matrix, sign),
+        "residual": _square_residual(*matrix.entries(), sign, 0.0, 0.0, sign),
     }
     if family is not None:
         doc["family"] = family.to_json_dict()
@@ -435,7 +430,6 @@ def _cmd_generators(args, tol: Tolerance) -> None:
                 rows.append((bell.x, bell.y, bell.z, m.a, m.b, m.c, m.d, "generator"))
         _emit_point_csv(args, rows)
         return
-    eye = Mat2.identity()
     _emit_json(args, {
         "point": point.to_json_dict(),
         "u": u.to_json_dict(),
@@ -443,11 +437,11 @@ def _cmd_generators(args, tol: Tolerance) -> None:
         "residuals": {
             "au_minus_u": (point @ u).max_diff(u),
             "ua_plus_u": ((u @ point) + u).max_norm(),
-            "u_squared": (u @ u).max_norm(),
+            "u_squared": _square_residual(*u.entries(), 0.0, 0.0, 0.0, 0.0),
             "av_plus_v": ((point @ v) + v).max_norm(),
             "va_minus_v": (v @ point).max_diff(v),
-            "v_squared": (v @ v).max_norm(),
-            "on_surface": (point @ point).max_diff(eye),
+            "v_squared": _square_residual(*v.entries(), 0.0, 0.0, 0.0, 0.0),
+            "on_surface": _square_residual(*point.entries(), 1.0, 0.0, 0.0, 1.0),
         },
     })
 
@@ -544,9 +538,9 @@ def _cmd_orbit(args, tol: Tolerance) -> None:
     matrix = _parse_matrix(args.matrix, args.matrix_file)
     points = _kernel("xform").orbit(matrix, Vec2(args.x, args.y), args.steps)
     if args.format == "csv":
-        lines = ["step,x,y"]
-        lines += [_csv_row([i, p.x, p.y]) for i, p in enumerate(points)]
-        _write(args, "\n".join(lines) + "\n")
+        lines = ["step,x,y\n"]
+        lines += [_ORBIT_CSV_LINE % (i, p.x, p.y) for i, p in enumerate(points)]
+        _write(args, "".join(lines))
         return
     _emit_json(args, [{"step": i, "x": p.x, "y": p.y} for i, p in enumerate(points)])
 

@@ -83,6 +83,28 @@ def _product_entries(a, b, c, d, e, f, g, h) -> tuple[float, float, float, float
     return pa, pb, pc, pd
 
 
+def _square_residual(a, b, c, d, sa, sb, sc, sd) -> float:
+    """||R^2 - S||, max-norm, for R = Mat2(a, b, c, d) and S = Mat2(sa, sb,
+    sc, sd), without building either: the entries of R @ R, and the same
+    NonFiniteEntry for the first of them that is not finite."""
+    # _product_entries(a, b, c, d, a, b, c, d) written out: this runs once
+    # per row of roots --sample 6400, which the extra call made slower in
+    # 15 of 20 alternating same-process pairs (median +0.4 %)
+    pa, pb, pc, pd = a * a + b * c, a * b + b * d, c * a + d * c, c * b + d * d
+    if pa - pa + (pb - pb) + (pc - pc) + (pd - pd) != 0.0:
+        Mat2(pa, pb, pc, pd)  # raises for the first entry that is not finite
+    return max(abs(pa - sa), abs(pb - sb), abs(pc - sc), abs(pd - sd))
+
+
+def _is_square_root(a, b, c, d, sa, sb, sc, sd, tol: Tolerance) -> bool:
+    """R^2 = S within abs_tol * max(||R||^2, ||S||), max-norms, for R and S
+    given by their entries as in _square_residual.  The test against ||S||
+    comes first, so a true root never needs ||R||^2."""
+    residual = _square_residual(a, b, c, d, sa, sb, sc, sd)
+    return (tol.negligible(residual, max(abs(sa), abs(sb), abs(sc), abs(sd)))
+            or tol.negligible(residual, max(a * a, b * b, c * c, d * d)))
+
+
 _setattr = object.__setattr__
 
 

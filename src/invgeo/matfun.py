@@ -34,7 +34,7 @@ from .errors import (
     NotInvertible,
     SingularConjugator,
 )
-from .mat2 import DEFAULT_TOL, Mat2, Tolerance, _pow2_scaled, _setattr, _Value
+from .mat2 import DEFAULT_TOL, Mat2, Tolerance, _is_square_root, _pow2_scaled, _setattr, _Value
 
 
 class ScalarFunction(_Value):
@@ -194,6 +194,11 @@ def _root_traces(a: float, b: float, c: float, d: float) -> tuple[float, ...]:
     return (tp, -tm, tm, -tp)
 
 
+#: The sign of det R = +-sqrt(det m) for each trace _root_traces lists, by
+#: how many it lists.
+_DET_SIGNS = {0: (), 2: (1.0, 1.0), 4: (1.0, -1.0, -1.0, 1.0)}
+
+
 def _branches(m: Mat2, tol: Tolerance, limit: int = 4) -> list[Mat2]:
     """The first ``limit`` roots that sqrt_branches lists, computing no more."""
     if _is_scalar(m):
@@ -202,19 +207,27 @@ def _branches(m: Mat2, tol: Tolerance, limit: int = 4) -> list[Mat2]:
             return [Mat2.scalar(s), Mat2.scalar(-s)][:limit]
         return [Mat2.zero()] if m.a == 0.0 else []
     norm = m.max_norm()
-    e, a, b, c, d, norm = _pow2_scaled((*m.entries(), norm), (), norm * norm)
+    e, a, b, c, d = _pow2_scaled(m.entries(), (), norm * norm)
     k = e >> 1  # a root of m * 4**-k is a root of m times 2**-k
     half_diff = 0.5 * (a - d)
+    traces = _root_traces(a, b, c, d)
+    root_det = math.sqrt(a * d - b * c) if traces else 0.0
     roots: list[Mat2] = []
-    for t in _root_traces(a, b, c, d)[:limit]:
+    for t, s in zip(traces[:limit], _DET_SIGNS[len(traces)]):
         p, h = half_diff / t, 0.5 * t
-        # + 0.0 turns the -0.0 of 0.0 / t (t < 0) into 0.0
+        # + 0.0 turns a -0.0, such as 0.0 / t with t < 0, into 0.0
         ra, rb, rc, rd = h + p, b / t + 0.0, c / t + 0.0, h - p
-        bc, tr = rb * rc, ra + rd
-        residual = max(abs(ra * ra + bc - a), abs(rb * tr - b), abs(rc * tr - c),
-                       abs(rd * rd + bc - d))
-        size = max(abs(ra), abs(rb), abs(rc), abs(rd))
-        if tol.negligible(residual, max(norm, size * size)):
+        # h -+ p cancels in the diagonal entry of the smaller eigenvalue's
+        # root.  That entry is taken from det R = s instead where this rounds
+        # less; in units of eps, (s + bc) / other errs by about
+        # (sqrt(det) + |bc|) / |other|, and h -+ p by |h| + |p|
+        if abs(rd) < 0.5 * abs(ra):
+            if root_det + abs(rb * rc) < abs(ra) * (abs(h) + abs(p)):
+                rd = (s * root_det + rb * rc) / ra + 0.0
+        elif abs(ra) < 0.5 * abs(rd):
+            if root_det + abs(rb * rc) < abs(rd) * (abs(h) + abs(p)):
+                ra = (s * root_det + rb * rc) / rd + 0.0
+        if _is_square_root(ra, rb, rc, rd, a, b, c, d, tol):
             roots.append(Mat2(math.ldexp(ra, k), math.ldexp(rb, k),
                               math.ldexp(rc, k), math.ldexp(rd, k)))
     return roots
@@ -225,10 +238,12 @@ def sqrt_branches(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> list[Mat2]:
 
     R = (m + sI)/t is evaluated on m * 4**-k as N/t + (t/2) I, N the
     traceless part, free of the cancellation in m + sI near coincident
-    eigenvalues; the primary root comes first.  Each root passes
-    ||R^2 - m|| <= abs_tol * max(||m||, ||R||^2); one beyond the float
-    range raises OverflowError.  A positive scalar matrix gives only its
-    primary roots, zero gives [0], a negative one [].
+    eigenvalues; the primary root comes first.  Where the eigenvalues are
+    far apart, the diagonal entry of the smaller one's root is taken from
+    det R = s, free of the cancellation in N/t + (t/2) I.  Each root passes
+    mat2._is_square_root, ||R^2 - m|| <= abs_tol * max(||m||, ||R||^2);
+    one beyond the float range raises OverflowError.  A positive scalar
+    matrix gives only its primary roots, zero gives [0], a negative one [].
     """
     return _branches(m, tol)
 
@@ -236,14 +251,14 @@ def sqrt_branches(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> list[Mat2]:
 def principal_sqrt(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> Mat2:
     """The principal square root: det R = +sqrt(det m) and tr R > 0.
 
-    The root of the first trace sqrt_branches lists, computed alone and
-    under the same residual check: the one whose eigenvalues lie in the
-    open right half-plane.  It exists for positive eigenvalues, Jordan
-    blocks and complex pairs (rotations, skew-involutions) alike;
-    diag(lam, 0) gives diag(sqrt(lam), 0) and a scalar lam I2 with
-    lam >= 0 gives sqrt(lam) I2.  Negative or mixed spectra, a nilpotent
-    block and lam I2 with lam < 0 raise FunctionUndefinedAtEigenvalue, as
-    matrix_function(m, SQRT) does.
+    The root of the first trace sqrt_branches lists, computed alone, in the
+    same way and under the same mat2._is_square_root: the one whose
+    eigenvalues lie in the open right half-plane.  It exists for positive
+    eigenvalues, Jordan blocks and complex pairs (rotations,
+    skew-involutions) alike; diag(lam, 0) gives diag(sqrt(lam), 0) and a
+    scalar lam I2 with lam >= 0 gives sqrt(lam) I2.  Negative or mixed
+    spectra, a nilpotent block and lam I2 with lam < 0 raise
+    FunctionUndefinedAtEigenvalue, as matrix_function(m, SQRT) does.
     """
     roots = _branches(m, tol, 1)
     if not roots:
@@ -264,18 +279,12 @@ def count_real_roots(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> RootCardinality:
     return _COUNTS[len(_root_traces(*_pow2_scaled(m.entries(), (), size * size)[1:]))]
 
 
-def _is_square_root(root: Mat2, m: Mat2, tol: Tolerance) -> bool:
-    """sqrt_branches' residual test: ||root^2 - m|| <= abs_tol * max(||root||^2, ||m||)."""
-    size = root.max_norm()
-    return tol.negligible((root @ root).max_diff(m), max(size * size, m.max_norm()))
-
-
 def scaled_roots(m: Mat2, alpha: float, root: Mat2, tol: Tolerance = DEFAULT_TOL) -> Mat2:
     """Map a root of m to a root of alpha*m: sqrt(alpha)*root (alpha > 0)."""
     alpha = float(alpha)
     if alpha <= 0:
         raise NonPositiveScale(f"need alpha > 0, got {alpha}")
-    if not _is_square_root(root, m, tol):
+    if not _is_square_root(*root.entries(), *m.entries(), tol):
         raise NotASquareRoot("root^2 != m within tolerance")
     return math.sqrt(alpha) * root
 
@@ -286,6 +295,6 @@ def conjugated_roots(m: Mat2, zc: Mat2, root: Mat2, tol: Tolerance = DEFAULT_TOL
         zc_inv = zc.inverse()
     except NotInvertible as exc:
         raise SingularConjugator(str(exc)) from exc
-    if not _is_square_root(root, m, tol):
+    if not _is_square_root(*root.entries(), *m.entries(), tol):
         raise NotASquareRoot("root^2 != m within tolerance")
     return zc_inv @ root @ zc

@@ -13,11 +13,12 @@ four one-parameter triangular families [[+-1, b], [0, -+1]] and
 which subsumes the triangular ones as a -> +-1.  Replacing the right-hand
 side by -I2 yields the skew-involutory family [[a, b], [-(1 + a^2)/b, -a]].
 
-Every test of R^2 = +-I2 goes through one helper, _root_residual, which
-forms the four entries of R^2 as plain floats and compares them with +-I2
-without building the product matrix; it raises NonFiniteEntry, as the
-product would, where an entry overflows.  classify_involution makes that one
-test and then reads the family and its parameters off the same floats.
+Every test of R^2 = +-I2 is mat2._is_square_root with S = +-I2, the test
+of R^2 = S that matfun's square roots make too.  It forms the four entries
+of R^2 as plain floats and compares them with S without building the
+product matrix; it raises NonFiniteEntry, as the product would, where an
+entry overflows.  classify_involution makes that one test and then reads
+the family and its parameters off the same floats.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .errors import (
     NotAnInvolution,
     WrongConstructor,
 )
-from .mat2 import DEFAULT_TOL, Mat2, Tolerance, _json_numbers, _setattr, _Value
+from .mat2 import DEFAULT_TOL, Mat2, Tolerance, _is_square_root, _json_numbers, _setattr, _Value
 
 
 class RootTag(enum.Enum):
@@ -152,34 +153,14 @@ def make_skew_root(a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> Mat2:
     return Mat2(a, b, -(1.0 + a * a) / b, -a)
 
 
-def _root_residual(m: Mat2, sign: float) -> float:
-    """``(m @ m).max_diff(sign * I2)`` for sign = +-1.0 without building the
-    product: the same entry expressions, and the same NonFiniteEntry for the
-    first entry of m @ m that is not finite."""
-    a, b, c, d = m.a, m.b, m.c, m.d
-    # _product_entries(a, b, c, d, a, b, c, d) written out: this runs once per
-    # row of roots --sample, where the extra call is a measurable share
-    pa, pb, pc, pd = a * a + b * c, a * b + b * d, c * a + d * c, c * b + d * d
-    if pa - pa + (pb - pb) + (pc - pc) + (pd - pd) != 0.0:
-        Mat2(pa, pb, pc, pd)  # raises for the first entry that is not finite
-    # |pb - 0.0| == |pb| and |pc - 0.0| == |pc| for either sign of zero
-    return max(abs(pa - sign), abs(pb), abs(pc), abs(pd - sign))
-
-
-def _negligible_residual(residual: float, m: Mat2, tol: Tolerance) -> bool:
-    """residual negligible next to max(|m|^2, 1); below abs_tol it needs no norm."""
-    a, b, c, d = m.a, m.b, m.c, m.d
-    return tol.negligible(residual, 1.0) or tol.negligible(residual, max(a * a, b * b, c * c, d * d))
-
-
 def is_involution(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff R^2 = I2 within abs_tol relative to max(|R|^2, 1)."""
-    return _negligible_residual(_root_residual(m, 1.0), m, tol)
+    return _is_square_root(m.a, m.b, m.c, m.d, 1.0, 0.0, 0.0, 1.0, tol)
 
 
 def is_skew_involution(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff R^2 = -I2 within abs_tol relative to max(|R|^2, 1)."""
-    return _negligible_residual(_root_residual(m, -1.0), m, tol)
+    return _is_square_root(m.a, m.b, m.c, m.d, -1.0, 0.0, 0.0, -1.0, tol)
 
 
 def classify_involution(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> RootFamily:

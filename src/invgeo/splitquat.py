@@ -151,15 +151,20 @@ def sq_inverse(q: SplitQuat, tol: Tolerance = DEFAULT_TOL) -> SplitQuat:
     """q* / (q q*); lightlike elements are the non-invertible ones.
 
     Where q q* would overflow or underflow it is 2**-e * q'* / (q' q'*) with
-    q' = q * 2**-e, which is exact; OverflowError where the inverse of a
-    near-subnormal q is beyond the float range.
+    q' = q * 2**-e, which is exact; NotInvertible, as from Mat2.inverse,
+    where the inverse of a near-subnormal q is beyond the float range.
     """
     if sq_classify(q, tol) is CausalClass.LIGHTLIKE:
         raise NotInvertible("lightlike split-quaternion has no inverse")
     e, w, x, y, z, mod = _scaled(q)
     r = 1.0 / mod
     inverse = r * w, r * -x, r * -y, r * -z
-    return SplitQuat(*inverse) if e == 0 else SplitQuat(*(math.ldexp(v, -e) for v in inverse))
+    if e == 0:
+        return SplitQuat(*inverse)
+    try:
+        return SplitQuat(*(math.ldexp(v, -e) for v in inverse))
+    except OverflowError:
+        raise NotInvertible(f"the inverse of {q} is beyond the float range") from None
 
 
 def to_matrix(q: SplitQuat) -> Mat2:

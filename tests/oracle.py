@@ -7,6 +7,10 @@ results from the entries as plain floats; the properties in the tests
 require the two to agree bit for bit (by ``repr``), and to raise the same
 exception class with the same message.
 
+``is_square_root``, ``branch_residual`` and ``branch_is_square_root`` are
+the tests of R^2 = S as scaled_roots, conjugated_roots and sqrt_branches
+each wrote their own, before all of them shared ``mat2._is_square_root``.
+
 ``brute_force_roots`` is the independent check on the closed-form square
 roots: a multi-start numerical solve of X^2 = A with SciPy, which the
 library itself does not use.
@@ -46,6 +50,28 @@ def is_involution(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 def is_skew_involution(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> bool:
     return tol.negligible((m @ m).max_diff(-Mat2.identity()), max(m.max_norm() * m.max_norm(), 1.0))
+
+
+def is_square_root(root: Mat2, m: Mat2, tol: Tolerance) -> bool:
+    """The R^2 = m test that scaled_roots and conjugated_roots made."""
+    size = root.max_norm()
+    return tol.negligible((root @ root).max_diff(m), max(size * size, m.max_norm()))
+
+
+def branch_residual(ra, rb, rc, rd, a, b, c, d) -> float:
+    """The residual sqrt_branches formed for a candidate root of
+    [[a, b], [c, d]], its off-diagonal entries of R^2 as b * tr R."""
+    bc, tr = rb * rc, ra + rd
+    return max(abs(ra * ra + bc - a), abs(rb * tr - b), abs(rc * tr - c),
+               abs(rd * rd + bc - d))
+
+
+def branch_is_square_root(ra, rb, rc, rd, a, b, c, d, tol: Tolerance) -> bool:
+    """The test sqrt_branches made of each candidate root."""
+    norm = max(abs(a), abs(b), abs(c), abs(d))
+    residual = branch_residual(ra, rb, rc, rd, a, b, c, d)
+    size = max(abs(ra), abs(rb), abs(rc), abs(rd))
+    return tol.negligible(residual, max(norm, size * size))
 
 
 def b_negligible(m: Mat2, b: float, tol: Tolerance) -> bool:

@@ -358,6 +358,16 @@ def test_a_long_ruling_stays_in_the_hyperplane(t_max, capsys):
         assert abs(sum(map(Fraction, m[::3]))) <= check.REL * size
 
 
+def test_all_branches_far_from_order_one_are_four_distinct_roots(capsys):
+    argv = ["matfun", "--matrix", '{"a": 1e200, "b": 1, "c": 0, "d": 1}', "--all-branches"]
+    code, out, err = _run(argv, capsys)
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["count"] == {"n": 4, "tag": "finite"}
+    assert [(r["a"], r["d"]) for r in doc["roots"]] == [(1e100, 1.0), (-1e100, 1.0),
+                                                         (1e100, -1.0), (-1e100, -1.0)]
+
+
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
 def test_invalid_tolerance_env_is_usage_error(value, capsys, monkeypatch):
     monkeypatch.setenv("INVGEO_TOL", value)

@@ -28,7 +28,9 @@ from invgeo import (
     is_involution,
     is_skew_involution,
 )
+from invgeo import matfun
 from invgeo.errors import NonFiniteEntry
+from invgeo.mat2 import _is_square_root, _square_residual
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 #: the default, a coarse one, and a fine one
@@ -208,3 +210,69 @@ def test_value_types_store_what_checking_each_field_stores(values):
     for cls, args in ((LocusParams, values[:2]), (SplitQuat, values)):
         assert (_outcome(_stored, cls, args)
                 == _outcome(oracle.checked_fields, cls.__slots__, args))
+
+
+I2_ENTRIES, NEG_I2_ENTRIES = (1.0, 0.0, 0.0, 1.0), (-1.0, 0.0, 0.0, -1.0)
+
+
+@st.composite
+def square_cases(draw):
+    """(R, S, tol): R a near-root of +-I2, any matrix, or a candidate root
+    (S + sI)/t of an S with entries in [-1, 1]; S +-I2, R @ R a few ulps off
+    in one entry, or any matrix; tol a fixed one or one whose abs_tol is the residual over ||S||
+    or over ||R||^2, where <= and > part."""
+    kind = draw(st.sampled_from(["identity", "neg_identity", "square", "any", "branch"]))
+    if kind == "branch":  # on the scaled entries, as sqrt_branches works
+        s = draw(st.tuples(*[st.floats(-1.0, 1.0)] * 4))
+        a, b, c, d = s
+        traces = matfun._root_traces(a, b, c, d)
+        assume(traces)
+        t = draw(st.sampled_from(traces))
+        p, h = 0.5 * (a - d) / t, 0.5 * t
+        r = (h + p, b / t + 0.0, c / t + 0.0, h - p)
+    else:
+        r = draw(near_roots())
+        s = {"identity": I2_ENTRIES, "neg_identity": NEG_I2_ENTRIES}.get(kind)
+    if kind == "any":
+        s = draw(st.tuples(FINITE, FINITE, FINITE, FINITE))
+    elif kind == "square":
+        try:
+            s = list((Mat2(*r) @ Mat2(*r)).entries())
+        except NonFiniteEntry:
+            s = list(I2_ENTRIES)
+        slot = draw(st.integers(0, 3))
+        for _ in range(draw(st.integers(0, 3))):
+            s[slot] = math.nextafter(s[slot], draw(st.sampled_from([-math.inf, math.inf])))
+        assume(math.isfinite(s[slot]))
+        s = tuple(s)
+    tols = list(TOLS)
+    a, b, c, d = r
+    scales = (max(map(abs, s)), max(a * a, b * b, c * c, d * d))
+    for residual in (_outcome(_square_residual, *r, *s),
+                     _outcome(oracle.branch_residual, *r, *s)):
+        for scale in scales:
+            x = float(residual) / scale if isinstance(residual, str) and scale else 0.0
+            if 0.0 < x < math.inf:
+                tols.append(Tolerance(x, min(x, 1e-12)))
+    return r, s, draw(st.sampled_from(tols))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(square_cases())
+@example(((5e153, 1e160, -1e160, -5e153), I2_ENTRIES, DEFAULT_TOL))  # R^2 overflows
+@example(((0.0, 1e5, -1e-5, 0.0), I2_ENTRIES, DEFAULT_TOL))  # R^2 = -I2, ||R||^2 large
+@example(((1.0, 1e308, 0.0, -1.0), NEG_I2_ENTRIES, DEFAULT_TOL))  # ||R||^2 overflows
+@example(((0.5, 0.0, 0.0, 1.0), (0.25, 0.0, 0.0, 1.0), DEFAULT_TOL))
+def test_one_square_root_test_decides_as_every_earlier_form(case):
+    r, s, tol = case
+    got = _outcome(_is_square_root, *r, *s, tol)
+    assert got == _outcome(oracle.is_square_root, Mat2(*r), Mat2(*s), tol)
+    if s == I2_ENTRIES:
+        assert got == _outcome(oracle.is_involution, Mat2(*r), tol)
+    if s == NEG_I2_ENTRIES:
+        assert got == _outcome(oracle.is_skew_involution, Mat2(*r), tol)
+    # sqrt_branches formed R^2's off-diagonal entries as b * tr R, which can
+    # round differently from a * b + b * d; where the two residuals are one
+    # float, the decision must be the same
+    if _outcome(oracle.branch_residual, *r, *s) == _outcome(_square_residual, *r, *s):
+        assert got == _outcome(oracle.branch_is_square_root, *r, *s, tol)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -457,6 +458,56 @@ def test_closed_form_complex_spectrum(s, z, theta, conjugate):
     core = (s * math.cos(theta), -s * math.sin(theta), s * math.sin(theta), s * math.cos(theta))
     m = _conjugate(core, z) if conjugate else Mat2(*core)
     assert len(_check_closed_form(m)) == 2
+
+
+# -- widely separated spectra ------------------------------------------------------
+
+#: Allowed componentwise residual |R^2 - A|_ij / (|R||R| + |A|)_ij: k = 8
+#: roundings of 2**-52.
+COMPONENTWISE_REL = 8 * EPS
+
+
+def _componentwise_residual(r, m):
+    """max over ij of |R^2 - A|_ij / (|R||R| + |A|)_ij, exact; inf where a
+    denominator is 0 and its numerator is not."""
+    ra, rb, rc, rd = map(Fraction, r.entries())
+    square = (ra * ra + rb * rc, ra * rb + rb * rd, rc * ra + rd * rc, rc * rb + rd * rd)
+    ra, rb, rc, rd = map(abs, (ra, rb, rc, rd))
+    size = (ra * ra + rb * rc, ra * rb + rb * rd, rc * ra + rd * rc, rc * rb + rd * rd)
+    worst = 0.0
+    for x, y, z in zip(square, map(Fraction, m.entries()), size):
+        if z + abs(y):
+            worst = max(worst, float(abs(x - y) / (z + abs(y))))
+        elif x != y:
+            return math.inf
+    return worst
+
+
+def test_roots_keep_the_smaller_eigenvalue_of_a_diagonal_matrix():
+    assert sqrt_branches(Mat2.diag(1e16, 1)) == [
+        Mat2.diag(1e8, 1), Mat2.diag(-1e8, 1), Mat2.diag(1e8, -1), Mat2.diag(-1e8, -1)]
+    assert [r.d for r in sqrt_branches(Mat2.diag(4, 1e-18))] == [1e-9, 1e-9, -1e-9, -1e-9]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(u1=st.floats(-20, 20), u2=st.floats(-20, 20), off=st.floats(-1.0, 1.0), z=conjugators,
+       form=st.sampled_from(["diagonal", "triangular", "conjugated"]))
+@example(u1=16.0, u2=0.0, off=0.0, z=(0.0, 0.0), form="diagonal")
+@example(u1=math.log10(4), u2=-18.0, off=0.0, z=(0.0, 0.0), form="diagonal")
+@example(u1=200.0, u2=0.0, off=1e-200, z=(0.0, 0.0), form="triangular")  # b about 1
+def test_roots_of_widely_separated_spectra_are_distinct_and_componentwise_accurate(
+        u1, u2, off, z, form):
+    lam1, lam2 = 10.0**u1, 10.0**u2
+    if form == "diagonal":
+        m = Mat2.diag(lam1, lam2)
+    elif form == "triangular":
+        m = Mat2(lam1, off * max(lam1, lam2), 0.0, lam2)
+    else:  # rounding may lose the smaller eigenvalue, or make it negative
+        m = _conjugate((lam1, 0.0, 0.0, lam2), z)
+    roots = sqrt_branches(m)
+    assert len(set(roots)) == len(roots)
+    for r in roots:
+        assert _componentwise_residual(r, m) <= COMPONENTWISE_REL
 
 
 def test_rotation_roots_are_half_rotations():

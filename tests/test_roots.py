@@ -19,8 +19,8 @@ from invgeo import (
     sample_involutions,
     sample_skew_involutions,
 )
-from invgeo.mat2 import Tolerance
-from invgeo import _pcg64, roots
+from invgeo.mat2 import Tolerance, _square_residual
+from invgeo import _pcg64
 from invgeo.errors import (
     DegenerateParameter,
     InvalidCount,
@@ -269,18 +269,20 @@ _ANY_FLOAT = st.floats(allow_nan=False, allow_infinity=False)
 
 @settings(max_examples=300, deadline=None)
 @given(entries=st.tuples(_ANY_FLOAT, _ANY_FLOAT, _ANY_FLOAT, _ANY_FLOAT),
-       sign=st.sampled_from([1.0, -1.0]))
-@example(entries=(5e153, 1e160, -1e160, -5e153), sign=1.0)
-@example(entries=(0.0, -0.0, -0.0, 0.0), sign=-1.0)
-def test_root_residual_matches_the_product_matrix(entries, sign):
+       target=st.sampled_from([1.0, -1.0])
+       | st.tuples(_ANY_FLOAT, _ANY_FLOAT, _ANY_FLOAT, _ANY_FLOAT))
+@example(entries=(5e153, 1e160, -1e160, -5e153), target=1.0)
+@example(entries=(0.0, -0.0, -0.0, 0.0), target=-1.0)
+def test_square_residual_matches_the_product_matrix(entries, target):
+    """target is the sign of +-I2 or the entries of a general S."""
     m = Mat2(*entries)
-    target = Mat2.identity() if sign > 0 else -Mat2.identity()
+    s = target * I2 if isinstance(target, float) else Mat2(*target)
     try:
-        expected = repr((m @ m).max_diff(target))
+        expected = repr((m @ m).max_diff(s))
     except NonFiniteEntry as exc:
         expected = str(exc)
     try:
-        got = repr(roots._root_residual(m, sign))
+        got = repr(_square_residual(*m.entries(), *s.entries()))
     except NonFiniteEntry as exc:
         got = str(exc)
     assert got == expected

@@ -278,6 +278,15 @@ def test_inverse_at_both_ends_of_the_float_range():
         assert got.max_diff(inverse) <= 1e-15 * max(abs(v) for v in (got.w, got.x, got.y, got.z))
 
 
+def test_an_inverse_beyond_the_float_range_is_not_invertible():
+    q = SplitQuat(5e-324, 0, 0, 0)
+    assert sq_classify(q) is CausalClass.TIMELIKE
+    with pytest.raises(NotInvertible):
+        sq_inverse(q)
+    with pytest.raises(NotInvertible):
+        to_matrix(q).inverse()
+
+
 def _well_conditioned(q: SplitQuat) -> bool:
     """|q q*| at least a quarter of w^2 + x^2 + y^2 + z^2, and the largest
     coefficient at least 1/2."""

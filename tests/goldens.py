@@ -1,0 +1,106 @@
+"""The golden command lines, and the declarations of the command line.
+
+``golden/cases.json`` maps each golden file under ``golden/`` to the
+command line that writes it.  Run
+
+    python tests/goldens.py invgeo
+    python tests/goldens.py /path/to/venv/bin/invgeo
+    python tests/goldens.py python -m invgeo.cli
+
+to run every line through that command and compare its stdout with the
+golden file, byte for byte; the exit status is 1 if any line fails.
+
+``python tests/goldens.py --flags`` prints what ``golden/cli_flags.json``
+holds: for the full ``invgeo`` parser and for each subcommand's own parser,
+as ``invgeo.cli.build_parser`` declares them, the prog, the description,
+each subcommand's help line, and each action's option strings, dest, nargs,
+type, default, choices, required, help and metavar.  Unlike the help text,
+which argparse lays out differently from one Python to the next, these are
+the same on every Python the package supports.
+
+The script needs only the standard library (and ``invgeo`` for --flags).
+"""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+#: (golden file name, command line) for every golden
+CASES = list(json.loads((GOLDEN_DIR / "cases.json").read_text(encoding="utf-8")).items())
+FLAGS_GOLDEN = GOLDEN_DIR / "cli_flags.json"
+
+
+def _action(action) -> dict:
+    choices = action.choices
+    return {
+        "option_strings": action.option_strings,
+        "dest": action.dest,
+        "nargs": action.nargs,
+        "type": getattr(action.type, "__name__", None),
+        "default": repr(action.default),
+        "choices": None if choices is None else list(choices),
+        "required": action.required,
+        "help": action.help,
+        "metavar": action.metavar,
+    }
+
+
+def declarations(parser) -> dict:
+    """What one argparse parser declares."""
+    out = {
+        "prog": parser.prog,
+        "description": parser.description,
+        "defaults": {key: value.__name__ for key, value in parser._defaults.items()},
+        "actions": [_action(action) for action in parser._actions],
+    }
+    for action in parser._actions:
+        if hasattr(action, "_choices_actions"):  # the subcommands
+            out["commands"] = {choice.dest: choice.help for choice in action._choices_actions}
+    return out
+
+
+def flag_declarations() -> dict:
+    """declarations() of the full parser, keyed "invgeo", and of each
+    subcommand's own parser, keyed by its name."""
+    from invgeo import cli
+
+    out = {"invgeo": declarations(cli.build_parser())}
+    for name in cli._COMMANDS:
+        out[name] = declarations(cli.build_parser(name))
+    return out
+
+
+def flags_text() -> str:
+    return json.dumps(flag_declarations(), indent=2) + "\n"
+
+
+def check(command: list[str]) -> int:
+    """Run every golden line through command; the number that fail."""
+    failed = 0
+    for name, argv in CASES:
+        proc = subprocess.run([*command, *argv], capture_output=True)
+        if proc.returncode == 0 and proc.stdout == (GOLDEN_DIR / name).read_bytes():
+            print(f"ok   {name}")
+            continue
+        failed += 1
+        print(f"FAIL {name}: exit {proc.returncode}", proc.stderr.decode(errors="replace"),
+              file=sys.stderr)
+    return failed
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--flags"]:
+        sys.stdout.write(flags_text())
+        return 0
+    if not argv:
+        print(__doc__, file=sys.stderr)
+        return 2
+    return 1 if check(argv) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

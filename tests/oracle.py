@@ -1,193 +1,543 @@
-"""Reference forms for the tests to compare against.
+"""Exact rules for every threshold decision, and the SciPy root search.
 
-Most functions are a kernel as it reads when written with ``Mat2`` objects:
-products by ``@``, tests by ``approx_eq`` and ``in_locus``, and values built
-through their validating constructors.  The library computes the same
-results from the entries as plain floats; the properties in the tests
-require the two to agree bit for bit (by ``repr``), and to raise the same
-exception class with the same message.
+Every float is a rational, so each decision the library makes has one true
+margin: R^2 - S per entry, a trace, a det, a b ~ 0 cut.  Each rule is
+written here once, as a ``Cut`` |quantity| <= limit of ``Approx`` values:
+the exact value of the quantity as a ``Fraction`` of the input floats, with
+a bound on how far the float the library computes for it can be.
 
-``is_square_root``, ``branch_residual`` and ``branch_is_square_root`` are
-the tests of R^2 = S as scaled_roots, conjugated_roots and sqrt_branches
-each wrote their own, before all of them shared ``mat2._is_square_root``.
+The bound is the a-priori rounding bound of the float evaluation (Higham,
+Accuracy and Stability of Numerical Algorithms, 2002, ch. 3): each
+operation adds u times its result, plus one subnormal for underflow, to
+the errors it inherits, and adds nothing where the exact result of exact
+operands is itself a float.  For an entry of R^2 that is at most
+gamma_2 (|R||R|)_ij; for a sum or a scaled limit, u times its value.  A
+result that may leave the float range is tracked as certainly infinite,
+certainly inf or nan, or unknown.
+
+A rule is read by one of two functions, passed as ``read``:
+
+* ``Cut.decided`` (the default) gives the exact decision wherever the
+  quantity clears its limit by the two bounds, and None inside that band.
+  Where the float evaluation is exact, the band is empty and ties decide.
+* ``clear`` gives it wherever the quantity is beyond twice its limit or
+  below half of it, and None between.
+
+A rule combines its cuts in the library's order, and is None where a cut
+that can change its outcome is.  Outcomes are a bool, a tag or a count,
+or the exception class the library raises.
 
 ``brute_force_roots`` is the independent check on the closed-form square
 roots: a multi-start numerical solve of X^2 = A with SciPy, which the
 library itself does not use.
-
-``reference_parser`` is the command line declared to argparse one
-``add_argument`` call per flag, the form the CLI's flags had before they
-became data.  The tests compare ``cli.run`` and ``cli.build_parser`` with
-it: every namespace, help text, usage error and exit code.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-import sys
+from fractions import Fraction
 
-from invgeo import cli, matfun
-from invgeo.errors import DegenerateAngle, DegenerateSeed, NotAnInvolution
-from invgeo.mat2 import (DEFAULT_TOL, Mat2, Tolerance, _finite, _pow2_scaled, _setattr, _Value,
-                         approx_eq)
-from invgeo.matfun import Cardinality, RootCardinality
-from invgeo.quadric import GeneratorPair, LocusParams, in_locus
-from invgeo.roots import RootFamily, RootTag
-from invgeo.xform import Decomposition, ElementaryTransform, TransformKind
+from invgeo.errors import DegenerateAngle, DegenerateSeed, NonFiniteEntry, NotAnInvolution
+from invgeo.mat2 import DEFAULT_TOL, Mat2, Tolerance, _setattr, _Value
+from invgeo.roots import RootTag, make_general_root
 
-_SQRT_EPS = math.sqrt(sys.float_info.epsilon)
+#: unit roundoff, the smallest subnormal, and the least magnitude that
+#: rounds to infinity
+U = Fraction(1, 2**53)
+ETA = Fraction(1, 2**1074)
+OVERFLOW = Fraction(2**1024 - 2**970)
 
-
-def root_residual(m: Mat2, sign: float) -> float:
-    target = Mat2.identity() if sign > 0 else -Mat2.identity()
-    return (m @ m).max_diff(target)
+# what is known of a float that may have left the range, in place of a bound
+POS_INF, NEG_INF, NONFINITE = "+inf", "-inf", "nonfinite"
+_INF = (POS_INF, NEG_INF)
 
 
-def is_involution(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> bool:
-    return tol.negligible((m @ m).max_diff(Mat2.identity()), max(m.max_norm() * m.max_norm(), 1.0))
+def _representable(x: Fraction) -> bool:
+    try:
+        return Fraction(float(x)) == x
+    except OverflowError:
+        return False
 
 
-def is_skew_involution(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> bool:
-    return tol.negligible((m @ m).max_diff(-Mat2.identity()), max(m.max_norm() * m.max_norm(), 1.0))
+class Approx:
+    """A value x, exact, and e: a bound on |float - x| for the float that
+    the library computes for it, or POS_INF, NEG_INF or NONFINITE where
+    that float is certainly +inf, -inf, or inf or nan, or None where it may
+    or may not be finite.  eta is the absolute error one operation may add
+    by underflow; top is OVERFLOW, or None where the library evaluates on
+    entries rescaled by a power of two, so that nothing overflows."""
+
+    __slots__ = ("x", "e", "eta", "top")
+
+    def __init__(self, x, e=Fraction(0), eta=ETA, top=OVERFLOW):
+        self.x, self.e, self.eta, self.top = Fraction(x), e, eta, top
+
+    def finite(self) -> bool:
+        return isinstance(self.e, Fraction)
+
+    def _lift(self, other) -> "Approx":
+        if isinstance(other, Approx):
+            return other
+        return Approx(other, Fraction(0), self.eta, self.top)
+
+    def _result(self, other: "Approx", x: Fraction, known, error) -> "Approx":
+        """The float result of an operation on self and other whose exact
+        value is x: known, where an operand is not finite; else error, the
+        operands' errors carried into x, and one more rounding."""
+        eta = max(self.eta, other.eta)
+        top = None if None in (self.top, other.top) else OVERFLOW
+        if not (self.finite() and other.finite()):
+            return Approx(x, known, eta, top)
+        if top is not None:
+            if abs(x) - error >= top:
+                return Approx(x, POS_INF if x > 0 else NEG_INF, eta, top)
+            if abs(x) + error >= top:
+                return Approx(x, None, eta, top)
+        if error or not _representable(x):
+            error += U * (abs(x) + error) + eta
+        return Approx(x, error, eta, top)
+
+    def __add__(self, other) -> "Approx":
+        q = self._lift(other)
+        states = {self.e, q.e}
+        if NONFINITE in states or {POS_INF, NEG_INF} <= states:
+            known = NONFINITE
+        elif states & {POS_INF, NEG_INF}:  # inf plus what may be inf or nan
+            known = NONFINITE if None in states else (states & {POS_INF, NEG_INF}).pop()
+        else:
+            known = None
+        error = self.e + q.e if self.finite() and q.finite() else None
+        return self._result(q, self.x + q.x, known, error)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "Approx":
+        flip = {POS_INF: NEG_INF, NEG_INF: POS_INF}
+        return Approx(-self.x, flip.get(self.e, self.e), self.eta, self.top)
+
+    def __sub__(self, other) -> "Approx":
+        return self + -self._lift(other)
+
+    def __rsub__(self, other) -> "Approx":
+        return self._lift(other) + -self
+
+    def __mul__(self, other) -> "Approx":
+        q = self._lift(other)
+        x = self.x * q.x
+        known = None
+        if NONFINITE in (self.e, q.e):
+            known = NONFINITE
+        elif self.e in _INF or q.e in _INF:  # inf times what may be 0 is nan
+            signs = sign(self), sign(q)
+            known = NONFINITE if not all(signs) else POS_INF if signs[0] == signs[1] else NEG_INF
+        error = (abs(self.x) * q.e + abs(q.x) * self.e + self.e * q.e
+                 if self.finite() and q.finite() else None)
+        return self._result(q, x, known, error)
+
+    __rmul__ = __mul__
+
+    def __abs__(self) -> "Approx":
+        return Approx(abs(self.x), POS_INF if self.e in _INF else self.e, self.eta, self.top)
 
 
-def is_square_root(root: Mat2, m: Mat2, tol: Tolerance) -> bool:
-    """The R^2 = m test that scaled_roots and conjugated_roots made."""
-    size = root.max_norm()
-    return tol.negligible((root @ root).max_diff(m), max(size * size, m.max_norm()))
+def amax(*values: Approx) -> Approx:
+    """max(values): a float max errs by at most the largest error.  A value
+    that is certainly -inf drops out; one that may be nan leaves it unknown."""
+    kept = [v for v in values if v.e != NEG_INF] or list(values)
+    x = max(v.x for v in kept)
+    first = kept[0]
+    if any(v.e in (None, NONFINITE) for v in kept):
+        return Approx(x, None, first.eta, first.top)
+    if any(v.e in _INF for v in kept):
+        return Approx(x, POS_INF if any(v.e == POS_INF for v in kept) else NEG_INF,
+                      first.eta, first.top)
+    return Approx(x, max(v.e for v in kept), first.eta, first.top)
 
 
-def branch_residual(ra, rb, rc, rd, a, b, c, d) -> float:
-    """The residual sqrt_branches formed for a candidate root of
-    [[a, b], [c, d]], its off-diagonal entries of R^2 as b * tr R."""
-    bc, tr = rb * rc, ra + rd
-    return max(abs(ra * ra + bc - a), abs(rb * tr - b), abs(rc * tr - c),
-               abs(rd * rd + bc - d))
+def amin(*values: Approx) -> Approx:
+    return -amax(*(-v for v in values))
 
 
-def branch_is_square_root(ra, rb, rc, rd, a, b, c, d, tol: Tolerance) -> bool:
-    """The test sqrt_branches made of each candidate root."""
-    norm = max(abs(a), abs(b), abs(c), abs(d))
-    residual = branch_residual(ra, rb, rc, rd, a, b, c, d)
-    size = max(abs(ra), abs(rb), abs(rc), abs(rd))
-    return tol.negligible(residual, max(norm, size * size))
-
-
-def b_negligible(m: Mat2, b: float, tol: Tolerance) -> bool:
-    return tol.negligible(b, max(1.0, abs(m.a)), exact=True)
-
-
-def classify_involution(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> RootFamily:
-    if not is_involution(m, tol):
-        raise NotAnInvolution(f"R^2 != I2 within {tol.abs_tol} for {m}")
-    trace = m.trace()
-    if trace > 1.0:
-        return RootFamily(RootTag.IDENTITY)
-    if trace < -1.0:
-        return RootFamily(RootTag.NEG_IDENTITY)
-    lower = RootTag.LOWER_C_PLUS_MINUS if m.a > 0 else RootTag.LOWER_C_MINUS_PLUS
-    if b_negligible(m, m.b, tol):
-        return RootFamily(lower, c=m.c)
-    if b_negligible(m, m.c, tol):
-        if m.a > 0:
-            return RootFamily(RootTag.UPPER_B_PLUS_MINUS, b=m.b)
-        return RootFamily(RootTag.UPPER_B_MINUS_PLUS, b=m.b)
-    miss = abs((1.0 - m.a * m.a) / m.b - m.c)
-    if max(abs(m.b), abs(1.0 - abs(m.a))) < miss and not tol.negligible(miss, max(1.0, abs(m.c))):
-        return RootFamily(lower, c=m.c)
-    return RootFamily(RootTag.GENERAL, a=m.a, b=m.b)
-
-
-def householder_angle(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> float | None:
-    if not is_involution(m, tol):
+def sign(q: Approx) -> int | None:
+    """The sign of the float the library computes for q, where it is q's own."""
+    if q.e in _INF:
+        return 1 if q.e == POS_INF else -1
+    if not q.finite():
         return None
-    if not m.is_symmetric(tol):
+    if q.x > q.e:
+        return 1
+    if q.x < -q.e:
+        return -1
+    return 0 if q.e == 0 and q.x == 0 else None
+
+
+def greater(q: Approx, t) -> bool | None:
+    """q > t, for a float constant t, where the float comparison agrees."""
+    if q.e in _INF:
+        return q.e == POS_INF
+    if not q.finite():
         return None
-    if approx_eq(m, Mat2.identity(), tol) or approx_eq(m, -Mat2.identity(), tol):
+    if q.x - t > q.e:
+        return True
+    if q.x + q.e <= t:
+        return False
+    return None
+
+
+class Cut:
+    """The decision |quantity| <= limit."""
+
+    __slots__ = ("quantity", "limit")
+
+    def __init__(self, quantity: Approx, limit: Approx):
+        self.quantity, self.limit = quantity, limit
+
+    def holds(self) -> bool:
+        return abs(self.quantity.x) <= self.limit.x
+
+    def decided(self) -> bool | None:
+        """holds(), where the float comparison agrees with it by the bounds."""
+        q, limit = self.quantity, self.limit
+        if limit.e == POS_INF:  # anything but nan is below it
+            return True if (q.finite() or q.e in _INF) and self.holds() else None
+        if q.e in _INF:
+            return False if limit.finite() and not self.holds() else None
+        if not (q.finite() and limit.finite()):
+            return None
+        gap, band = abs(q.x) - limit.x, q.e + limit.e
+        if gap > band:
+            return False
+        if gap < -band or band == 0:
+            return gap <= 0
         return None
-    return math.atan2(m.b, m.a) % (2.0 * math.pi)
 
 
-def decompose_general(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> Decomposition:
-    if not is_involution(m, tol):
-        raise NotAnInvolution(f"{m} does not square to I2")
-    if b_negligible(m, m.b, tol):
-        raise DegenerateAngle("sin(phi) ~ 0: decompose as a triangular case")
-    rho = math.hypot(m.a, m.b)
-    phi = math.atan2(m.b, m.a)
-    kappa = m.c - rho * math.sin(phi)
-    return Decomposition(
-        (
-            ElementaryTransform(TransformKind.MAGNIFY, Mat2.scalar(rho), param=rho),
-            ElementaryTransform(TransformKind.REFLECT_X, Mat2(1.0, 0.0, 0.0, -1.0)),
-            ElementaryTransform(
-                TransformKind.ROTATE_CLOCKWISE,
-                Mat2(math.cos(phi), math.sin(phi), -math.sin(phi), math.cos(phi)),
-                param=phi,
-            ),
-        ),
-        additive_part=ElementaryTransform(
-            TransformKind.SHEAR_Y_ADD, Mat2(0.0, 0.0, float(kappa), 0.0),
-            param=float(kappa), additive=True,
-        ),
-    )
+def clear(cut: Cut) -> bool | None:
+    """holds(), where the quantity is beyond twice its limit or below half."""
+    q, limit = abs(cut.quantity.x), cut.limit.x
+    return cut.holds() if q > 2 * limit or q < limit / 2 else None
 
 
-def decompose_case(family: RootFamily) -> Decomposition:
-    def factor(kind, matrix, param=None):
-        return ElementaryTransform(kind, matrix, param=param)
-
-    reflect_x = factor(TransformKind.REFLECT_X, Mat2(1.0, 0.0, 0.0, -1.0))
-    reflect_y = factor(TransformKind.REFLECT_Y, Mat2(-1.0, 0.0, 0.0, 1.0))
-    tag = family.tag
-    if tag is RootTag.IDENTITY:
-        return Decomposition((factor(TransformKind.MAGNIFY, Mat2.scalar(1.0), 1.0),))
-    if tag is RootTag.NEG_IDENTITY:
-        return Decomposition((factor(TransformKind.POINT_REFLECT_ORIGIN, -Mat2.identity()),))
-    if tag in (RootTag.UPPER_B_PLUS_MINUS, RootTag.UPPER_B_MINUS_PLUS):
-        shear = factor(TransformKind.SHEAR_X, Mat2(1.0, float(family.b), 0.0, 1.0),
-                       float(family.b))
-        if tag is RootTag.UPPER_B_PLUS_MINUS:
-            return Decomposition((reflect_x, shear))
-        return Decomposition((shear, reflect_y))
-    shear = factor(TransformKind.SHEAR_Y, Mat2(1.0, 0.0, float(family.c), 1.0), float(family.c))
-    if tag is RootTag.LOWER_C_PLUS_MINUS:
-        return Decomposition((shear, reflect_x))
-    return Decomposition((reflect_y, shear))
+def _all(*decisions) -> bool | None:
+    if False in decisions:
+        return False
+    return None if None in decisions else True
 
 
-def decompose(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> Decomposition:
-    family = classify_involution(m, tol)
-    if family.tag is RootTag.GENERAL:
-        return decompose_general(m, tol)
-    return decompose_case(family)
+def _any(*decisions) -> bool | None:
+    if True in decisions:
+        return True
+    return None if None in decisions else False
 
 
-def generator_directions(a: Mat2, x_seed: Mat2, tol: Tolerance = DEFAULT_TOL) -> GeneratorPair:
-    if not in_locus(a, LocusParams(0.0, -1.0), tol):
-        raise NotAnInvolution(f"{a} is not on S(0, -1)")
-    eye = Mat2.identity()
-    plus, minus = a + eye, a - eye
-    u = plus @ x_seed @ minus
-    v = minus @ x_seed @ plus
-    u_norm, v_norm = u.max_norm(), v.max_norm()
-    if min(u_norm, v_norm) <= _SQRT_EPS * plus.max_norm() * x_seed.max_norm() * minus.max_norm():
-        raise DegenerateSeed("seed produced a near-zero direction; retry with another seed")
-    return GeneratorPair((1.0 / u_norm) * u, (1.0 / v_norm) * v)
+def _not(decision):
+    return None if decision is None else not decision
 
 
-def count_real_roots(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> RootCardinality:
-    if matfun._is_scalar(m):
-        return RootCardinality(Cardinality.INFINITE)
+def _refused(outcome, error):
+    """An outcome of the R^2 = I2 test other than True, as a caller of it
+    reports it: error where the test fails."""
+    return error if outcome is False else outcome
+
+
+def inputs(*values) -> tuple[Approx, ...]:
+    """Float inputs, exactly, for a computation on them as they are."""
+    return tuple(Approx(v) for v in values)
+
+
+def scaled_inputs(values, size) -> tuple[Approx, ...]:
+    """Float inputs of a computation that mat2._pow2_scaled may first scale
+    by 2**-e, e even and 2**e below 4 * size, so that nothing overflows:
+    each operation's underflow, and each input's where the scaling is down,
+    is then one subnormal times 4**e.  (An alpha or beta that scaling up
+    sends beyond the float range is far outside its limit.)"""
+    size = abs(Fraction(size))
+    eta = ETA * 16 * max(1, size) ** 2
+    e = eta if size >= 2**399 else Fraction(0)
+    return tuple(Approx(v, e, eta, None) for v in values)
+
+
+def norm(values) -> Approx:
+    """The max-norm of entries."""
+    return amax(*(abs(v) for v in values))
+
+
+# -- R^2 = S ------------------------------------------------------------------
+
+
+def square(r) -> tuple[Approx, ...]:
+    """The entries of R @ R, for R's entries as floats."""
+    a, b, c, d = inputs(*r)
+    return (a * a + b * c, a * b + b * d, c * a + d * c, c * b + d * d)
+
+
+def square_residual(r, s) -> Approx:
+    """||R^2 - S||, max-norm."""
+    return amax(*(abs(p - q) for p, q in zip(square(r), inputs(*s))))
+
+
+def nonfinite(entries) -> bool | None:
+    """Whether some entry's float is inf or nan; None where unknown."""
+    if any(e.e in _INF + (NONFINITE,) for e in entries):
+        return True
+    return None if any(e.e is None for e in entries) else False
+
+
+def square_root_cuts(r, s, tol: Tolerance = DEFAULT_TOL) -> tuple[Cut, Cut]:
+    """||R^2 - S|| against abs_tol * ||S|| and against abs_tol * ||R||^2."""
+    residual = square_residual(r, s)
+    a, b, c, d = inputs(*r)
+    tol_ = Approx(tol.abs_tol)
+    return (Cut(residual, tol_ * norm(inputs(*s))),
+            Cut(residual, tol_ * amax(a * a, b * b, c * c, d * d)))
+
+
+def square_root(r, s, tol: Tolerance = DEFAULT_TOL, read=Cut.decided):
+    """R^2 = S within abs_tol * max(||R||^2, ||S||), max-norms; NonFiniteEntry
+    where an entry of R^2 is beyond the float range."""
+    overflow = nonfinite(square(r))
+    if overflow is not False:
+        return overflow and NonFiniteEntry
+    return _any(*map(read, square_root_cuts(r, s, tol)))
+
+
+def involution(r, sign_: float, tol: Tolerance = DEFAULT_TOL, read=Cut.decided):
+    """R^2 = +-I2, by square_root."""
+    return square_root(r, (sign_, 0.0, 0.0, sign_), tol, read)
+
+
+# -- the roots of I2 ------------------------------------------------------------
+
+
+def b_cut(a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> Cut:
+    """b ~ 0 in a root [[a, b], [c, -a]]: |b| <= exact_tol * max(1, |a|)."""
+    a_, b_ = inputs(a, b)
+    return Cut(b_, Approx(tol.exact_tol) * amax(Approx(1), abs(a_)))
+
+
+_LOWER = {True: RootTag.LOWER_C_PLUS_MINUS, False: RootTag.LOWER_C_MINUS_PLUS}
+_UPPER = {True: RootTag.UPPER_B_PLUS_MINUS, False: RootTag.UPPER_B_MINUS_PLUS}
+
+
+def _rebuilt_c_cuts(m: Mat2, tol: Tolerance):
+    """(lower_closer, miss_cut): the general family's c rebuilt from (a, b)
+    by make_general_root misses c by more than the lower family's own error
+    max(|b|, |1 - |a||); miss_cut is the miss against abs_tol * max(1, |c|)."""
+    a, b, c = inputs(m.a, m.b, m.c)
+    try:
+        rebuilt = Approx(make_general_root(m.a, m.b, tol).c)
+    except NonFiniteEntry:  # (1 - a^2)/b is beyond the float range
+        rebuilt = Approx(OVERFLOW, POS_INF)
+    miss = abs(rebuilt - c)
+    lower_error = amax(abs(b), abs(1 - abs(a)))
+    return greater(miss - lower_error, 0), Cut(
+        miss, Approx(tol.abs_tol) * amax(Approx(1), abs(c)))
+
+
+def classify_involution(m: Mat2, tol: Tolerance = DEFAULT_TOL, read=Cut.decided):
+    """The family tag classify_involution gives m, or what it raises.
+
+    R^2 = I2 first; then a trace beyond +-1 is +-I2; then an off-diagonal
+    entry under the b cut is a triangular family, lower (b cut) before upper
+    (c cut), its sign that of a > 0; then a lower family where the rebuilt
+    c misses c beyond both the lower family's error and abs_tol * max(1, |c|);
+    else the general family.
+    """
+    inv = involution(m.entries(), 1.0, tol, read)
+    if inv is not True:
+        return _refused(inv, NotAnInvolution)
+    a, d = inputs(m.a, m.d)
+    trace = a + d
+    above, below = greater(trace, 1), greater(-trace, 1)
+    if above:
+        return RootTag.IDENTITY
+    if below:
+        return RootTag.NEG_IDENTITY
+    if above is None or below is None:
+        return None
+    positive = m.a > 0
+    b_small = read(b_cut(m.a, m.b, tol))
+    if b_small is not False:
+        return b_small and _LOWER[positive]
+    c_small = read(b_cut(m.a, m.c, tol))
+    if c_small is not False:
+        return c_small and _UPPER[positive]
+    closer, miss_cut = _rebuilt_c_cuts(m, tol)
+    rescue = _all(closer, _not(read(miss_cut)))
+    if rescue is None:
+        return None
+    return _LOWER[positive] if rescue else RootTag.GENERAL
+
+
+def decompose_general(m: Mat2, tol: Tolerance = DEFAULT_TOL, read=Cut.decided):
+    """RootTag.GENERAL where decompose_general factors m, or what it raises:
+    NotAnInvolution unless R^2 = I2, then DegenerateAngle under the b cut."""
+    inv = involution(m.entries(), 1.0, tol, read)
+    if inv is not True:
+        return _refused(inv, NotAnInvolution)
+    b_small = read(b_cut(m.a, m.b, tol))
+    return None if b_small is None else DegenerateAngle if b_small else RootTag.GENERAL
+
+
+# -- symmetry and equality ------------------------------------------------------
+
+
+def symmetric_cut(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> Cut:
+    """|b - c| <= abs_tol * ||m||."""
+    a, b, c, d = inputs(*m.entries())
+    return Cut(b - c, Approx(tol.abs_tol) * norm((a, b, c, d)))
+
+
+def equal_cut(lhs: Mat2, rhs: Mat2, tol: Tolerance = DEFAULT_TOL) -> Cut:
+    """||lhs - rhs|| <= abs_tol * max(||lhs||, ||rhs||)."""
+    left, right = inputs(*lhs.entries()), inputs(*rhs.entries())
+    return Cut(amax(*(abs(x - y) for x, y in zip(left, right))),
+               Approx(tol.abs_tol) * norm(left + right))
+
+
+def householder(m: Mat2, tol: Tolerance = DEFAULT_TOL, read=Cut.decided):
+    """Whether householder_angle gives m an angle: a symmetric involution
+    that is not approx_eq to +-I2; or what it raises."""
+    inv = involution(m.entries(), 1.0, tol, read)
+    if inv is not True:
+        return _refused(inv, False)
+    return _all(read(symmetric_cut(m, tol)),
+                _not(read(equal_cut(m, Mat2.identity(), tol))),
+                _not(read(equal_cut(m, -Mat2.identity(), tol))))
+
+
+# -- the loci S(alpha, beta) -----------------------------------------------------
+
+
+def locus_cuts(m: Mat2, alpha: float, beta: float, tol: Tolerance = DEFAULT_TOL):
+    """(trace, det, scalar) cuts of in_locus: a + d - alpha against
+    abs_tol * ||m||, ad - bc - beta against abs_tol * ||m||^2, and the
+    distance to the nearest scalar matrix against exact_tol * ||m||."""
     size = m.max_norm()
-    n = len(matfun._root_traces(*_pow2_scaled(m.entries(), (), size * size)[1:]))
-    return RootCardinality(Cardinality.FINITE, n) if n else RootCardinality(Cardinality.ZERO)
+    a, b, c, d, alpha_, beta_, size_ = scaled_inputs((*m.entries(), alpha, beta, size), size)
+    tol_ = Approx(tol.abs_tol)
+    # the scalar distance is taken on m as it is
+    ua, ub, uc, ud = inputs(*m.entries())
+    t = Fraction(1, 2) * (ua + ud)
+    scalar = Cut(amax(abs(ua - t), abs(ub), abs(uc), abs(ud - t)),
+                 Approx(tol.exact_tol) * norm((ua, ub, uc, ud)))
+    return (Cut(a + d - alpha_, tol_ * size_),
+            Cut(a * d - b * c - beta_, tol_ * (size_ * size_)),
+            scalar)
 
 
-def checked_fields(names: str, values: tuple) -> tuple[float, ...]:
-    """The fields a value type validating each one with ``_finite`` stores."""
-    return tuple(_finite(value, name) for name, value in zip(names, values))
+def in_locus(m: Mat2, alpha: float, beta: float, tol: Tolerance = DEFAULT_TOL,
+             read=Cut.decided):
+    trace, det, scalar = locus_cuts(m, alpha, beta, tol)
+    return _all(_not(read(scalar)), read(trace), read(det))
+
+
+def hyperplane_cut(m: Mat2, alpha: float, tol: Tolerance = DEFAULT_TOL) -> Cut:
+    """to_bell's |a + d - alpha| <= abs_tol * ||m||, on m as it is."""
+    a, b, c, d = inputs(*m.entries())
+    return Cut(a + d - alpha, Approx(tol.abs_tol) * norm((a, b, c, d)))
+
+
+def cone_cuts(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> tuple[Cut, Cut]:
+    """on_asymptotic_cone: a + d against abs_tol * ||m||, and
+    a^2 + bc against abs_tol * ||m||^2."""
+    size = m.max_norm()
+    a, b, c, d, size_ = scaled_inputs((*m.entries(), size), size)
+    tol_ = Approx(tol.abs_tol)
+    return Cut(a + d, tol_ * size_), Cut(a * a + b * c, tol_ * (size_ * size_))
+
+
+def on_asymptotic_cone(m: Mat2, tol: Tolerance = DEFAULT_TOL, read=Cut.decided):
+    return _all(*map(read, cone_cuts(m, tol)))
+
+
+def alpha_cut(x, y, z, alpha, other, tol: Tolerance = DEFAULT_TOL) -> Cut:
+    """quadric_residual's alpha ~ other: exact_tol times max(|x|, |y|, |z|,
+    |alpha|, |other|)."""
+    values = inputs(x, y, z, alpha, other)
+    return Cut(values[3] - values[4], Approx(tol.exact_tol) * norm(values))
+
+
+def lightlike_cut(w, x, y, z, tol: Tolerance = DEFAULT_TOL) -> Cut:
+    """sq_classify's w^2 + x^2 - y^2 - z^2 against exact_tol * (w^2 + x^2 +
+    y^2 + z^2)."""
+    w_, x_, y_, z_ = scaled_inputs((w, x, y, z), max(map(abs, (w, x, y, z))))
+    return Cut(w_ * w_ + x_ * x_ - y_ * y_ - z_ * z_,
+               Approx(tol.exact_tol) * (w_ * w_ + x_ * x_ + y_ * y_ + z_ * z_))
+
+
+# -- generator_directions ------------------------------------------------------
+
+
+def _product(p, q) -> tuple[Approx, ...]:
+    """The entries of P @ Q, each an Approx."""
+    a, b, c, d = p
+    e, f, g, h = q
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+#: sqrt(eps), which is 2**-26 exactly
+SQRT_EPS = Fraction(1, 2**26)
+
+
+def ruling_products(a: Mat2, seed: Mat2):
+    """(P X, U, N X, V, (P, X, N)) for P = A + I, N = A - I, U = P X N and
+    V = N X P, each product's entries an Approx."""
+    ma, mb, mc, md = inputs(*a.entries())
+    x = inputs(*seed.entries())
+    plus, minus = (ma + 1, mb, mc, md + 1), (ma - 1, mb, mc, md - 1)
+    px, nx = _product(plus, x), _product(minus, x)
+    return px, _product(px, minus), nx, _product(nx, plus), (plus, x, minus)
+
+
+def generator_directions(a: Mat2, seed: Mat2, tol: Tolerance = DEFAULT_TOL,
+                         read=Cut.decided):
+    """True where generator_directions returns directions, or what it
+    raises: NotAnInvolution off S(0, -1), NonFiniteEntry where a product is
+    beyond the float range, and DegenerateSeed where min(||U||, ||V||) is at
+    most sqrt(eps) * ||A + I|| ||X|| ||A - I||."""
+    on = in_locus(a, 0.0, -1.0, tol, read)
+    if on is not True:
+        return _refused(on, NotAnInvolution)
+    px, u, nx, v, (plus, x, minus) = ruling_products(a, seed)
+    overflow = nonfinite(px + u + nx + v)
+    if overflow is not False:
+        return overflow and NonFiniteEntry
+    seed_cut = Cut(amin(norm(u), norm(v)), SQRT_EPS * norm(plus) * norm(x) * norm(minus))
+    degenerate = read(seed_cut)
+    return None if degenerate is None else DegenerateSeed if degenerate else True
+
+
+# -- count_real_roots ------------------------------------------------------------
+
+
+def count_real_roots(m: Mat2):
+    """How many real square roots m has, from the exact signs of det,
+    tr^2 - 4 det and tr: "infinite" for a scalar m, else 0, 2 or 4.
+
+    det < 0 has none; tr >= 0 has 2 on det = 0 (none on tr = det = 0, the
+    nilpotents), 4 on distinct real eigenvalues and 2 otherwise; tr < 0 has
+    2 on a complex spectrum and none otherwise."""
+    if m.b == 0.0 and m.c == 0.0 and m.a == m.d:
+        return "infinite"
+    a, b, c, d = scaled_inputs(m.entries(), m.max_norm())
+    det = sign(a * d - b * c)
+    if det is None or det < 0:
+        return None if det is None else 0
+    trace = sign(a + d)
+    if trace is None:
+        return None
+    if trace >= 0 and det == 0:
+        return 2 if trace > 0 else 0
+    disc = sign((a - d) * (a - d) + 4 * b * c)
+    if disc is None:
+        return None
+    if trace >= 0:
+        return 4 if disc > 0 else 2
+    return 2 if disc < 0 else 0
+
+
+# -- the SciPy root search ------------------------------------------------------
 
 
 class RootSearchGrid(_Value):
@@ -240,134 +590,3 @@ def brute_force_roots(m: Mat2, grid: RootSearchGrid = RootSearchGrid()) -> list[
         if all(candidate.max_diff(r) > grid.dedup_tol for r in found):
             found.append(candidate)
     return found
-
-
-# -- the command line, as argparse declarations ---------------------------
-
-
-def _add_matrix_flags(parser):
-    parser.add_argument("--matrix", help="matrix as JSON {\"a\":..,\"b\":..,\"c\":..,\"d\":..}")
-    parser.add_argument("--matrix-file", help="path to a matrix JSON file")
-
-
-def _add_family_flags(parser):
-    parser.add_argument("--a", type=float)
-    parser.add_argument("--b", type=float)
-    parser.add_argument("--c", type=float)
-    parser.add_argument("--family",
-                        choices=[t.value.replace("_", "-") for t in RootTag])
-
-
-def _roots_flags(p):
-    p.add_argument("--of", choices=["identity", "neg-identity"], default="identity")
-    _add_family_flags(p)
-    p.add_argument("--sample", type=int, help="emit this many sampled roots instead")
-    p.add_argument("--range", type=float, default=10.0, help="sampling range for a, b")
-
-
-def _classify_flags(p):
-    _add_matrix_flags(p)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-
-
-def _bell_flags(p):
-    _add_matrix_flags(p)
-    p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--beta", type=float, help="also report the quadric residual")
-    p.add_argument("--x", type=float)
-    p.add_argument("--y", type=float)
-    p.add_argument("--z", type=float)
-
-
-def _generators_flags(p):
-    _add_matrix_flags(p)
-    p.add_argument("--phi", type=float, help="use the principal-section point H(phi)")
-    p.add_argument("--seed-matrix", help="seed matrix JSON (default [[1,0],[0,0]])")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--points", type=int, default=9, help="points per line in csv mode")
-    p.add_argument("--t-max", type=float, default=2.0)
-
-
-def _quat_flags(p):
-    p.add_argument("--to-matrix", metavar="QUAT", help="quaternion JSON to map to a matrix")
-    p.add_argument("--from-matrix", metavar="MATRIX", help="matrix JSON to map to a quaternion")
-    p.add_argument("--matrix-file", help="path to a matrix JSON file (with --from-matrix semantics)")
-    p.add_argument("--root", choices=["identity", "neg"], help="emit a parametrized root")
-    p.add_argument("--t", type=float, default=0.0)
-    p.add_argument("--phi", type=float, default=0.0)
-    p.add_argument("--decompose", action="store_true",
-                   help="include the Householder + skew split of the root")
-
-
-def _matfun_flags(p):
-    _add_matrix_flags(p)
-    p.add_argument("--function", choices=["sqrt", "square"], default="sqrt",
-                   help="sqrt: the principal square root; square: the matrix squared")
-    p.add_argument("--all-branches", action="store_true",
-                   help="enumerate all branch square roots and the root count")
-
-
-def _sample_flags(p):
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--nu", type=int, default=16, help="azimuth steps")
-    p.add_argument("--nv", type=int, default=16, help="second-coordinate steps")
-    p.add_argument("--span", type=float, default=2.0)
-    p.add_argument("--format", choices=["json", "csv"], default="csv")
-
-
-def _decompose_flags(p):
-    _add_matrix_flags(p)
-    _add_family_flags(p)
-
-
-def _orbit_flags(p):
-    _add_matrix_flags(p)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--y", type=float, required=True)
-    p.add_argument("--steps", type=int, default=2)
-    p.add_argument("--format", choices=["json", "csv"], default="csv")
-
-
-#: Each subcommand once: name -> (help, function adding its flags, handler).
-_REFERENCE_COMMANDS = {
-    "roots": ("construct square roots of +-I2", _roots_flags, cli._cmd_roots),
-    "classify": ("classify an involution or a locus S(alpha, beta)", _classify_flags,
-                 cli._cmd_classify),
-    "bell": ("convert between matrices and Bell coordinates", _bell_flags, cli._cmd_bell),
-    "generators": ("ruling directions through a point of S(0,-1)", _generators_flags,
-                   cli._cmd_generators),
-    "quat": ("split-quaternion round trips and unit roots", _quat_flags, cli._cmd_quat),
-    "matfun": ("matrix functions and square-root branches", _matfun_flags, cli._cmd_matfun),
-    "sample": ("point cloud covering S(alpha, beta)", _sample_flags, cli._cmd_sample),
-    "decompose": ("factor a root into elementary transformations", _decompose_flags,
-                  cli._cmd_decompose),
-    "orbit": ("trace a point under repeated application", _orbit_flags, cli._cmd_orbit),
-}
-
-
-def _command_flags(parser, name: str) -> None:
-    """Give parser the flags and the handler of subcommand name."""
-    _, flags, handler = _REFERENCE_COMMANDS[name]
-    flags(parser)
-    parser.add_argument("-o", "--output", help="write the document here instead of stdout")
-    parser.add_argument("--seed", type=int, default=0, help="seed for any sampling")
-    parser.set_defaults(func=handler)
-
-
-def reference_parser(command: str | None = None):
-    """The full ``invgeo`` parser, or with ``command`` that subcommand's own
-    parser: the one the full tree hands the rest of the command line to."""
-    if command is not None:
-        parser = cli._parser_class()(prog=f"invgeo {command}")
-        _command_flags(parser, command)
-        return parser
-    # --help shows the summary and the paragraph on exit codes and output;
-    # the rest of the docstring is about the code
-    description = "\n\n".join((cli.__doc__ or "").split("\n\n")[:2])
-    parser = cli._parser_class()(prog="invgeo", description=description)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _, _) in _REFERENCE_COMMANDS.items():
-        _command_flags(sub.add_parser(name, help=help_text), name)
-    return parser

@@ -20,37 +20,13 @@ from invgeo import cli
 from invgeo.cli import run
 from invgeo.roots import RootTag
 
-from oracle import reference_parser
+import goldens
 
-GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN_DIR = goldens.GOLDEN_DIR
 
 SWAP = '{"a": 0, "b": 1, "c": 1, "d": 0}'
 
-GOLDEN_CASES = [
-    ("roots_general.json", ["roots", "--of", "identity", "--a", "0.3", "--b", "2"]),
-    ("roots_family.json", ["roots", "--of", "identity", "--family", "upper-b-plus-minus", "--b", "5"]),
-    ("roots_skew.json", ["roots", "--of", "neg-identity", "--a", "1", "--b", "2"]),
-    ("roots_sample.json", ["roots", "--of", "identity", "--sample", "3", "--seed", "0"]),
-    ("classify_quadric.json", ["classify", "--alpha", "0", "--beta", "-1"]),
-    ("classify_matrix.json", ["classify", "--matrix", SWAP]),
-    ("bell_forward.json", ["bell", "--matrix", '{"a": 1, "b": 0, "c": 0, "d": -1}', "--alpha", "0", "--beta", "-1"]),
-    ("bell_inverse.json", ["bell", "--x", "0", "--y", "1.4142135623730951", "--z", "0", "--alpha", "0"]),
-    ("generators.json", ["generators", "--phi", "1.0471975511965976"]),
-    ("generators.csv", ["generators", "--phi", "0.5", "--format", "csv", "--points", "5", "--t-max", "2"]),
-    ("quat_from_matrix.json", ["quat", "--from-matrix", '{"a": 0, "b": 1, "c": -1, "d": 0}']),
-    ("quat_root.json", ["quat", "--root", "identity", "--t", "1", "--phi", "0.5", "--decompose"]),
-    ("matfun_branches.json", ["matfun", "--matrix", '{"a": 1, "b": 0, "c": 0, "d": 4}', "--all-branches"]),
-    ("matfun_sqrt.json", ["matfun", "--matrix", '{"a": 1, "b": 1, "c": 0, "d": 1}', "--function", "sqrt"]),
-    ("matfun_square.json", ["matfun", "--matrix", '{"a": 1, "b": 1, "c": 0, "d": 1}', "--function", "square"]),
-    ("sample_one_sheet.csv", ["sample", "--alpha", "0", "--beta", "-1", "--nu", "4", "--nv", "3", "--format", "csv"]),
-    ("sample_cone.csv", ["sample", "--alpha", "0", "--beta", "0", "--nu", "3", "--nv", "3", "--format", "csv"]),
-    ("decompose_general.json", ["decompose", "--matrix", '{"a": 0, "b": 2, "c": 0.5, "d": 0}']),
-    ("decompose_case.json", ["decompose", "--family", "upper-b-plus-minus", "--b", "4"]),
-    ("orbit.csv", ["orbit", "--matrix", SWAP, "--x", "1", "--y", "0", "--steps", "4", "--format", "csv"]),
-    ("sample_two_sheet.csv", ["sample", "--alpha", "1", "--beta", "2", "--nu", "4", "--nv", "5", "--format", "csv"]),
-    ("sample_one_sheet.json", ["sample", "--alpha", "1", "--beta", "-1", "--nu", "3", "--nv", "2", "--format", "json"]),
-    ("roots_sample_skew.json", ["roots", "--of", "neg-identity", "--sample", "3", "--seed", "4"]),
-]
+GOLDEN_CASES = goldens.CASES
 
 
 def _run(argv, capsys):
@@ -814,10 +790,30 @@ def test_family_choices_are_the_root_tags():
 
 @pytest.mark.parametrize("command", [None, *cli._COMMANDS])
 def test_help_matches_the_reference_declarations(command):
-    assert cli.build_parser(command).format_help() == reference_parser(command).format_help()
+    """Each parser declares what golden/cli_flags.json holds, and the full
+    tree hands each subcommand a parser that declares what its own does."""
+    if os.environ.get("UPDATE_GOLDEN"):
+        goldens.FLAGS_GOLDEN.write_text(goldens.flags_text(), encoding="utf-8")
+    declared = json.loads(goldens.FLAGS_GOLDEN.read_text(encoding="utf-8"))
+    assert goldens.declarations(cli.build_parser(command)) == declared[command or "invgeo"]
+    if command is not None:
+        sub = next(a for a in _FULL_TREE._actions if a.dest == "command")
+        assert goldens.declarations(sub.choices[command]) == declared[command]
 
 
-# command lines on which run()'s parse must agree with the reference tree:
+def test_golden_script_checks_a_command_against_every_golden():
+    env = {**os.environ, "PYTHONPATH": str(Path(invgeo.__file__).parents[1])}
+    script = str(Path(goldens.__file__))
+    proc = subprocess.run([sys.executable, script, sys.executable, "-m", "invgeo.cli"],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("ok   ") == len(GOLDEN_CASES) == 23
+    proc = subprocess.run([sys.executable, script, "--flags"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.stdout == goldens.FLAGS_GOLDEN.read_text(encoding="utf-8")
+
+
+# command lines on which run()'s parse must agree with the full argparse tree:
 # abbreviations, attached and negative values, "--", repeated flags, help,
 # unknown commands and bad values, and the edges of the flag-table read
 PARSE_CORPUS = [
@@ -917,20 +913,20 @@ def _run_outcome(argv):
 
 @pytest.mark.parametrize("argv", PARSE_CORPUS, ids=[" ".join(a) or "-" for a in PARSE_CORPUS])
 def test_run_parses_like_the_full_tree(argv, monkeypatch):
-    expected = _parse_outcome(reference_parser().parse_args, argv)
+    expected = _parse_outcome(cli.build_parser().parse_args, argv)
     monkeypatch.setattr(cli, "_parsers", {})
     assert _run_outcome(argv) == expected
 
 
 @pytest.mark.parametrize("command", list(cli._COMMANDS))
 def test_subcommand_help_matches_the_full_tree(command):
-    expected = _parse_outcome(reference_parser().parse_args, [command, "--help"])
+    expected = _parse_outcome(cli.build_parser().parse_args, [command, "--help"])
     assert expected[1] == 0 and expected[2].startswith(f"usage: invgeo {command} ")
     assert _parse_outcome(run, [command, "--help"]) == expected
 
 
-_FULL_TREE = reference_parser()
-_SUBPARSERS = {name: reference_parser(name) for name in cli._COMMANDS}
+_FULL_TREE = cli.build_parser()
+_SUBPARSERS = {name: cli.build_parser(name) for name in cli._COMMANDS}
 
 # values no flag takes as given, or that argparse reads as an option
 _ODD_VALUES = st.sampled_from(["", "x", "-", "--", "-x", "-1e-3", "-1 2", "-1\n", "0x10",
@@ -951,7 +947,7 @@ def _good_value(action):
 
 @st.composite
 def _flag_lines(draw):
-    """(command, tokens, plain) drawn from a subcommand's reference parser: each
+    """(command, tokens, plain) drawn from a subcommand's own parser: each
     flag in the exact, the "=" or an abbreviated form, or with a bad value, a
     missing value or a stray "--" beside it; a required flag is sometimes
     left out.  plain says that every token is an exact flag or its value,

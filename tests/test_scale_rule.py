@@ -7,9 +7,9 @@ that produced it, so two properties hold for each:
   [-500, 500] the decision on 2**k * A (alpha * 2**k and beta * 4**k for a
   locus) is the decision on A;
 * exact signs: every float is a rational, so the true size of the quantity
-  is known with ``fractions.Fraction``, and the decision agrees with it
-  wherever the exact margin is more than twice the threshold (or less than
-  half of it).
+  is known with ``fractions.Fraction``, and the decision agrees with the
+  exact rule in oracle.py wherever the exact margin is more than twice the
+  threshold (or less than half of it), which is ``oracle.clear``.
 
 The tests of R^2 = +-I2 fix the scale, so they are checked instead on roots
 whose entries run from 1e-6 to 1e8, next to b = 0.  The examples at the top
@@ -19,8 +19,8 @@ are inputs that an absolute cut misread.
 import math
 import random
 import sys
-from fractions import Fraction
 
+import oracle
 import pytest
 from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
@@ -62,8 +62,6 @@ from invgeo.errors import (
 )
 
 I2 = Mat2.identity()
-RESIDUAL = Fraction(DEFAULT_TOL.abs_tol)
-DEGENERATE = Fraction(DEFAULT_TOL.exact_tol)
 K = st.integers(-500, 500)
 #: multiples of 2**-52 in [-2, 2], as in the eigen2 invariance test
 GRID = st.integers(-2**53, 2**53).map(lambda n: math.ldexp(n, -52))
@@ -149,19 +147,6 @@ def _outcome(fn, *args):
         return type(exc)
 
 
-def _clear(x: Fraction, threshold: Fraction) -> bool:
-    """The exact margin decides: |x| beyond twice the threshold or below half."""
-    return abs(x) > 2 * threshold or abs(x) < threshold / 2
-
-
-def _exact(m: Mat2):
-    return tuple(Fraction(v) for v in m.entries())
-
-
-def _norm(values) -> Fraction:
-    return max(abs(v) for v in values)
-
-
 @st.composite
 def loci(draw):
     """(m, alpha, beta): m on the grid, alpha and beta its trace and det,
@@ -190,15 +175,9 @@ def test_in_locus_is_invariant_under_power_of_two_scaling(locus, k):
 @given(loci())
 def test_in_locus_agrees_with_the_exact_margins(locus):
     m, alpha, beta = locus
-    a, b, c, d = _exact(m)
-    size = _norm((a, b, c, d))
-    t = (a + d) / 2
-    margins = [(a + d - Fraction(alpha), RESIDUAL * size),
-               (a * d - b * c - Fraction(beta), RESIDUAL * size * size),
-               (max(abs(a - t), abs(b), abs(c), abs(d - t)), DEGENERATE * size)]
-    assume(all(_clear(x, limit) for x, limit in margins))
-    (trace, det, scalar) = (abs(x) <= limit for x, limit in margins)
-    assert in_locus(m, LocusParams(alpha, beta)) == (trace and det and not scalar)
+    expected = oracle.in_locus(m, alpha, beta, read=oracle.clear)
+    assume(expected is not None)
+    assert in_locus(m, LocusParams(alpha, beta)) == expected
 
 
 @st.composite
@@ -221,11 +200,9 @@ def test_asymptotic_cone_is_invariant_under_power_of_two_scaling(m, k):
 @settings(max_examples=300, deadline=None)
 @given(near_nilpotents())
 def test_asymptotic_cone_agrees_with_the_exact_margins(m):
-    a, b, c, d = _exact(m)
-    size = _norm((a, b, c, d))
-    margins = [(a + d, RESIDUAL * size), (a * a + b * c, RESIDUAL * size * size)]
-    assume(all(_clear(x, limit) for x, limit in margins))
-    assert on_asymptotic_cone(m) == all(abs(x) <= limit for x, limit in margins)
+    expected = oracle.on_asymptotic_cone(m, read=oracle.clear)
+    assume(expected is not None)
+    assert on_asymptotic_cone(m) == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -235,10 +212,9 @@ def test_hyperplane_decisions_are_invariant_and_agree_with_the_exact_margin(locu
     *entries, alpha_k = _scaled((*m.entries(), alpha), (1, 1, 1, 1, 1), k)
     refused = _outcome(to_bell, m, alpha) is NotInHyperplane
     assert (_outcome(to_bell, Mat2(*entries), alpha_k) is NotInHyperplane) == refused
-    a, _, _, d = _exact(m)
-    margin, limit = a + d - Fraction(alpha), RESIDUAL * _norm(_exact(m))
-    if _clear(margin, limit):
-        assert refused == (abs(margin) > limit)
+    inside = oracle.clear(oracle.hyperplane_cut(m, alpha))
+    if inside is not None:
+        assert refused == (not inside)
 
 
 @settings(max_examples=300, deadline=None)
@@ -253,10 +229,9 @@ def test_alpha_mismatch_is_invariant_and_agrees_with_the_exact_margin(point, nud
     scaled = _outcome(quadric_residual, BellPoint(x_k, y_k, z_k, alpha_k),
                       LocusParams(other_k, beta_k))
     assert (scaled is AlphaMismatch) == mismatch
-    margin = Fraction(alpha) - Fraction(other)
-    limit = DEGENERATE * _norm([abs(Fraction(v)) for v in (x, y, z, alpha, other)])
-    if _clear(margin, limit):
-        assert mismatch == (abs(margin) > limit)
+    same = oracle.clear(oracle.alpha_cut(x, y, z, alpha, other))
+    if same is not None:
+        assert mismatch == (not same)
 
 
 @settings(max_examples=100, deadline=None)
@@ -279,11 +254,9 @@ def test_lightlike_decision_is_invariant_and_agrees_with_the_exact_margin(q, nud
     quat = SplitQuat(w, x, y, z)
     cls = sq_classify(quat)
     assert sq_classify(SplitQuat(*_scaled((w, x, y, z), (1, 1, 1, 1), k))) is cls
-    fw, fx, fy, fz = (Fraction(v) for v in (w, x, y, z))
-    margin = fw * fw + fx * fx - fy * fy - fz * fz
-    limit = DEGENERATE * (fw * fw + fx * fx + fy * fy + fz * fz)
-    if _clear(margin, limit):
-        assert (cls.value == "lightlike") == (abs(margin) <= limit)
+    lightlike = oracle.clear(oracle.lightlike_cut(w, x, y, z))
+    if lightlike is not None:
+        assert (cls.value == "lightlike") == lightlike
 
 
 # -- is_symmetric, approx_eq, inverse ---------------------------------------------
@@ -295,10 +268,9 @@ def test_symmetry_is_invariant_and_agrees_with_the_exact_margin(entries, nudge, 
     m = Mat2(a, b, b * (1.0 + nudge), d)
     scaled = Mat2(*_scaled(m.entries(), (1, 1, 1, 1), k))
     assert scaled.is_symmetric() == m.is_symmetric()
-    fa, fb, fc, fd = _exact(m)
-    margin, limit = fb - fc, RESIDUAL * _norm((fa, fb, fc, fd))
-    if _clear(margin, limit):
-        assert m.is_symmetric() == (abs(margin) <= limit)
+    symmetric = oracle.clear(oracle.symmetric_cut(m))
+    if symmetric is not None:
+        assert m.is_symmetric() == symmetric
 
 
 @settings(max_examples=300, deadline=None)
@@ -309,11 +281,9 @@ def test_approx_eq_is_invariant_and_agrees_with_the_exact_margin(entries, nudge,
     lhs, rhs = Mat2(*entries), Mat2(*other)
     same = approx_eq(lhs, rhs)
     assert approx_eq(Mat2(*_scaled(entries, (1,) * 4, k)), Mat2(*_scaled(other, (1,) * 4, k))) == same
-    left, right = _exact(lhs), _exact(rhs)
-    margin = max(abs(x - y) for x, y in zip(left, right))
-    limit = RESIDUAL * max(_norm(left), _norm(right))
-    if _clear(margin, limit):
-        assert same == (margin <= limit)
+    equal = oracle.clear(oracle.equal_cut(lhs, rhs))
+    if equal is not None:
+        assert same == equal
 
 
 @settings(max_examples=300, deadline=None)
@@ -342,13 +312,9 @@ def test_root_check_is_invariant_and_agrees_with_the_exact_margin(root, nudge, s
     m_k = Mat2(*_scaled(square, (2,) * 4, k))
     assert (_outcome(scaled_roots, m_k, 4.0, r_k) is NotASquareRoot) == refused
     assert (_outcome(conjugated_roots, m_k, I2, r_k) is NotASquareRoot) == refused
-    fr, fm = _exact(r), _exact(m)
-    ra, rb, rc, rd = fr
-    product = (ra * ra + rb * rc, ra * rb + rb * rd, rc * ra + rd * rc, rc * rb + rd * rd)
-    margin = max(abs(x - y) for x, y in zip(product, fm))
-    limit = RESIDUAL * max(_norm(fr) ** 2, _norm(fm))
-    if _clear(margin, limit):
-        assert refused == (margin > limit)
+    root = oracle.square_root(r.entries(), m.entries(), read=oracle.clear)
+    if root is not None:
+        assert refused == (not root)
 
 
 # -- roots of +-I2, from 1e-6 to 1e8 and next to b = 0 -----------------------------
@@ -371,7 +337,7 @@ def test_general_roots_at_every_scale_read_back_as_built(a, mantissa, exponent, 
     try:
         m = make_general_root(a, b)
     except DegenerateParameter:
-        assert abs(b) <= DEFAULT_TOL.exact_tol * max(1.0, abs(a))
+        assert oracle.b_cut(a, b).decided() is not False
         return
     assert is_involution(m)
     family = classify_involution(m)
@@ -380,7 +346,7 @@ def test_general_roots_at_every_scale_read_back_as_built(a, mantissa, exponent, 
         assert decompose_general(m).recompose().max_diff(m) <= 1e-9 * m.max_norm() ** 2
     else:  # c = (1 - a^2)/b negligible next to max(1, |a|)
         assert family.tag in (RootTag.UPPER_B_PLUS_MINUS, RootTag.UPPER_B_MINUS_PLUS)
-        assert abs(m.c) <= DEFAULT_TOL.exact_tol * max(1.0, abs(a))
+        assert oracle.b_cut(a, m.c).decided() is not False
     assert decompose(m).recompose().max_diff(m) <= 1e-9 * max(m.max_norm() ** 2, 1.0)
 
 
@@ -392,7 +358,7 @@ def test_skew_roots_at_every_scale_are_skew_involutions(a, mantissa, exponent, s
     try:
         m = make_skew_root(a, b)
     except DegenerateParameter:
-        assert abs(b) <= DEFAULT_TOL.exact_tol * max(1.0, abs(a))
+        assert oracle.b_cut(a, b).decided() is not False
         return
     assert is_skew_involution(m)
 
@@ -408,12 +374,9 @@ def test_involution_test_agrees_with_the_exact_margin(a, mantissa, exponent, nud
     entries = list(m.entries())
     entries[slot] *= 1.0 + nudge
     m = Mat2(*entries)
-    ra, rb, rc, rd = fr = _exact(m)
-    product = (ra * ra + rb * rc - 1, ra * rb + rb * rd, rc * ra + rd * rc, rc * rb + rd * rd - 1)
-    margin = max(abs(x) for x in product)
-    limit = RESIDUAL * max(_norm(fr) ** 2, 1)
-    if _clear(margin, limit):
-        assert is_involution(m) == (margin <= limit)
+    involution = oracle.involution(m.entries(), 1.0, read=oracle.clear)
+    if involution is not None:
+        assert is_involution(m) == involution
 
 
 @settings(max_examples=200, deadline=None)

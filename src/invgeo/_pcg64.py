@@ -5,14 +5,22 @@ NumPy's default generator draws.  Importing NumPy only for that stream costs
 more than the rest of a CLI call, so this module repeats NumPy's arithmetic
 with Python integers instead: ``SeedSequence`` entropy mixing, the PCG64
 XSL-RR generator, and ``random_uniform``'s ``low + range * next_double``.
+
+``Generator.uniform(low, high, size)`` takes NumPy's signature: without
+``size`` it returns one float, with it a list of ``size`` floats, the draws
+NumPy's array would hold, in order.  Both are one loop over the 128-bit
+state, kept in locals and written back once, so a sampler that asks for a
+batch pays one call, not one per draw.
 """
 from __future__ import annotations
 
 import math
 
 _M32 = 0xFFFFFFFF
+_M64 = (1 << 64) - 1
 _M128 = (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_DOUBLE_UNIT = 1.0 / 9007199254740992.0  # 2**-53: next_double's top 53 bits as [0, 1)
 
 # SeedSequence hash constants (O'Neill's seed_seq_fe, as in NumPy).
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -67,27 +75,30 @@ class Generator:
 
     def __init__(self, seed: int):
         w = _seed_words(seed)
-        self._inc = ((w[2] << 64 | w[3]) << 1 | 1) & _M128
-        self._state = 0
-        self._step()
-        self._state = (self._state + (w[0] << 64 | w[1])) & _M128
-        self._step()
+        inc = ((w[2] << 64 | w[3]) << 1 | 1) & _M128
+        # PCG64's seeding: step from 0, add the initial state, step again
+        state = (inc + (w[0] << 64 | w[1])) & _M128
+        self._inc = inc
+        self._state = (state * _PCG_MULT + inc) & _M128
 
-    def _step(self) -> None:
-        self._state = (self._state * _PCG_MULT + self._inc) & _M128
-
-    def _next_double(self) -> float:
-        self._step()
-        hi, lo = self._state >> 64, self._state & 0xFFFFFFFFFFFFFFFF
-        x, rot = hi ^ lo, hi >> 58
-        x = ((x >> rot) | (x << (64 - rot))) & 0xFFFFFFFFFFFFFFFF
-        return (x >> 11) * (1.0 / 9007199254740992.0)
-
-    def uniform(self, low: float, high: float) -> float:
+    def uniform(self, low: float, high: float, size: int | None = None):
+        """One draw from [low, high), or a list of ``size`` of them."""
         low, high = float(low), float(high)
         span = high - low
         if not math.isfinite(span):
             raise OverflowError("high - low range exceeds valid bounds")
         if span < 0:
             raise ValueError("high - low < 0")
-        return low + span * self._next_double()
+        if size is not None and size < 0:
+            raise ValueError("negative dimensions are not allowed")
+        state, inc, mult = self._state, self._inc, _PCG_MULT
+        out = []
+        append = out.append
+        for _ in range(1 if size is None else size):
+            state = (state * mult + inc) & _M128
+            hi, lo = state >> 64, state & _M64
+            x, rot = hi ^ lo, hi >> 58
+            x = ((x >> rot) | (x << (64 - rot))) & _M64
+            append(low + span * ((x >> 11) * _DOUBLE_UNIT))
+        self._state = state
+        return out[0] if size is None else out

@@ -23,10 +23,11 @@ process, so the few shapes of the documents are encoded once per process.
 Point clouds (``sample``, ``generators --format csv`` and ``roots
 --sample``) and ``orbit --format csv`` are written from rows of finite
 floats, not dicts: ``quadric.surface_rows`` hands over the sample grid as
-rows, and the other commands make one row per point.  Each row is written
-by one ``%``-template per document, the JSON record or the CSV line with
-``%r`` (``float.__repr__``) in each float's place and any value constant
-over the document already in the text, and the document is joined once.
+rows, ``roots._sample`` the sampled roots, and the other commands make one
+row per point.  Each row is written by one ``%``-template per document, the
+JSON record or the CSV line with ``%r`` (``float.__repr__``) in each float's
+place and any value constant over the document already in the text, and
+the document is joined once.
 The output is the same, byte for byte, as the generic writer's for the dict
 document, which the tests check against ``json.dumps``.
 
@@ -333,12 +334,8 @@ def _cmd_roots(args, tol: Tolerance) -> None:
     roots = _kernel("roots")
     sign = 1.0 if args.of == "identity" else -1.0
     if args.sample is not None:
-        if args.of == "identity":
-            mats = roots.sample_involutions(args.sample, seed=args.seed, param_range=args.range)
-        else:
-            mats = roots.sample_skew_involutions(args.sample, seed=args.seed, param_range=args.range)
-        rows = [(m.a, m.b, m.c, m.d, _square_residual(m.a, m.b, m.c, m.d, sign, 0.0, 0.0, sign))
-                for m in mats]
+        rows = [(a, b, c, d, _square_residual(a, b, c, d, sign, 0.0, 0.0, sign))
+                for a, b, c, d in roots._sample(sign, args.sample, args.seed, args.range)]
         record = {"matrix": dict.fromkeys("abcd", "%r"), "residual": "%r"}
         _write(args, _json_records('{\n  "samples": ', record, rows, "\n  ",
                                    ',\n  "seed": ' + int.__repr__(args.seed) + "\n}\n"))

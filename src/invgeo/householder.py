@@ -22,6 +22,7 @@ from .roots import is_involution
 _NORM_SLACK = 1e-6  # inputs this close to unit length are renormalized
 _I2 = Mat2.identity()
 _NEG_I2 = -_I2
+_TWO_PI = 2.0 * math.pi
 
 
 class UnitVec2(_Value):
@@ -77,4 +78,6 @@ def householder_angle(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> float | None:
     if (not is_involution(m, tol) or not m.is_symmetric(tol)
             or approx_eq(m, _I2, tol) or approx_eq(m, _NEG_I2, tol)):
         return None
-    return math.atan2(m.b, m.a) % (2.0 * math.pi)
+    phi = math.atan2(m.b, m.a) % _TWO_PI
+    # a negative atan2 within half an ulp of 0 rounds up to the modulus
+    return 0.0 if phi == _TWO_PI else phi

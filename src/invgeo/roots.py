@@ -19,6 +19,17 @@ of R^2 as plain floats and compares them with S without building the
 product matrix; it raises NonFiniteEntry, as the product would, where an
 entry overflows.  classify_involution makes that one test and then reads
 the family and its parameters off the same floats.
+
+Both two-parameter families are the roots [[a, b], [c, -a]] of s * I2 with
+c = (s - a^2)/b, s = 1 or -1.  _root_entries builds them, with the checks
+the constructors make: make_general_root and make_skew_root build their
+Mat2 from it, and the samplers' kernel, _sample, returns its rows
+(a, b, c, d) as plain tuples.  _sample draws its (a, b) pairs in batches from one sized
+_pcg64 uniform call, 2 * (rows still wanted) draws at a time; each pair
+gives at most one row, so it never draws past the pair that completes the
+last row and consumes the stream a draw-by-draw loop would.  ``roots
+--sample`` writes those rows out directly; sample_involutions and
+sample_skew_involutions wrap each in a Mat2.
 """
 
 from __future__ import annotations
@@ -47,14 +58,25 @@ class RootTag(enum.Enum):
     GENERAL = "general"                          # [[a, b], [(1-a^2)/b, -a]]
 
 
+# The tags as module globals for the per-call paths (classify_involution,
+# make_case_root, xform's decompose): on Python 3.11 a member lookup on the
+# enum class takes about ten times as long as reading a global.
+_IDENTITY = RootTag.IDENTITY
+_NEG_IDENTITY = RootTag.NEG_IDENTITY
+_UPPER_B_PLUS_MINUS = RootTag.UPPER_B_PLUS_MINUS
+_UPPER_B_MINUS_PLUS = RootTag.UPPER_B_MINUS_PLUS
+_LOWER_C_PLUS_MINUS = RootTag.LOWER_C_PLUS_MINUS
+_LOWER_C_MINUS_PLUS = RootTag.LOWER_C_MINUS_PLUS
+_GENERAL = RootTag.GENERAL
+
 _PARAM_SLOTS = {
-    RootTag.IDENTITY: (),
-    RootTag.NEG_IDENTITY: (),
-    RootTag.UPPER_B_PLUS_MINUS: ("b",),
-    RootTag.UPPER_B_MINUS_PLUS: ("b",),
-    RootTag.LOWER_C_PLUS_MINUS: ("c",),
-    RootTag.LOWER_C_MINUS_PLUS: ("c",),
-    RootTag.GENERAL: ("a", "b"),
+    _IDENTITY: (),
+    _NEG_IDENTITY: (),
+    _UPPER_B_PLUS_MINUS: ("b",),
+    _UPPER_B_MINUS_PLUS: ("b",),
+    _LOWER_C_PLUS_MINUS: ("c",),
+    _LOWER_C_MINUS_PLUS: ("c",),
+    _GENERAL: ("a", "b"),
 }
 
 
@@ -75,7 +97,7 @@ class RootFamily(_Value):
             elif value is not None:
                 raise DegenerateParameter(f"{tag.value} does not take parameter {slot}")
             _setattr(self, slot, value)
-        if tag is RootTag.GENERAL and self.b == 0.0:
+        if tag is _GENERAL and self.b == 0.0:
             raise DegenerateParameter("general family requires b != 0")
 
     def params(self) -> dict:
@@ -109,30 +131,48 @@ def _b_negligible(a: float, b: float, tol: Tolerance) -> bool:
     return tol.negligible(b, max(1.0, abs(a)), exact=True)
 
 
+_B_NEGLIGIBLE = {
+    1.0: "b ~ 0: use make_case_root with a triangular or scalar family",
+    -1.0: "skew-involutory family requires b != 0",
+}
+
+
+def _root_entries(square: float, a: float, b: float, tol: Tolerance) -> tuple:
+    """(a, b, c, -a) with c = (square - a^2)/b, the root [[a, b], [c, -a]] of
+    square * I2 for square 1.0 or -1.0 and floats a, b.
+
+    It makes the constructors' checks in their order: DegenerateParameter
+    where b ~ 0, then the NonFiniteEntry Mat2 raises for the first entry
+    that is not finite.  (-1 - a^2)/b is -(1 + a^2)/b bit for bit, since
+    negation is exact and rounding is symmetric.
+    """
+    if _b_negligible(a, b, tol):
+        raise DegenerateParameter(_B_NEGLIGIBLE[square])
+    c = (square - a * a) / b
+    if a - a + (b - b) + (c - c) != 0.0:
+        Mat2(a, b, c, -a)  # raises for the first entry that is not finite
+    return a, b, c, -a
+
+
 def make_general_root(a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> Mat2:
     """General two-parameter square root of I2: [[a, b], [(1-a^2)/b, -a]]."""
-    a, b = float(a), float(b)
-    if _b_negligible(a, b, tol):
-        raise DegenerateParameter(
-            "b ~ 0: use make_case_root with a triangular or scalar family"
-        )
-    return Mat2(a, b, (1.0 - a * a) / b, -a)
+    return Mat2(*_root_entries(1.0, float(a), float(b), tol))
 
 
 def make_case_root(family: RootFamily) -> Mat2:
     """The scalar and triangular involutions (every tag except GENERAL)."""
     tag = family.tag
-    if tag is RootTag.IDENTITY:
+    if tag is _IDENTITY:
         return Mat2.identity()
-    if tag is RootTag.NEG_IDENTITY:
+    if tag is _NEG_IDENTITY:
         return -Mat2.identity()
-    if tag is RootTag.UPPER_B_PLUS_MINUS:
+    if tag is _UPPER_B_PLUS_MINUS:
         return Mat2(1.0, family.b, 0.0, -1.0)
-    if tag is RootTag.UPPER_B_MINUS_PLUS:
+    if tag is _UPPER_B_MINUS_PLUS:
         return Mat2(-1.0, family.b, 0.0, 1.0)
-    if tag is RootTag.LOWER_C_PLUS_MINUS:
+    if tag is _LOWER_C_PLUS_MINUS:
         return Mat2(1.0, 0.0, family.c, -1.0)
-    if tag is RootTag.LOWER_C_MINUS_PLUS:
+    if tag is _LOWER_C_MINUS_PLUS:
         return Mat2(-1.0, 0.0, family.c, 1.0)
     raise WrongConstructor("use make_general_root for the general family")
 
@@ -140,17 +180,14 @@ def make_case_root(family: RootFamily) -> Mat2:
 def make_root(family: RootFamily, tol: Tolerance = DEFAULT_TOL) -> Mat2:
     """Dispatch to the matching constructor for any family tag; tol is the
     general family's b ~ 0 threshold."""
-    if family.tag is RootTag.GENERAL:
+    if family.tag is _GENERAL:
         return make_general_root(family.a, family.b, tol)
     return make_case_root(family)
 
 
 def make_skew_root(a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> Mat2:
     """Square root of -I2: [[a, b], [-(1+a^2)/b, -a]] with b != 0."""
-    a, b = float(a), float(b)
-    if _b_negligible(a, b, tol):
-        raise DegenerateParameter("skew-involutory family requires b != 0")
-    return Mat2(a, b, -(1.0 + a * a) / b, -a)
+    return Mat2(*_root_entries(-1.0, float(a), float(b), tol))
 
 
 def is_involution(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -183,31 +220,34 @@ def classify_involution(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> RootFamily:
     a, b, c = m.a, m.b, m.c
     trace = a + m.d
     if trace > 1.0:
-        return _family(RootTag.IDENTITY)
+        return _family(_IDENTITY)
     if trace < -1.0:
-        return _family(RootTag.NEG_IDENTITY)
+        return _family(_NEG_IDENTITY)
     # trace ~ 0: d = -a and a^2 + bc = 1
-    lower = RootTag.LOWER_C_PLUS_MINUS if a > 0 else RootTag.LOWER_C_MINUS_PLUS
+    lower = _LOWER_C_PLUS_MINUS if a > 0 else _LOWER_C_MINUS_PLUS
     if _b_negligible(a, b, tol):
         return _family(lower, c=c)
     if _b_negligible(a, c, tol):
         if a > 0:
-            return _family(RootTag.UPPER_B_PLUS_MINUS, b=b)
-        return _family(RootTag.UPPER_B_MINUS_PLUS, b=b)
+            return _family(_UPPER_B_PLUS_MINUS, b=b)
+        return _family(_UPPER_B_MINUS_PLUS, b=b)
     miss = abs((1.0 - a * a) / b - c)
     if max(abs(b), abs(1.0 - abs(a))) < miss and not tol.negligible(miss, max(1.0, abs(c))):
         return _family(lower, c=c)
-    return _family(RootTag.GENERAL, a=a, b=b)
+    return _family(_GENERAL, a=a, b=b)
 
 
 _MIN_B = 1e-3  # keeps (1 - a^2)/b bounded so sampled roots stay well conditioned
 
 
-def _sample(make, n: int, seed: int, param_range: float) -> list[Mat2]:
-    """n roots make(a, b), (a, b) uniform on [-param_range, param_range]^2.
+def _sample(square: float, n: int, seed: int, param_range: float) -> list[tuple]:
+    """Rows (a, b, c, d) of n roots [[a, b], [c, -a]] of square * I2, for
+    square 1.0 or -1.0, as _root_entries builds them at DEFAULT_TOL, with
+    (a, b) uniform on [-param_range, param_range]^2.
 
     Draws with |b| < 1e-3 are rejected; a range that holds no other b is
-    refused up front instead of looping forever.
+    refused up front instead of looping forever.  Each batch draws
+    2 * (n - rows so far) floats and reads them as (a, b) pairs in order.
     """
     if n < 1:
         raise InvalidCount(f"need n >= 1, got {n}")
@@ -216,14 +256,13 @@ def _sample(make, n: int, seed: int, param_range: float) -> list[Mat2]:
             f"sampling range {param_range} leaves no b with |b| >= {_MIN_B}"
         )
     rng = _pcg64.Generator(seed)
-    out = []
-    while len(out) < n:
-        a = rng.uniform(-param_range, param_range)
-        b = rng.uniform(-param_range, param_range)
-        if abs(b) < _MIN_B:
-            continue
-        out.append(make(a, b))
-    return out
+    rows: list[tuple] = []
+    while len(rows) < n:
+        draws = rng.uniform(-param_range, param_range, 2 * (n - len(rows)))
+        for a, b in zip(draws[::2], draws[1::2]):
+            if abs(b) >= _MIN_B:
+                rows.append(_root_entries(square, a, b, DEFAULT_TOL))
+    return rows
 
 
 def sample_involutions(
@@ -237,11 +276,11 @@ def sample_involutions(
     The draws are those of ``np.random.default_rng(seed)``, reproduced
     without NumPy by :mod:`invgeo._pcg64`.
     """
-    return _sample(make_general_root, n, seed, param_range)
+    return [Mat2(*row) for row in _sample(1.0, n, seed, param_range)]
 
 
 def sample_skew_involutions(
     n: int, seed: int = 0, param_range: float = 10.0
 ) -> list[Mat2]:
     """Counterpart of sample_involutions for square roots of -I2."""
-    return _sample(make_skew_root, n, seed, param_range)
+    return [Mat2(*row) for row in _sample(-1.0, n, seed, param_range)]

@@ -30,7 +30,19 @@ import math
 
 from .errors import DegenerateAngle, InvalidCount, NotAnInvolution, WrongDecomposer
 from .mat2 import DEFAULT_TOL, Mat2, Tolerance, Vec2, _setattr, _Value
-from .roots import RootFamily, RootTag, _b_negligible, classify_involution, is_involution
+from .roots import (
+    _GENERAL,
+    _IDENTITY,
+    _LOWER_C_MINUS_PLUS,
+    _LOWER_C_PLUS_MINUS,
+    _NEG_IDENTITY,
+    _UPPER_B_MINUS_PLUS,
+    _UPPER_B_PLUS_MINUS,
+    RootFamily,
+    _b_negligible,
+    classify_involution,
+    is_involution,
+)
 
 
 class TransformKind(enum.Enum):
@@ -42,6 +54,15 @@ class TransformKind(enum.Enum):
     ROTATE_CLOCKWISE = "rotate_clockwise"
     MAGNIFY = "magnify"
     SHEAR_Y_ADD = "shear_y_add"              # additive term [[0, 0], [kappa, 0]]
+
+
+# The kinds the per-call constructors tag, as module globals, for the
+# reason roots keeps its tags as globals.
+_KIND_SHEAR_X = TransformKind.SHEAR_X
+_KIND_SHEAR_Y = TransformKind.SHEAR_Y
+_KIND_ROTATE_CLOCKWISE = TransformKind.ROTATE_CLOCKWISE
+_KIND_MAGNIFY = TransformKind.MAGNIFY
+_KIND_SHEAR_Y_ADD = TransformKind.SHEAR_Y_ADD
 
 
 class ElementaryTransform(_Value):
@@ -83,31 +104,31 @@ def point_reflect_origin() -> ElementaryTransform:
 
 def shear_x(b: float) -> ElementaryTransform:
     b = float(b)
-    return ElementaryTransform(TransformKind.SHEAR_X, Mat2(1.0, b, 0.0, 1.0), b)
+    return ElementaryTransform(_KIND_SHEAR_X, Mat2(1.0, b, 0.0, 1.0), b)
 
 
 def shear_y(c: float) -> ElementaryTransform:
     c = float(c)
-    return ElementaryTransform(TransformKind.SHEAR_Y, Mat2(1.0, 0.0, c, 1.0), c)
+    return ElementaryTransform(_KIND_SHEAR_Y, Mat2(1.0, 0.0, c, 1.0), c)
 
 
 def rotate_clockwise(phi: float) -> ElementaryTransform:
     phi = float(phi)
     cos_phi, sin_phi = math.cos(phi), math.sin(phi)
     return ElementaryTransform(
-        TransformKind.ROTATE_CLOCKWISE, Mat2(cos_phi, sin_phi, -sin_phi, cos_phi), phi
+        _KIND_ROTATE_CLOCKWISE, Mat2(cos_phi, sin_phi, -sin_phi, cos_phi), phi
     )
 
 
 def magnify(rho: float) -> ElementaryTransform:
     rho = float(rho)
-    return ElementaryTransform(TransformKind.MAGNIFY, Mat2(rho, 0.0, 0.0, rho), rho)
+    return ElementaryTransform(_KIND_MAGNIFY, Mat2(rho, 0.0, 0.0, rho), rho)
 
 
 def shear_y_add(kappa: float) -> ElementaryTransform:
     kappa = float(kappa)
     return ElementaryTransform(
-        TransformKind.SHEAR_Y_ADD, Mat2(0.0, 0.0, kappa, 0.0), kappa, additive=True
+        _KIND_SHEAR_Y_ADD, Mat2(0.0, 0.0, kappa, 0.0), kappa, additive=True
     )
 
 
@@ -151,17 +172,17 @@ def apply(transform: Mat2, p: Vec2) -> Vec2:
 def decompose_case(family: RootFamily) -> Decomposition:
     """Factor a scalar or triangular root into its named elementary maps."""
     tag = family.tag
-    if tag is RootTag.IDENTITY:
+    if tag is _IDENTITY:
         return Decomposition((magnify(1.0),))
-    if tag is RootTag.NEG_IDENTITY:
+    if tag is _NEG_IDENTITY:
         return Decomposition((point_reflect_origin(),))
-    if tag is RootTag.UPPER_B_PLUS_MINUS:
+    if tag is _UPPER_B_PLUS_MINUS:
         return Decomposition((reflect_x(), shear_x(family.b)))
-    if tag is RootTag.UPPER_B_MINUS_PLUS:
+    if tag is _UPPER_B_MINUS_PLUS:
         return Decomposition((shear_x(family.b), reflect_y()))
-    if tag is RootTag.LOWER_C_PLUS_MINUS:
+    if tag is _LOWER_C_PLUS_MINUS:
         return Decomposition((shear_y(family.c), reflect_x()))
-    if tag is RootTag.LOWER_C_MINUS_PLUS:
+    if tag is _LOWER_C_MINUS_PLUS:
         return Decomposition((reflect_y(), shear_y(family.c)))
     raise WrongDecomposer("general roots decompose via decompose_general")
 
@@ -197,7 +218,7 @@ def decompose(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> Decomposition:
     without decompose_general's second check.
     """
     family = classify_involution(m, tol)
-    if family.tag is RootTag.GENERAL:
+    if family.tag is _GENERAL:
         return _general_factors(m.a, m.b, m.c)
     return decompose_case(family)
 

@@ -199,6 +199,22 @@ def test_sampled_root_whose_square_overflows_keeps_its_error(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("of", ["identity", "neg-identity"])
+@pytest.mark.parametrize("flags, error, detail", [
+    (["--sample", "5", "--range", "1e200", "--seed", "1"],
+     "non_finite_entry", "c must be finite, got -inf"),
+    (["--sample", "5", "--range", "1e-4"],
+     "degenerate_parameter", "sampling range 0.0001 leaves no b with |b| >= 0.001"),
+    (["--sample", "5", "--range", "-1"], "numeric_error", "high - low < 0"),
+    (["--sample", "5", "--range", "1e308"], "numeric_error", "high - low range exceeds valid bounds"),
+    (["--sample", "0", "--range", "1e-4"], "invalid_count", "need n >= 1, got 0"),
+], ids=["c_overflows", "no_admissible_b", "negative_range", "range_overflows", "no_rows"])
+def test_sampled_roots_report_the_first_error_of_the_draw_loop(of, flags, error, detail, capsys):
+    code, out, err = _run(["roots", "--of", of, *flags], capsys)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": error, "detail": detail}
+
+
 @pytest.mark.parametrize("points", [0, -2])
 def test_generators_csv_without_points_is_an_invalid_count(points, capsys):
     code, out, err = _run(["generators", "--phi", "0.5", "--format", "csv",
@@ -807,7 +823,7 @@ def test_golden_script_checks_a_command_against_every_golden():
     proc = subprocess.run([sys.executable, script, sys.executable, "-m", "invgeo.cli"],
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.count("ok   ") == len(GOLDEN_CASES) == 23
+    assert proc.stdout.count("ok   ") == len(GOLDEN_CASES) == 25
     proc = subprocess.run([sys.executable, script, "--flags"],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.stdout == goldens.FLAGS_GOLDEN.read_text(encoding="utf-8")

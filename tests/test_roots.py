@@ -19,11 +19,12 @@ from invgeo import (
     sample_involutions,
     sample_skew_involutions,
 )
-from invgeo.mat2 import Tolerance, _square_residual
-from invgeo import _pcg64
+from invgeo.mat2 import DEFAULT_TOL, Tolerance, _square_residual
+from invgeo import _pcg64, roots
 from invgeo.errors import (
     DegenerateParameter,
     InvalidCount,
+    InvGeoError,
     NonFiniteEntry,
     NotAnInvolution,
     WrongConstructor,
@@ -68,6 +69,37 @@ def test_skew_root_examples():
     assert make_skew_root(0, 1) == Mat2(0, 1, -1, 0)
     assert make_skew_root(1, 2) == Mat2(1, 2, -1, -1)
     assert make_skew_root(0, -1) == Mat2(0, -1, 1, 0)
+
+
+def _constructor_reference(square, a, b):
+    """make_general_root (square 1) and make_skew_root (square -1) as each
+    wrote its own c, -(1 + a^2)/b for the skew family."""
+    a, b = float(a), float(b)
+    if abs(b) <= DEFAULT_TOL.exact_tol * max(1.0, abs(a)):
+        raise DegenerateParameter("b ~ 0: use make_case_root with a triangular or scalar family"
+                                  if square > 0 else "skew-involutory family requires b != 0")
+    return Mat2(a, b, (1.0 - a * a) / b if square > 0 else -(1.0 + a * a) / b, -a)
+
+
+def _outcome(fn, *args):
+    """The entries of fn's matrix as hex, or the type and text of its error."""
+    try:
+        return tuple(map(float.hex, fn(*args).entries()))
+    except (DegenerateParameter, NonFiniteEntry) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(a=st.floats(), b=st.floats(), square=st.sampled_from([1.0, -1.0]))
+@example(a=1e200, b=1.0, square=-1.0)  # c overflows
+@example(a=math.nan, b=1.0, square=1.0)  # a is named before c
+@example(a=0.5, b=math.inf, square=-1.0)  # c = -0.0, and b is named
+@example(a=1e-30, b=-5e-324, square=-1.0)  # b ~ 0
+def test_both_constructors_build_the_root_the_reference_builds(a, b, square):
+    """One formula, (square - a^2)/b, gives each family's c bit for bit, and
+    the constructors raise the same error first, non-finite input included."""
+    make = make_general_root if square > 0 else make_skew_root
+    assert _outcome(make, a, b) == _outcome(_constructor_reference, square, a, b)
 
 
 CASE_MATRICES = [
@@ -241,27 +273,90 @@ def test_sampler_range_just_above_the_b_cutoff_still_draws():
 @given(
     seed=st.integers(min_value=0, max_value=2**160),
     bounds=st.lists(
-        st.tuples(st.floats(-1e300, 1e300), st.floats(0, 1e300)), min_size=1, max_size=8
+        st.tuples(st.floats(-1e300, 1e300), st.floats(0, 1e300),
+                  st.none() | st.integers(min_value=0, max_value=40)),
+        min_size=1, max_size=8
     ),
 )
+@example(seed=0, bounds=[(-10.0, 20.0, 0), (-10.0, 20.0, None), (-10.0, 20.0, 17)])
 def test_pcg64_uniform_matches_numpy_bit_for_bit(seed, bounds):
+    """Without a size, one float, NumPy's; with one, a list of size floats,
+    NumPy's array hex for hex (size 0 draws nothing), and what as many
+    scalar calls draw."""
     ours, theirs = _pcg64.Generator(seed), np.random.default_rng(seed)
-    for low, width in bounds:
+    scalar = _pcg64.Generator(seed)
+    for low, width, size in bounds:
         high = low + width
         if not math.isfinite(high):
             continue
-        x, y = ours.uniform(low, high), theirs.uniform(low, high)
-        assert type(x) is type(y) is float
-        assert x.hex() == y.hex()
+        x, y = ours.uniform(low, high, size), theirs.uniform(low, high, size)
+        one_by_one = [scalar.uniform(low, high) for _ in range(1 if size is None else size)]
+        if size is None:
+            assert type(x) is type(y) is float
+            x, y = [x], [y]
+        assert type(x) is list and all(type(v) is float for v in x + one_by_one)
+        assert [v.hex() for v in x] == [float(v).hex() for v in y]
+        assert [v.hex() for v in one_by_one] == [v.hex() for v in x]
 
 
 @pytest.mark.parametrize("seed, low, high", [(-1, 0.0, 1.0), (0, -1e308, 1e308),
                                              (0, 0.0, math.nan), (0, 1.0, -1.0)])
 def test_pcg64_rejects_what_numpy_rejects(seed, low, high):
-    with pytest.raises((ValueError, OverflowError)) as theirs:
-        np.random.default_rng(seed).uniform(low, high)
-    with pytest.raises(theirs.type, match=str(theirs.value)):
-        _pcg64.Generator(seed).uniform(low, high)
+    for size in (None, 0, 5):
+        with pytest.raises((ValueError, OverflowError)) as theirs:
+            np.random.default_rng(seed).uniform(low, high, size)
+        with pytest.raises(theirs.type, match=str(theirs.value)):
+            _pcg64.Generator(seed).uniform(low, high, size)
+
+
+def test_pcg64_rejects_a_negative_size_as_numpy_does():
+    with pytest.raises(ValueError) as theirs:
+        np.random.default_rng(0).uniform(0.0, 1.0, -1)
+    with pytest.raises(ValueError, match=str(theirs.value)):
+        _pcg64.Generator(0).uniform(0.0, 1.0, -1)
+
+
+def _scalar_draw_sample(make, n, seed, param_range):
+    """The samplers as they were, on NumPy's own generator: one (a, b) pair
+    of scalar draws at a time, rejecting |b| < 1e-3, each root built by make.
+    The reference the row kernel must reproduce, row for row and error for
+    error."""
+    if n < 1:
+        raise InvalidCount(f"need n >= 1, got {n}")
+    if 0.0 <= param_range <= 1e-3:
+        raise DegenerateParameter(
+            f"sampling range {param_range} leaves no b with |b| >= 0.001")
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        a = rng.uniform(-param_range, param_range)
+        b = rng.uniform(-param_range, param_range)
+        if abs(b) < 1e-3:
+            continue
+        out.append(make(a, b))
+    return out
+
+
+def _rows_or_error(sample, *args):
+    """Each row's entries as hex, or the type and text of the first error."""
+    try:
+        return [tuple(map(float.hex, row)) for row in sample(*args)]
+    except (ValueError, OverflowError, InvGeoError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 12, 2**64 + 5])
+@pytest.mark.parametrize("param_range", [10.0, 3.0, 0.0011, 1e150, 1e200,
+                                         1e-4, -1.0, 1e308, math.nan])
+@pytest.mark.parametrize("square, make", [(1.0, make_general_root), (-1.0, make_skew_root)])
+def test_row_kernel_reproduces_the_scalar_draw_loop(seed, param_range, square, make):
+    def reference(*args):
+        return [m.entries() for m in _scalar_draw_sample(make, *args)]
+    for n in (0, 1, 2, 97):
+        got = _rows_or_error(roots._sample, square, n, seed, param_range)
+        assert got == _rows_or_error(reference, n, seed, param_range)
+    if param_range == 1e200:
+        assert got[0] is NonFiniteEntry and got[1].startswith("c must be finite, got ")
 
 
 _ANY_FLOAT = st.floats(allow_nan=False, allow_infinity=False)

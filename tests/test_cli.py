@@ -450,6 +450,19 @@ def test_every_command_line_keeps_the_output_contract(argv):
                          slack=abs(point["alpha"] - (matrix["a"] + matrix["d"])))
 
 
+def test_bell_point_at_the_top_of_the_float_range_is_read_back(capsys):
+    # y - z = 2.5e308 overflowed, though (y - z)/sqrt2 is the float maximum
+    code, out, err = _run(["bell", "--matrix", '{"a": 0, "b": 1.7976931348623157e308, "c": 0, "d": 0}'],
+                          capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["bell"] == {"x": 0.0, "y": 1.271161006153646e+308,
+                                       "z": -1.271161006153646e+308, "alpha": 0.0}
+    code, out, err = _run(["bell", "--x", "0", "--y", "1.271161006153646e+308",
+                           "--z", "-1.271161006153646e+308"], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["matrix"] == {"a": 0.0, "b": 1.7976931348623153e+308, "c": 0.0, "d": 0.0}
+
+
 def test_a_root_far_from_order_one_is_read_back_by_every_command(capsys):
     code, out, err = _run(["roots", "--of", "identity", "--a", "6715.3", "--b", "-1344.7"], capsys)
     assert code == 0, err

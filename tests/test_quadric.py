@@ -107,6 +107,20 @@ def test_bell_round_trip_random():
         assert back.max_diff(m) <= 1e-12
 
 
+@pytest.mark.parametrize("entries", [(0.0, 1e308, 1e308, 0.0), (1e307, -1.2e308, -1e308, -1e307),
+                                     (0.0, 1.7976931348623157e308, 0.0, 0.0)])
+def test_bell_coordinates_where_a_sum_leaves_the_float_range(entries):
+    # b + c (or, back, y - z) overflows where its quotient by sqrt2 fits; the
+    # result is the one at half the scale, doubled, bit for bit
+    m = Mat2(*entries)
+    half = Mat2(*(0.5 * v for v in entries))
+    p, q = to_bell(m, m.a + m.d), to_bell(half, half.a + half.d)
+    assert (p.x, p.y, p.z) == (2 * q.x, 2 * q.y, 2 * q.z)
+    back, back_half = from_bell(p), from_bell(q)
+    assert back.entries() == tuple(2 * v for v in back_half.entries())
+    assert back.max_diff(m) <= 4 * 2.0 ** -52 * m.max_norm()
+
+
 def test_quadric_residual_examples():
     swap = to_bell(Mat2(0, 1, 1, 0), 0.0)
     assert abs(quadric_residual(swap, LocusParams(0, -1))) <= 1e-15

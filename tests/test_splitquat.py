@@ -107,6 +107,17 @@ def test_isomorphism_round_trip_and_homomorphism():
         assert abs(to_matrix(p).det() - p.modulus()) <= 1e-12
 
 
+@pytest.mark.parametrize("q", [SplitQuat(2.0 ** 1023, 0.0, 2.0 ** 1023, 0.0),
+                               SplitQuat(1.6e308, -1e307, 1e307, 1e307)])
+def test_from_matrix_where_a_sum_leaves_the_float_range(q):
+    # a + d (and b + c) overflow where their halves fit; the result is the
+    # one at half the scale, doubled, bit for bit
+    m = to_matrix(q)
+    half = from_matrix(Mat2(*(0.5 * v for v in m.entries())))
+    assert from_matrix(m) == SplitQuat(2 * half.w, 2 * half.x, 2 * half.y, 2 * half.z)
+    assert from_matrix(m).max_diff(q) <= 4 * 2.0 ** -52 * 1.7e308
+
+
 def test_unit_root_identity():
     assert unit_root_identity(0, 0) == K_
     assert unit_root_identity(0, math.pi / 2).max_diff(J_) <= 1e-15

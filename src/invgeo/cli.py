@@ -6,19 +6,19 @@ Floats use Python's shortest round-trip repr, so identical invocations
 produce byte-identical documents.  The INVGEO_TOL environment variable
 overrides the default residual threshold (abs_tol).
 
-JSON documents are written by a small recursive writer whose output is
-still byte-identical to ``json.dumps(doc, indent=2, sort_keys=True)``: same
-type dispatch (str, None, True, False, int, float, list/tuple, dict,
-subclasses included), ``float.__repr__`` with NaN/Infinity/-Infinity,
-ASCII-escaped strings, str keys only, TypeError on anything else.  It exists
-because a non-None ``indent`` sends ``json.dumps`` to the stdlib's
-pure-Python encoder.  Exact dicts, lists and tuples are dispatched first;
-inside them, a scalar leaf (an exact finite float or an exact str) is written
-in the container's loop, in one part with its separator, without a call.
-A memo is passed down the writer: the sorted key heads of every dict shape,
-keyed by the indent and the keys in insertion order, so a shape is sorted,
-checked and encoded once.  ``_json_document`` passes one memo kept for the
-process, so the few shapes of the documents are encoded once per process.
+JSON documents are written by one small recursive writer, ``_json_parts``.
+It takes only what the subcommands build: exact dicts with str keys, lists,
+strs, bools, ints and finite floats.  Any other type is a TypeError.  Strict
+JSON (RFC 8259) has no NaN or Infinity, so a float that is not finite is an
+OverflowError, named by its key, which ``run()`` reports as numeric_error:
+the writer is the one finiteness gate of every document.  On what it takes,
+its output is byte-identical to ``json.dumps(doc, indent=2, sort_keys=True,
+allow_nan=False)``, which a non-None ``indent`` sends to the stdlib's
+pure-Python encoder.  A finite float or a str that is a dict value is
+written in the dict's loop, in one part with its key, without a call.  The
+sorted, encoded key heads of each dict shape are kept in ``_KEY_HEADS`` for
+the process, so each of the documents' few shapes is sorted, checked and
+encoded once.
 
 Point clouds (``sample``, ``generators --format csv`` and ``roots
 --sample``) and ``orbit --format csv`` are written from rows of finite
@@ -28,7 +28,7 @@ row per point.  Each row is written by one ``%``-template per document, the
 JSON record or the CSV line with ``%r`` (``float.__repr__``) in each float's
 place and any value constant over the document already in the text, and
 the document is joined once.
-The output is the same, byte for byte, as the generic writer's for the dict
+The output is the same, byte for byte, as ``_json_parts``'s for the dict
 document, which the tests check against ``json.dumps``.
 
 Each subcommand is described once, in ``_COMMANDS``: its help line, its
@@ -153,123 +153,82 @@ def _write(args, payload: str):
 
 
 _encode_str = json.encoder.encode_basestring_ascii
-_INF = float("inf")
 
-# A memo maps a dict shape (indent, *keys) to _dict_heads of it.  Documents
-# share _KEY_HEADS: the shapes are those of the code's own documents, few and
-# the same on every call.
+# Per dict shape (indent, *keys): the (key, head) pairs in sorted order, each
+# head the separator, indentation and encoded key, then the inner indent and
+# the closing part.  The shapes are those of the code's own documents, few and
+# the same on every call, so one memo serves the process.
 _KEY_HEADS: dict = {}
 
 
-def _json_parts(obj, parts: list, memo: dict, indent: str) -> None:
-    """Append the indent-2, sorted-key JSON of obj to parts.
+def _json_parts(obj, parts: list, indent: str) -> None:
+    """Append the strict indent-2, sorted-key JSON of obj to parts.
 
+    obj is an exact dict with str keys, list, str, bool, int or finite float,
+    all the way down.  Any other type is a TypeError.  A float that is not
+    finite is an OverflowError, named by its key where it is a dict value.
     ``indent`` is the newline plus the indentation of the line obj starts on.
     """
     cls = type(obj)
     if cls is dict:
-        _dict_parts(obj, parts, memo, indent)
-    elif cls is list or cls is tuple:
-        _list_parts(obj, parts, memo, indent)
-    elif isinstance(obj, str):
+        if not obj:
+            parts.append("{}")
+            return
+        shape = (indent, *obj)
+        heads = _KEY_HEADS.get(shape)
+        if heads is None:
+            if not all(isinstance(key, str) for key in obj):
+                raise TypeError("keys must be str")
+            inner = indent + "  "
+            heads = _KEY_HEADS[shape] = (
+                [(key, ("," if i else "{") + inner + _encode_str(key) + ": ")
+                 for i, key in enumerate(sorted(obj))],
+                inner, indent + "}")
+        pairs, inner, close = heads
+        for key, head in pairs:
+            value = obj[key]
+            cls = type(value)
+            # a finite float or a str leaf is written here, without a call
+            if cls is float and value - value == 0.0:
+                parts.append(head + float.__repr__(value))
+            elif cls is str:
+                parts.append(head + _encode_str(value))
+            elif cls is float:
+                raise OverflowError(f"{key} is beyond the float range")
+            else:
+                parts.append(head)
+                _json_parts(value, parts, inner)
+        parts.append(close)
+    elif cls is list:
+        if not obj:
+            parts.append("[]")
+            return
+        inner = indent + "  "
+        head = "[" + inner
+        for item in obj:
+            parts.append(head)
+            _json_parts(item, parts, inner)
+            head = "," + inner
+        parts.append(indent + "]")
+    elif cls is str:
         parts.append(_encode_str(obj))
-    elif obj is None:
-        parts.append("null")
-    elif obj is True:
-        parts.append("true")
-    elif obj is False:
-        parts.append("false")
-    elif isinstance(obj, int):
+    elif cls is float:
+        if obj - obj != 0.0:
+            raise OverflowError("a value is beyond the float range")
+        parts.append(float.__repr__(obj))
+    elif cls is bool:
+        parts.append("true" if obj else "false")
+    elif cls is int:
         parts.append(int.__repr__(obj))
-    elif isinstance(obj, float):
-        if obj != obj:
-            parts.append("NaN")
-        elif obj == _INF:
-            parts.append("Infinity")
-        elif obj == -_INF:
-            parts.append("-Infinity")
-        else:
-            parts.append(float.__repr__(obj))
-    elif isinstance(obj, (list, tuple)):
-        _list_parts(obj, parts, memo, indent)
-    elif isinstance(obj, dict):
-        _dict_parts(obj, parts, memo, indent)
     else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-# The two container writers emit a child that is an exact finite float or an
-# exact str together with its separator, as one part; an exact dict child goes
-# straight to _dict_parts, and any other child through _json_parts.
-
-
-def _list_parts(obj, parts: list, memo: dict, indent: str) -> None:
-    if not obj:
-        parts.append("[]")
-        return
-    inner = indent + "  "
-    sep = "," + inner
-    head = "[" + inner
-    for item in obj:
-        cls = type(item)
-        if cls is float and item - item == 0.0:
-            parts.append(head + float.__repr__(item))
-        elif cls is str:
-            parts.append(head + _encode_str(item))
-        elif cls is dict:
-            parts.append(head)
-            _dict_parts(item, parts, memo, inner)
-        else:
-            parts.append(head)
-            _json_parts(item, parts, memo, inner)
-        head = sep
-    parts.append(indent + "]")
-
-
-def _dict_heads(obj, indent: str) -> tuple:
-    """(pairs, inner, close) for a dict shape: the (key, head) pairs in sorted
-    order, each head the separator, indentation and encoded key, then the
-    inner indent and the closing part.  Checks that every key is a str."""
-    inner = indent + "  "
-    pairs = []
-    sep = "{" + inner
-    for key in sorted(obj):
-        if type(key) is not str and not isinstance(key, str):
-            raise TypeError(f"keys must be str, not {type(key).__name__}")
-        pairs.append((key, sep + _encode_str(key) + ": "))
-        sep = "," + inner
-    return pairs, inner, indent + "}"
-
-
-def _dict_parts(obj, parts: list, memo: dict, indent: str) -> None:
-    if not obj:
-        parts.append("{}")
-        return
-    shape = (indent, *obj)
-    entry = memo.get(shape)
-    if entry is None:
-        entry = memo[shape] = _dict_heads(obj, indent)
-    pairs, inner, close = entry
-    for key, head in pairs:
-        value = obj[key]
-        cls = type(value)
-        if cls is float and value - value == 0.0:
-            parts.append(head + float.__repr__(value))
-        elif cls is str:
-            parts.append(head + _encode_str(value))
-        elif cls is dict:
-            parts.append(head)
-            _dict_parts(value, parts, memo, inner)
-        else:
-            parts.append(head)
-            _json_parts(value, parts, memo, inner)
-    parts.append(close)
+        raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
 
 
 def _json_document(doc) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte."""
+    """``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)``, byte
+    for byte, on the documents ``_json_parts`` takes."""
     parts: list[str] = []
-    _json_parts(doc, parts, _KEY_HEADS, "\n")
+    _json_parts(doc, parts, "\n")
     return "".join(parts)
 
 
@@ -295,17 +254,18 @@ def _json_records(head: str, record: dict, rows, indent: str, tail: str) -> str:
 
     record is the shape of every item.  Each str value "%r" in it stands for
     a float of the row, in sorted-key order, depth first, and is filled in by
-    %r, that is by float.__repr__, as the JSON writer would write it; every
-    row value must be finite, since %r writes no NaN or Infinity.  Any other
-    value is written as the JSON writer writes it, so "%s" stays quoted and
-    takes a row's plain-ASCII tag; no other text of record may hold a "%".
+    %r, that is by float.__repr__, as ``_json_parts`` writes a finite float.
+    Every row value must be finite: the rows do not pass the writer's gate,
+    and %r would write inf or nan.  ``_json_parts`` writes the rest of the
+    template, so "%s" stays quoted and takes a row's plain-ASCII tag; no
+    other text of record may hold a "%".
     indent is the newline and indentation of the line the list starts on.
     """
     if not rows:
         return head + "[]" + tail
     inner = indent + "  "
     parts = [inner]
-    _dict_parts(record, parts, {}, inner)
+    _json_parts(record, parts, inner)
     template = "".join(parts).replace('"%r"', "%r") + ","
     parts = [head + "["]
     parts += map(template.__mod__, rows)
@@ -318,13 +278,6 @@ def _family(args):
     roots = _kernel("roots")
     params = {k: v for k, v in (("a", args.a), ("b", args.b), ("c", args.c)) if v is not None}
     return roots.RootFamily(roots.RootTag(args.family.replace("-", "_")), **params)
-
-
-def _finite(value: float, what: str) -> float:
-    """value, or OverflowError (numeric_error) where it left the float range."""
-    if value - value != 0.0:
-        raise OverflowError(f"{what} is beyond the float range")
-    return value
 
 
 # -- subcommands -----------------------------------------------------------
@@ -374,7 +327,6 @@ def _cmd_classify(args, tol: Tolerance) -> None:
         raise UsageError("classify needs either --matrix or both --alpha and --beta")
     quadric = _kernel("quadric")
     surface = quadric.classify_quadric(quadric.LocusParams(args.alpha, args.beta), tol)
-    _finite(surface.radius_sq, "radius_sq = alpha^2/2 - 2 beta")
     if surface.radius_sq == 0.0 and surface.tag is not quadric.SurfaceTag.RIGHT_CIRCULAR_CONE:
         # a one- or two-sheet radius that underflowed would read as the cone's
         raise ValueError("radius_sq = alpha^2/2 - 2 beta is below the float range")
@@ -393,9 +345,8 @@ def _cmd_bell(args, tol: Tolerance) -> None:
         matrix = quadric.from_bell(bell)
     doc = {"bell": bell.to_json_dict(), "matrix": matrix.to_json_dict()}
     if args.beta is not None:
-        doc["residual"] = _finite(quadric.quadric_residual(
-            bell, quadric.LocusParams(args.alpha, args.beta), tol
-        ), "the quadric residual")
+        doc["residual"] = quadric.quadric_residual(
+            bell, quadric.LocusParams(args.alpha, args.beta), tol)
     _emit_json(args, doc)
 
 
@@ -477,7 +428,7 @@ def _cmd_quat(args, tol: Tolerance) -> None:
     _emit_json(args, {
         "quaternion": q.to_json_dict(),
         "matrix": splitquat.to_matrix(q).to_json_dict(),
-        "modulus": _finite(q.modulus(), "modulus = w^2 + x^2 - y^2 - z^2"),
+        "modulus": q.modulus(),
         "class": splitquat.sq_classify(q, tol).value,
     })
 

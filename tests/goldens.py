@@ -8,7 +8,9 @@ command line that writes it.  Run
     python tests/goldens.py python -m invgeo.cli
 
 to run every line through that command and compare its stdout with the
-golden file, byte for byte; the exit status is 1 if any line fails.
+golden file, byte for byte.  The stdout of each ``.json`` golden's line must
+also be strict JSON: ``NaN``, ``Infinity`` and ``-Infinity`` fail it.  The
+exit status is 1 if any line fails.
 
 ``python tests/goldens.py --flags`` prints what ``golden/cli_flags.json``
 holds: for the full ``invgeo`` parser and for each subcommand's own parser,
@@ -78,17 +80,28 @@ def flags_text() -> str:
     return json.dumps(flag_declarations(), indent=2) + "\n"
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 def check(command: list[str]) -> int:
     """Run every golden line through command; the number that fail."""
     failed = 0
     for name, argv in CASES:
         proc = subprocess.run([*command, *argv], capture_output=True)
-        if proc.returncode == 0 and proc.stdout == (GOLDEN_DIR / name).read_bytes():
+        problem = None
+        if proc.returncode != 0 or proc.stdout != (GOLDEN_DIR / name).read_bytes():
+            problem = f"exit {proc.returncode} {proc.stderr.decode(errors='replace')}"
+        elif name.endswith(".json"):
+            try:
+                json.loads(proc.stdout, parse_constant=_refuse_constant)
+            except ValueError as exc:
+                problem = str(exc)
+        if problem is None:
             print(f"ok   {name}")
             continue
         failed += 1
-        print(f"FAIL {name}: exit {proc.returncode}", proc.stderr.decode(errors="replace"),
-              file=sys.stderr)
+        print(f"FAIL {name}: {problem}", file=sys.stderr)
     return failed
 
 

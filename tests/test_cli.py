@@ -178,18 +178,19 @@ def test_numeric_overflow_is_reported_not_raised(capsys):
     assert json.loads(err)["error"] == "numeric_error"
 
 
-@pytest.mark.parametrize("argv", [
-    ["bell", "--x", "1e300", "--y", "1e300", "--z", "0", "--alpha", "0", "--beta", "1"],
-    ["classify", "--alpha", "1e200", "--beta", "0"],
+@pytest.mark.parametrize("argv, detail", [
+    (["bell", "--x", "1e300", "--y", "1e300", "--z", "0", "--alpha", "0", "--beta", "1"],
+     "residual is beyond the float range"),
+    (["classify", "--alpha", "1e200", "--beta", "0"], "radius_sq is beyond the float range"),
     # one-sheet, but radius_sq = 5e-341 is below the smallest float
-    ["classify", "--alpha", "1e-170", "--beta", "0"],
+    (["classify", "--alpha", "1e-170", "--beta", "0"],
+     "radius_sq = alpha^2/2 - 2 beta is below the float range"),
 ], ids=["bell_residual", "classify_radius_sq", "classify_radius_sq_underflow"])
-def test_result_beyond_the_float_range_is_a_numeric_error(argv, capsys):
+def test_result_beyond_the_float_range_is_a_numeric_error(argv, detail, capsys):
     # the document would otherwise carry Infinity, which strict JSON parsers reject
     code, out, err = _run(argv, capsys)
-    assert code == 1
-    assert json.loads(err)["error"] == "numeric_error"
-    assert out == ""
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "numeric_error", "detail": detail}
 
 
 def test_sampled_root_whose_square_overflows_keeps_its_error(capsys):
@@ -304,7 +305,7 @@ def test_quat_modulus_beyond_the_float_range_is_a_numeric_error(capsys):
     code, out, err = _run(["quat", "--to-matrix", '{"w": 0, "x": 0, "y": 0, "z": 1e200}'], capsys)
     assert (code, out) == (1, "")
     assert json.loads(err) == {"error": "numeric_error",
-                               "detail": "modulus = w^2 + x^2 - y^2 - z^2 is beyond the float range"}
+                               "detail": "modulus is beyond the float range"}
 
 
 def test_quat_modulus_of_large_entries_is_strict_json(capsys):
@@ -771,10 +772,51 @@ _JSON_DOCS = st.recursive(
 )
 
 
+def _refusals(doc) -> set:
+    """What the writer may raise on doc: TypeError for a type it refuses or
+    a key that is not a str, OverflowError for a float that is not finite."""
+    cls = type(doc)
+    if cls is dict:
+        out = set().union(*map(_refusals, doc.values()))
+        return out if all(isinstance(k, str) for k in doc) else out | {TypeError}
+    if cls is list:
+        return set().union(*map(_refusals, doc))
+    if cls is float:
+        return set() if math.isfinite(doc) else {OverflowError}
+    return set() if cls in (str, bool, int) else {TypeError}
+
+
+def _strict(doc):
+    """doc as the writer takes it: each subclass as its base type, a tuple as
+    a list, None and a float that is not finite as False."""
+    if isinstance(doc, dict):
+        return {key: _strict(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return list(map(_strict, doc))
+    if isinstance(doc, str):
+        return str(doc)
+    if doc is None or isinstance(doc, bool):
+        return bool(doc)
+    if isinstance(doc, int):
+        return int(doc)
+    return float(doc) if math.isfinite(doc) else False
+
+
 @settings(max_examples=400, deadline=None)
 @given(doc=_JSON_DOCS)
 def test_json_writer_matches_stdlib_indent_encoder(doc):
-    assert cli._json_document(doc) == json.dumps(doc, indent=2, sort_keys=True)
+    refusals = _refusals(doc)
+    if refusals:
+        with pytest.raises(tuple(refusals)):  # with both in doc, either may be met first
+            cli._json_document(doc)
+    else:
+        assert cli._json_document(doc) == json.dumps(doc, indent=2, sort_keys=True,
+                                                     allow_nan=False)
+    # most draws hold something the writer refuses; their strict form it writes
+    strict = _strict(doc)
+    assert not _refusals(strict)
+    assert cli._json_document(strict) == json.dumps(strict, indent=2, sort_keys=True,
+                                                    allow_nan=False)
 
 
 # Records like those of the point-cloud documents, drawn from small pools so
@@ -868,11 +910,18 @@ def test_point_csv_keeps_the_sign_of_zero(capsys):
                                      "-0.0,1.5,0.0,-0.0,5e-324,0.0,1.5,tag"]
 
 
+_NOT_FINITE = [math.nan, math.inf, -math.inf, [1.0, math.inf], {"k": [math.nan]},
+               {"k": -math.inf}]
+
+
 @pytest.mark.parametrize("doc", [
     object(), {1, 2}, b"bytes", {"k": [1, object()]}, {1: "int key"}, {("t",): 1},
+    None, {"k": None}, (1.0, 2.0), {"k": (1.0,)}, _Float(1.5), {"k": _Float(1.5)},
+    {"k": _Str("v")}, [_Str("v")], *_NOT_FINITE,
 ])
 def test_json_writer_rejects_what_it_cannot_encode(doc):
-    with pytest.raises(TypeError):
+    # a type it does not take is a TypeError, a float that is not finite an OverflowError
+    with pytest.raises(OverflowError if any(doc is d for d in _NOT_FINITE) else TypeError):
         cli._json_document(doc)
 
 

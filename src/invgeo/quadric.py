@@ -38,6 +38,7 @@ from .errors import (
     AlphaMismatch,
     DegenerateSeed,
     InvalidCount,
+    NonFiniteEntry,
     NotAnInvolution,
     NotInHyperplane,
 )
@@ -181,21 +182,26 @@ def to_bell(m: Mat2, alpha: float, tol: Tolerance = DEFAULT_TOL) -> BellPoint:
     a, b, c, d = m.a, m.b, m.c, m.d
     if not tol.negligible(a + d - alpha, max(abs(a), abs(b), abs(c), abs(d))):
         raise NotInHyperplane(f"trace {a + d} != alpha {alpha}")
-    y, z = (b + c) / _SQRT2, (c - b) / _SQRT2
-    if y - y + z - z != 0.0:
-        # b +- c left the float range; both entries are then far above the
-        # subnormals, so halving first is exact and rounds as the sum would
-        y, z = 2.0 * ((0.5 * b + 0.5 * c) / _SQRT2), 2.0 * ((0.5 * c - 0.5 * b) / _SQRT2)
-    return BellPoint(x=_SQRT2 * (a - 0.5 * alpha), y=y, z=z, alpha=alpha)
+    x = _SQRT2 * (a - 0.5 * alpha)
+    try:
+        return BellPoint(x, (b + c) / _SQRT2, (c - b) / _SQRT2, alpha)
+    except NonFiniteEntry:
+        # b +- c may have left the float range where its quotient fits; both
+        # entries are then far above the subnormals, so halving them first is
+        # exact and rounds as the sum would
+        b, c = 0.5 * b, 0.5 * c
+        return BellPoint(x, 2.0 * ((b + c) / _SQRT2), 2.0 * ((c - b) / _SQRT2), alpha)
 
 
 def from_bell(p: BellPoint) -> Mat2:
     """Matrix with the given Bell coordinates in the hyperplane trace = alpha."""
     half, y, z = 0.5 * p.alpha, p.y, p.z
-    b, c = (y - z) / _SQRT2, (y + z) / _SQRT2
-    if b - b + c - c != 0.0:  # y -+ z left the float range: halve first, as to_bell does
-        b, c = 2.0 * ((0.5 * y - 0.5 * z) / _SQRT2), 2.0 * ((0.5 * y + 0.5 * z) / _SQRT2)
-    return Mat2(half + p.x / _SQRT2, b, c, half - p.x / _SQRT2)
+    try:
+        return Mat2(half + p.x / _SQRT2, (y - z) / _SQRT2, (y + z) / _SQRT2, half - p.x / _SQRT2)
+    except NonFiniteEntry:  # y -+ z may have left the float range: halve first, as to_bell does
+        y, z = 0.5 * y, 0.5 * z
+        return Mat2(half + p.x / _SQRT2, 2.0 * ((y - z) / _SQRT2), 2.0 * ((y + z) / _SQRT2),
+                    half - p.x / _SQRT2)
 
 
 def quadric_residual(p: BellPoint, params: LocusParams, tol: Tolerance = DEFAULT_TOL) -> float:

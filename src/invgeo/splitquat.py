@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import math
 
-from .errors import NotInvertible, SingularParameter
+from .errors import NonFiniteEntry, NotInvertible, SingularParameter
 from .householder import householder_from_angle
 from .mat2 import (
     DEFAULT_TOL,
@@ -174,15 +174,14 @@ def to_matrix(q: SplitQuat) -> Mat2:
 
 def from_matrix(m: Mat2) -> SplitQuat:
     """Inverse of to_matrix."""
-    a, b, c, d = m.a, m.b, m.c, m.d
-    w, x, y, z = 0.5 * (a + d), 0.5 * (b - c), 0.5 * (b + c), 0.5 * (a - d)
-    # Where a sum left the float range, both of its entries are far above the
-    # subnormals, so halving them first is exact and rounds as the sum would.
-    if w - w + z - z != 0.0:
-        w, z = 0.5 * a + 0.5 * d, 0.5 * a - 0.5 * d
-    if x - x + y - y != 0.0:
-        x, y = 0.5 * b - 0.5 * c, 0.5 * b + 0.5 * c
-    return SplitQuat(w, x, y, z)
+    try:
+        return SplitQuat(0.5 * (m.a + m.d), 0.5 * (m.b - m.c), 0.5 * (m.b + m.c), 0.5 * (m.a - m.d))
+    except NonFiniteEntry:
+        # A sum left the float range.  Its entries are far above the
+        # subnormals, so halving them first is exact and rounds as the sum
+        # would; the other pair's halves may lose a subnormal's last bit.
+        a, b, c, d = 0.5 * m.a, 0.5 * m.b, 0.5 * m.c, 0.5 * m.d
+        return SplitQuat(a + d, b - c, b + c, a - d)
 
 
 def unit_root_identity(t: float, phi: float) -> SplitQuat:

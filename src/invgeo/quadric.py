@@ -195,11 +195,12 @@ def to_bell(m: Mat2, alpha: float, tol: Tolerance = DEFAULT_TOL) -> BellPoint:
 
 def from_bell(p: BellPoint) -> Mat2:
     """Matrix with the given Bell coordinates in the hyperplane trace = alpha."""
-    half, y, z = 0.5 * p.alpha, p.y, p.z
+    half = 0.5 * p.alpha
     try:
-        return Mat2(half + p.x / _SQRT2, (y - z) / _SQRT2, (y + z) / _SQRT2, half - p.x / _SQRT2)
+        return Mat2(half + p.x / _SQRT2, (p.y - p.z) / _SQRT2, (p.y + p.z) / _SQRT2,
+                    half - p.x / _SQRT2)
     except NonFiniteEntry:  # y -+ z may have left the float range: halve first, as to_bell does
-        y, z = 0.5 * y, 0.5 * z
+        y, z = 0.5 * p.y, 0.5 * p.z
         return Mat2(half + p.x / _SQRT2, 2.0 * ((y - z) / _SQRT2), 2.0 * ((y + z) / _SQRT2),
                     half - p.x / _SQRT2)
 

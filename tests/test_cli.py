@@ -444,7 +444,8 @@ def test_every_command_line_keeps_the_output_contract(argv):
     if argv[:2] == ["bell", "--matrix"] and max(abs(doc["matrix"][k]) for k in "ad") <= 2.0 ** 1023:
         # beyond 2**1023 on the diagonal, alpha/2 + x/sqrt2 may round past the float range
         point, matrix = doc["bell"], doc["matrix"]
-        back = _contract_outcome(["bell", *(f"--{k}={point[k]!r}" for k in ("x", "y", "z", "alpha"))])
+        inverse = [f"--{k}={point[k]!r}" for k in ("x", "y", "z", "alpha")]
+        back = _contract_outcome(["bell", *inverse])
         assert back is not None, argv
         # the point lies on trace = alpha, which the matrix meets within the tolerance
         _assert_normwise(back["matrix"], matrix, argv,
@@ -453,8 +454,8 @@ def test_every_command_line_keeps_the_output_contract(argv):
 
 def test_bell_point_at_the_top_of_the_float_range_is_read_back(capsys):
     # y - z = 2.5e308 overflowed, though (y - z)/sqrt2 is the float maximum
-    code, out, err = _run(["bell", "--matrix", '{"a": 0, "b": 1.7976931348623157e308, "c": 0, "d": 0}'],
-                          capsys)
+    matrix = '{"a": 0, "b": 1.7976931348623157e308, "c": 0, "d": 0}'
+    code, out, err = _run(["bell", "--matrix", matrix], capsys)
     assert (code, err) == (0, "")
     assert json.loads(out)["bell"] == {"x": 0.0, "y": 1.271161006153646e+308,
                                        "z": -1.271161006153646e+308, "alpha": 0.0}

@@ -33,23 +33,21 @@ document, which the tests check against ``json.dumps``.
 
 Each subcommand is described once, in ``_COMMANDS``: its help line, its
 handler, and its flags as data, each flag the option strings and the keyword
-arguments ``add_argument`` takes for it.  A command line that starts with a
-subcommand's name goes to that subcommand alone, which is what the full
-``invgeo`` parser would hand the rest of the line to.  ``run()`` first reads
-it from that data, without argparse: a line of exact flags only, each
-``--flag value``, ``--flag=value`` or a store_true flag, with every value of
-the flag's type and among its choices and every required flag given, makes
-the namespace that argparse would make.  A value may start with "-" only as
-a negative number, exponent included, as argparse reads it.  Any other line
-goes to an argparse parser built from the same data, the subcommand's or the
-full tree's, so an abbreviation, ``-h``, ``--``, a missing or bad value, a
-missing required flag and an unknown subcommand keep argparse's help, usage
-error and exit code.  Only that path imports argparse; each parser is built
-on its first such line and kept for the process.  Each parser is a
-``_Parser``: argparse with JSON usage errors and one override of a private
-name, its negative-number pattern.  argparse's own pattern has no exponent,
-so without the override ``--beta -1e-3`` would be a number to the reader
-and an option to the fallback.
+arguments ``add_argument`` takes for it.  ``run()`` first reads a command
+line that starts with a subcommand's name from that data, without argparse:
+a line of exact flags only, each ``--flag value``, ``--flag=value`` or a
+store_true flag, with every value of the flag's type and among its choices
+and every required flag given, makes the namespace that argparse would make.
+A value may start with "-" only as a negative number, exponent included, as
+argparse reads it.  Any other line goes to the one argparse tree built from
+the same data, ``build_parser()``, so an abbreviation, ``-h``, ``--``, a
+missing or bad value, a missing required flag and an unknown subcommand keep
+argparse's help, usage error and exit code.  Only that path imports
+argparse; the tree is built on the first line the reader declines and kept
+for the process.  Its parsers are ``_Parser``: argparse with JSON usage
+errors and one override of a private name, its negative-number pattern.
+argparse's own pattern has no exponent, so without the override ``--beta
+-1e-3`` would be a number to the reader and an option to the fallback.
 
 Importing this module loads only ``mat2`` and ``errors`` of the package.
 Each subcommand imports the kernel modules it uses when it runs, so
@@ -421,13 +419,15 @@ def _cmd_quat(args, tol: Tolerance) -> None:
         return
     if args.to_matrix is not None:
         q = _read_json(args.to_matrix, "quaternion", splitquat.SplitQuat.from_json_dict)
+        matrix = splitquat.to_matrix(q)
     elif args.from_matrix is not None or args.matrix_file is not None:
-        q = splitquat.from_matrix(_parse_matrix(args.from_matrix, args.matrix_file))
+        matrix = _parse_matrix(args.from_matrix, args.matrix_file)
+        q = splitquat.from_matrix(matrix)
     else:
         raise UsageError("quat needs one of --root, --to-matrix, --from-matrix")
     _emit_json(args, {
         "quaternion": q.to_json_dict(),
-        "matrix": splitquat.to_matrix(q).to_json_dict(),
+        "matrix": matrix.to_json_dict(),
         "modulus": q.modulus(),
         "class": splitquat.sq_classify(q, tol).value,
     })
@@ -513,10 +513,9 @@ _FAMILY = (
     _flag("--c", type=float),
     _flag("--family", choices=_FAMILIES),
 )
-#: The flags every subcommand ends with.
+#: The flags every subcommand has.
 _COMMON = (
     _flag("-o", "--output", help="write the document here instead of stdout"),
-    _flag("--seed", type=int, default=0, help="seed for any sampling"),
 )
 
 #: Each subcommand once: name -> (help, handler, flags).
@@ -527,6 +526,7 @@ _COMMANDS = {
         _flag("--sample", type=int, help="emit this many sampled roots instead"),
         _flag("--range", type=float, default=10.0, help="sampling range for a, b"),
         *_COMMON,
+        _flag("--seed", type=int, default=0, help="seed for any sampling"),
     )),
     "classify": ("classify an involution or a locus S(alpha, beta)", _cmd_classify, (
         *_MATRIX,
@@ -596,17 +596,18 @@ _COMMANDS = {
 }
 
 
-@cache
-def _parser_class():
-    """``_Parser``: argparse that reports bad flags as JSON usage errors on
-    exit 2.  Defined on first use, so that a command line the flag reader
-    takes does not import argparse."""
+def build_parser():
+    """The ``invgeo`` argparse parser, one subparser per ``_COMMANDS``
+    entry declaring its flags.  A fresh parser on every call; argparse is
+    imported here, so that a command line the flag reader takes does not
+    import it."""
     import argparse
 
     class _Parser(argparse.ArgumentParser):
-        """A value such as ``-1e-3`` or ``-2.5E+10`` is a negative number, not
-        an option: argparse's own pattern (Python 3.10 to 3.13) has no
-        exponent, and the flag reader takes it as a number too."""
+        """Reports bad flags as JSON usage errors on exit 2.  A value such as
+        ``-1e-3`` or ``-2.5E+10`` is a negative number, not an option:
+        argparse's own pattern (Python 3.10 to 3.13) has no exponent, and
+        the flag reader takes it as a number too."""
 
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
@@ -616,36 +617,21 @@ def _parser_class():
             _emit_error("usage", message)
             raise SystemExit(2)
 
-    return _Parser
-
-
-def build_parser(command: str | None = None):
-    """The full ``invgeo`` argparse parser, or with ``command`` that
-    subcommand's own parser: the one the full tree hands the rest of the
-    command line to.  Both declare the flags of ``_COMMANDS``."""
-    parser_class = _parser_class()
-    if command is not None:
-        root = parser_class(prog=f"invgeo {command}")
-        parsers = {command: root}
-    else:
-        # --help shows the summary and the paragraph on exit codes and output;
-        # the rest of the docstring is about the code
-        description = "\n\n".join((__doc__ or "").split("\n\n")[:2])
-        root = parser_class(prog="invgeo", description=description)
-        sub = root.add_subparsers(dest="command", required=True)
-        parsers = {name: sub.add_parser(name, help=help_text)
-                   for name, (help_text, _, _) in _COMMANDS.items()}
-    for name, parser in parsers.items():
-        _, handler, flags = _COMMANDS[name]
+    # --help shows the summary and the paragraph on exit codes and output;
+    # the rest of the docstring is about the code
+    description = "\n\n".join((__doc__ or "").split("\n\n")[:2])
+    root = _Parser(prog="invgeo", description=description)
+    sub = root.add_subparsers(dest="command", required=True)
+    for name, (help_text, handler, flags) in _COMMANDS.items():
+        parser = sub.add_parser(name, help=help_text)
         for options, kwargs in flags:
             parser.add_argument(*options, **kwargs)
         parser.set_defaults(func=handler)
     return root
 
 
-#: Per subcommand name, its argparse parser; None keys the full tree.  Built
-#: on first use, for a line the flag reader declines.
-_parsers: dict = {}
+#: The argparse tree, built on the first line the flag reader declines.
+_tree = None
 
 
 @cache
@@ -679,8 +665,8 @@ def _flag_index(command: str) -> tuple:
 
 
 def _read_flags(command: str, line: list[str]) -> SimpleNamespace | None:
-    """The namespace the subcommand's parser builds from line, or None where
-    line needs more of argparse than exact flags and plain values.
+    """The namespace the argparse tree builds for the subcommand's line, or
+    None where line needs more of argparse than exact flags and plain values.
 
     Each token is an exact option string then its value, ``--option=value``,
     or an exact store_true flag.  A value starting with "-" must be a
@@ -724,23 +710,20 @@ def _read_flags(command: str, line: list[str]) -> SimpleNamespace | None:
 
 
 def _parse(argv: list[str]):
-    """The namespace the full ``invgeo`` parser would build for argv.
+    """The namespace the ``invgeo`` argparse tree would build for argv.
 
     A command line that starts with a subcommand's name is read by
-    ``_read_flags``, or failing that parsed by that subcommand's parser
-    alone, as the full tree would hand it over; any other goes to the full
-    tree, for its help or its usage error.
+    ``_read_flags``; any line it declines goes to the tree, for its
+    namespace, its help or its usage error.
     """
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    if command is not None:
-        args = _read_flags(command, argv[1:])
+    if argv and argv[0] in _COMMANDS:
+        args = _read_flags(argv[0], argv[1:])
         if args is not None:
             return args
-        argv = argv[1:]
-    parser = _parsers.get(command)
-    if parser is None:
-        parser = _parsers[command] = build_parser(command)
-    return parser.parse_args(argv)
+    global _tree
+    if _tree is None:
+        _tree = build_parser()
+    return _tree.parse_args(argv)
 
 
 def run(argv: list[str] | None = None) -> int:

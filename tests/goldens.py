@@ -13,10 +13,10 @@ also be strict JSON: ``NaN``, ``Infinity`` and ``-Infinity`` fail it.  The
 exit status is 1 if any line fails.
 
 ``python tests/goldens.py --flags`` prints what ``golden/cli_flags.json``
-holds: for the full ``invgeo`` parser and for each subcommand's own parser,
-as ``invgeo.cli.build_parser`` declares them, the prog, the description,
-each subcommand's help line, and each action's option strings, dest, nargs,
-type, default, choices, required, help and metavar.  Unlike the help text,
+holds: for the ``invgeo`` parser that ``invgeo.cli.build_parser`` builds and
+for each of its subparsers, the prog, the description, each subcommand's
+help line, and each action's option strings, dest, nargs, type, default,
+choices, required, help and metavar.  Unlike the help text,
 which argparse lays out differently from one Python to the next, these are
 the same on every Python the package supports.
 
@@ -65,14 +65,20 @@ def declarations(parser) -> dict:
     return out
 
 
+def subparsers(parser) -> dict:
+    """The subcommand name -> subparser map of an argparse parser."""
+    return next(a for a in parser._actions if a.dest == "command").choices
+
+
 def flag_declarations() -> dict:
-    """declarations() of the full parser, keyed "invgeo", and of each
-    subcommand's own parser, keyed by its name."""
+    """declarations() of the full parser, keyed "invgeo", and of each of its
+    subparsers, keyed by its name."""
     from invgeo import cli
 
-    out = {"invgeo": declarations(cli.build_parser())}
-    for name in cli._COMMANDS:
-        out[name] = declarations(cli.build_parser(name))
+    parser = cli.build_parser()
+    out = {"invgeo": declarations(parser)}
+    for name, sub in subparsers(parser).items():
+        out[name] = declarations(sub)
     return out
 
 

@@ -82,10 +82,31 @@ def test_malformed_matrix_is_usage_error(capsys):
         assert out == ""
 
 
-def test_missing_required_input_is_usage_error(capsys):
-    code, _, err = _run(["classify"], capsys)
-    assert code == 2
-    assert json.loads(err)["error"] == "usage"
+def test_missing_required_input_is_usage_error(capsys, monkeypatch, tmp_path):
+    # the handlers' own usage errors, each a line the flag reader takes
+    missing = str(tmp_path / "missing.json")
+    for env, argv, detail in [
+        (None, ["classify"], "classify needs either --matrix or both --alpha and --beta"),
+        ("abc", ["classify", "--alpha", "0", "--beta", "-1"], "INVGEO_TOL is not a number"),
+        (None, ["classify", "--matrix", SWAP, "--matrix-file", missing],
+         "provide exactly one of --matrix or --matrix-file"),
+        (None, ["classify", "--matrix-file", missing], f"cannot read {missing}"),
+        (None, ["roots", "--of", "identity", "--a", "1"], "roots --of identity needs --a and --b"),
+        (None, ["roots", "--of", "neg-identity", "--b", "1"],
+         "roots --of neg-identity needs --a and --b"),
+        (None, ["bell", "--x", "0"], "bell needs --matrix or all of --x, --y, --z"),
+        (None, ["generators"], "generators needs --matrix or --phi"),
+        (None, ["quat"], "quat needs one of --root, --to-matrix, --from-matrix"),
+    ]:
+        if env is None:
+            monkeypatch.delenv("INVGEO_TOL", raising=False)
+        else:
+            monkeypatch.setenv("INVGEO_TOL", env)
+        code, out, err = _run(argv, capsys)
+        assert (code, out) == (2, ""), argv
+        doc = json.loads(err)
+        assert doc["error"] == "usage", argv
+        assert doc["detail"].startswith(detail), (argv, doc)
 
 
 def test_unknown_flag_is_usage_error():
@@ -95,6 +116,16 @@ def test_unknown_flag_is_usage_error():
     )
     assert proc.returncode == 2
     assert json.loads(proc.stderr)["error"] == "usage"
+
+
+def test_seed_is_a_flag_of_roots_alone(capsys):
+    seeded = {name for name, (_, _, flags) in cli._COMMANDS.items()
+              if any("--seed" in options for options, _ in flags)}
+    assert seeded == {"roots"}
+    argv = ["classify", "--alpha", "0", "--beta", "-1", "--seed", "1"]
+    code, out, err = _run_in_process(argv, capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "usage", "detail": "unrecognized arguments: --seed 1"}
 
 
 def test_domain_error_exit_code(capsys):
@@ -437,6 +468,8 @@ def test_every_command_line_keeps_the_output_contract(argv):
     doc = _contract_outcome(argv)
     if doc is None:
         return
+    if argv[:2] == ["quat", "--from-matrix"]:
+        assert doc["matrix"] == json.loads(argv[2]), argv
     if argv[:2] == ["quat", "--to-matrix"]:
         back = _contract_outcome(["quat", "--from-matrix", json.dumps(doc["matrix"])])
         assert back is not None, argv
@@ -463,6 +496,21 @@ def test_bell_point_at_the_top_of_the_float_range_is_read_back(capsys):
                            "--z", "-1.271161006153646e+308"], capsys)
     assert (code, err) == (0, "")
     assert json.loads(out)["matrix"] == {"a": 0.0, "b": 1.7976931348623153e+308, "c": 0.0, "d": 0.0}
+
+
+def test_quat_from_matrix_writes_the_matrix_it_was_given(capsys):
+    # the round trip through the quaternion would print c = 0.8999999999999999
+    matrix = {"a": -1.1, "b": -2.1, "c": 0.9, "d": -2.6}
+    code, out, err = _run(["quat", "--from-matrix", json.dumps(matrix)], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["matrix"] == matrix
+    # the determinant, the quaternion's modulus, is beyond the float range
+    matrix = {"a": 8.98846567431158e307, "b": 8.98846567431158e307,
+              "c": 8.98846567431158e307, "d": 1.7976931348623157e308}
+    code, out, err = _run(["quat", "--from-matrix", json.dumps(matrix)], capsys)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "numeric_error",
+                               "detail": "modulus is beyond the float range"}
 
 
 def test_a_root_far_from_order_one_is_read_back_by_every_command(capsys):
@@ -959,11 +1007,11 @@ def test_run_builds_the_parser_once_per_process(monkeypatch, capsys):
     built = []
     real_build_parser = cli.build_parser
 
-    def counting_build_parser(command=None):
-        built.append(command)
-        return real_build_parser(command)
+    def counting_build_parser():
+        built.append(True)
+        return real_build_parser()
 
-    monkeypatch.setattr(cli, "_parsers", {})
+    monkeypatch.setattr(cli, "_tree", None)
     monkeypatch.setattr(cli, "build_parser", counting_build_parser)
     for _, argv in GOLDEN_CASES:
         _run_in_process(argv, capsys)
@@ -973,10 +1021,8 @@ def test_run_builds_the_parser_once_per_process(monkeypatch, capsys):
             _run_in_process(argv, capsys)
         for _, argv in GOLDEN_CASES:
             _run_in_process(argv, capsys)
-    # each parser at most once: roots for --bogus, the full tree (None) for
-    # the bad command lines
-    assert len(built) == len(set(built))
-    assert set(built) == {"roots", None}
+    # one tree for roots --bogus and the bad command lines alike
+    assert len(built) == 1
 
 
 def test_help_describes_the_command_line_not_the_code():
@@ -987,8 +1033,7 @@ def test_help_describes_the_command_line_not_the_code():
 
 def test_build_parser_returns_a_fresh_parser_and_import_builds_none():
     assert cli.build_parser() is not cli.build_parser()
-    assert cli.build_parser("roots") is not cli.build_parser("roots")
-    probe = "import invgeo.cli as c; print(c._parsers == {})"
+    probe = "import invgeo.cli as c; print(c._tree is None)"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.stdout.strip() == "True", proc.stderr
 
@@ -1004,15 +1049,13 @@ def test_family_choices_are_the_root_tags():
 
 @pytest.mark.parametrize("command", [None, *cli._COMMANDS])
 def test_help_matches_the_reference_declarations(command):
-    """Each parser declares what golden/cli_flags.json holds, and the full
-    tree hands each subcommand a parser that declares what its own does."""
+    """The tree and each of its subparsers declare what golden/cli_flags.json
+    holds."""
     if os.environ.get("UPDATE_GOLDEN"):
         goldens.FLAGS_GOLDEN.write_text(goldens.flags_text(), encoding="utf-8")
     declared = json.loads(goldens.FLAGS_GOLDEN.read_text(encoding="utf-8"))
-    assert goldens.declarations(cli.build_parser(command)) == declared[command or "invgeo"]
-    if command is not None:
-        sub = next(a for a in _FULL_TREE._actions if a.dest == "command")
-        assert goldens.declarations(sub.choices[command]) == declared[command]
+    parser = _FULL_TREE if command is None else _SUBPARSERS[command]
+    assert goldens.declarations(parser) == declared[command or "invgeo"]
 
 
 def test_golden_script_checks_a_command_against_every_golden():
@@ -1128,7 +1171,7 @@ def _run_outcome(argv):
 @pytest.mark.parametrize("argv", PARSE_CORPUS, ids=[" ".join(a) or "-" for a in PARSE_CORPUS])
 def test_run_parses_like_the_full_tree(argv, monkeypatch):
     expected = _parse_outcome(cli.build_parser().parse_args, argv)
-    monkeypatch.setattr(cli, "_parsers", {})
+    monkeypatch.setattr(cli, "_tree", None)
     assert _run_outcome(argv) == expected
 
 
@@ -1140,7 +1183,7 @@ def test_subcommand_help_matches_the_full_tree(command):
 
 
 _FULL_TREE = cli.build_parser()
-_SUBPARSERS = {name: cli.build_parser(name) for name in cli._COMMANDS}
+_SUBPARSERS = goldens.subparsers(_FULL_TREE)
 
 # values no flag takes as given, or that argparse reads as an option
 _ODD_VALUES = st.sampled_from(["", "x", "-", "--", "-x", "-1e-3", "-1 2", "-1\n", "0x10",
@@ -1161,7 +1204,7 @@ def _good_value(action):
 
 @st.composite
 def _flag_lines(draw):
-    """(command, tokens, plain) drawn from a subcommand's own parser: each
+    """(command, tokens, plain) drawn from a subparser of the tree: each
     flag in the exact, the "=" or an abbreviated form, or with a bad value, a
     missing value or a stray "--" beside it; a required flag is sometimes
     left out.  plain says that every token is an exact flag or its value,
@@ -1212,10 +1255,10 @@ def test_flag_table_reads_lines_like_the_full_tree(case):
 def test_golden_lines_are_read_from_the_flag_table(name, argv, monkeypatch, capsys):
     # a line that fell back to argparse would lose the reader's speed and
     # fail nothing else
-    def refuse(command=None):
-        raise AssertionError(f"built a parser for {command!r}")
+    def refuse():
+        raise AssertionError("built the argparse tree")
 
-    monkeypatch.setattr(cli, "_parsers", {})
+    monkeypatch.setattr(cli, "_tree", None)
     monkeypatch.setattr(cli, "build_parser", refuse)
     code, out, err = _run(argv, capsys)
     assert (code, err) == (0, "")

@@ -131,6 +131,7 @@ def test_mat_mul_associative():
         lhs = (a @ b) @ c
         rhs = a @ (b @ c)
         assert lhs.max_diff(rhs) <= 1e-12
+        assert (a @ b).transpose() == b.transpose() @ a.transpose()
 
 
 def test_det_multiplicative():
@@ -217,3 +218,4 @@ def test_apply_is_matrix_vector_product():
     m = Mat2(1, 2, 3, 4)
     v = m.apply(Vec2(5, 6))
     assert (v.x, v.y) == (17.0, 39.0)
+    assert m.apply(Vec2(5, 6) + Vec2(1, -1)) == v + m.apply(Vec2(1, -1))

@@ -129,6 +129,8 @@ def test_matrix_function_undefined_cases():
         matrix_function(Mat2(0, 1, 0, 0), SQRT)  # sqrt[0, 0] = sqrt'(0) blows up
     with pytest.raises(FunctionUndefinedAtEigenvalue):
         matrix_function(Mat2(1, 1, 0, 1), ScalarFunction(lambda x: x, None))
+    with pytest.raises(FunctionUndefinedAtEigenvalue, match=r"f\(1\.0\) = inf"):
+        matrix_function(Mat2.diag(1, 4), ScalarFunction(lambda x: math.inf))  # f is not finite
 
 
 @pytest.mark.parametrize("gap", [1e-5, 1e-7, 2e-8])

@@ -46,6 +46,7 @@ def test_basis_product_table():
     assert J_ * J_ == ONE
     assert K_ * K_ == ONE
     assert I_ * J_ * K_ == ONE
+    assert [SplitQuat.unit(name) for name in "1ijk"] == [ONE, I_, J_, K_]
 
 
 def test_one_is_the_unit():
@@ -87,6 +88,9 @@ def test_inverse():
 def test_ring_axioms(p, q, r):
     assert sq_mul(sq_mul(p, q), r).max_diff(sq_mul(p, sq_mul(q, r))) <= 1e-12
     assert sq_mul(p, q + r).max_diff(sq_mul(p, q) + sq_mul(p, r)) <= 1e-12
+    assert sq_mul(p, q - r).max_diff(sq_mul(p, q) - sq_mul(p, r)) <= 1e-12
+    # the reals are the centre, and a real factor is the scalar multiple
+    assert sq_mul(SplitQuat.real(0.5), p) == sq_mul(p, SplitQuat.real(0.5)) == 0.5 * p
 
 
 def test_isomorphism_examples():

@@ -67,6 +67,9 @@ def test_decompose_case_recomposes(family):
     decomposition = decompose_case(family)
     assert decomposition.additive_part is None
     assert decomposition.recompose().max_diff(make_case_root(family)) <= 1e-12
+    p = Vec2(0.5, -2.0)
+    moved, want = decomposition.apply(p), apply(make_case_root(family), p)
+    assert max(abs(moved.x - want.x), abs(moved.y - want.y)) <= 1e-12
 
 
 def test_decompose_case_factor_kinds():

@@ -15,17 +15,14 @@ gamma_2 (|R||R|)_ij; for a sum or a scaled limit, u times its value.  A
 result that may leave the float range is tracked as certainly infinite,
 certainly inf or nan, or unknown.
 
-A rule is read by one of two functions, passed as ``read``:
-
-* ``Cut.decided`` (the default) gives the exact decision wherever the
-  quantity clears its limit by the two bounds, and None inside that band.
-  Where the float evaluation is exact, the band is empty and ties decide.
-* ``clear`` gives it wherever the quantity is beyond twice its limit or
-  below half of it, and None between.
-
+``Cut.decided`` reads a rule: it gives the exact decision wherever the
+quantity clears its limit by the two bounds, and None inside that band.
+Where the float evaluation is exact, the band is empty and ties decide.
 A rule combines its cuts in the library's order, and is None where a cut
 that can change its outcome is.  Outcomes are a bool, a tag or a count,
-or the exception class the library raises.
+or the exception class the library raises.  Where the library's input to a
+cut is itself a float it computes (cos t, an eigenvalue, a rebuilt c, a
+grid value), the cut takes that float as it is.
 
 ``brute_force_roots`` is the independent check on the closed-form square
 roots: a multi-start numerical solve of X^2 = A with SciPy, which the
@@ -34,11 +31,22 @@ library itself does not use.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from fractions import Fraction
 
-from invgeo.errors import DegenerateAngle, DegenerateSeed, NonFiniteEntry, NotAnInvolution
+from invgeo import matfun, quadric
+from invgeo.errors import (
+    ComplexEigenvalues,
+    DegenerateAngle,
+    DegenerateSeed,
+    FunctionUndefinedAtEigenvalue,
+    NonFiniteEntry,
+    NotAnInvolution,
+)
 from invgeo.mat2 import DEFAULT_TOL, Mat2, Tolerance, _setattr, _Value
+from invgeo.quadric import SurfaceTag
 from invgeo.roots import RootTag, make_general_root
 
 #: unit roundoff, the smallest subnormal, and the least magnitude that
@@ -185,12 +193,15 @@ def greater(q: Approx, t) -> bool | None:
 
 
 class Cut:
-    """The decision |quantity| <= limit."""
+    """The decision |quantity| <= limit.  A cut whose limit is a tolerance
+    times a scale also has its margin |quantity| / scale, exactly: the
+    tolerance at which the decision flips, and name, the Tolerance field
+    it reads."""
 
-    __slots__ = ("quantity", "limit")
+    __slots__ = ("quantity", "limit", "margin", "name")
 
-    def __init__(self, quantity: Approx, limit: Approx):
-        self.quantity, self.limit = quantity, limit
+    def __init__(self, quantity: Approx, limit: Approx, margin=None, name=None):
+        self.quantity, self.limit, self.margin, self.name = quantity, limit, margin, name
 
     def holds(self) -> bool:
         return abs(self.quantity.x) <= self.limit.x
@@ -212,10 +223,22 @@ class Cut:
         return None
 
 
-def clear(cut: Cut) -> bool | None:
-    """holds(), where the quantity is beyond twice its limit or below half."""
-    q, limit = abs(cut.quantity.x), cut.limit.x
-    return cut.holds() if q > 2 * limit or q < limit / 2 else None
+def _cuts(terms):
+    """A cut function from terms(*inputs), which gives (quantity, scale,
+    name) for each of its cuts: called with the inputs and perhaps a
+    Tolerance, it gives each cut with the limit tol.<name> * scale, one Cut
+    alone.  The terms of the last few inputs are kept, so a rule read at
+    several tolerances works them out once."""
+    terms = functools.lru_cache(maxsize=16)(terms)
+
+    @functools.wraps(terms)
+    def cuts(*args):
+        *args, tol = args if isinstance(args[-1], Tolerance) else (*args, DEFAULT_TOL)
+        made = tuple(Cut(q, Approx(getattr(tol, name)) * scale,
+                         abs(q.x) / scale.x if scale.x else None, name)
+                     for q, scale, name in terms(*args))
+        return made if len(made) > 1 else made[0]
+    return cuts
 
 
 def _all(*decisions) -> bool | None:
@@ -234,10 +257,18 @@ def _not(decision):
     return None if decision is None else not decision
 
 
-def _refused(outcome, error):
+def refused(outcome, error):
     """An outcome of the R^2 = I2 test other than True, as a caller of it
     reports it: error where the test fails."""
     return error if outcome is False else outcome
+
+
+def outcome(fn, *args):
+    """fn's result, or the class of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc)
 
 
 def inputs(*values) -> tuple[Approx, ...]:
@@ -283,58 +314,59 @@ def nonfinite(entries) -> bool | None:
     return None if any(e.e is None for e in entries) else False
 
 
-def square_root_cuts(r, s, tol: Tolerance = DEFAULT_TOL) -> tuple[Cut, Cut]:
+@_cuts
+def square_root_cuts(r: tuple, s: tuple):
     """||R^2 - S|| against abs_tol * ||S|| and against abs_tol * ||R||^2."""
     residual = square_residual(r, s)
     a, b, c, d = inputs(*r)
-    tol_ = Approx(tol.abs_tol)
-    return (Cut(residual, tol_ * norm(inputs(*s))),
-            Cut(residual, tol_ * amax(a * a, b * b, c * c, d * d)))
+    return ((residual, norm(inputs(*s)), "abs_tol"),
+            (residual, amax(a * a, b * b, c * c, d * d), "abs_tol"))
 
 
-def square_root(r, s, tol: Tolerance = DEFAULT_TOL, read=Cut.decided):
+def square_root(r, s, tol: Tolerance = DEFAULT_TOL):
     """R^2 = S within abs_tol * max(||R||^2, ||S||), max-norms; NonFiniteEntry
     where an entry of R^2 is beyond the float range."""
     overflow = nonfinite(square(r))
     if overflow is not False:
         return overflow and NonFiniteEntry
-    return _any(*map(read, square_root_cuts(r, s, tol)))
+    return _any(*(cut.decided() for cut in square_root_cuts(r, s, tol)))
 
 
-def involution(r, sign_: float, tol: Tolerance = DEFAULT_TOL, read=Cut.decided):
+def involution(r, sign_: float, tol: Tolerance = DEFAULT_TOL):
     """R^2 = +-I2, by square_root."""
-    return square_root(r, (sign_, 0.0, 0.0, sign_), tol, read)
+    return square_root(r, (sign_, 0.0, 0.0, sign_), tol)
 
 
 # -- the roots of I2 ------------------------------------------------------------
 
 
-def b_cut(a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> Cut:
+@_cuts
+def b_cut(a: float, b: float):
     """b ~ 0 in a root [[a, b], [c, -a]]: |b| <= exact_tol * max(1, |a|)."""
     a_, b_ = inputs(a, b)
-    return Cut(b_, Approx(tol.exact_tol) * amax(Approx(1), abs(a_)))
+    return ((b_, amax(Approx(1), abs(a_)), "exact_tol"),)
 
 
 _LOWER = {True: RootTag.LOWER_C_PLUS_MINUS, False: RootTag.LOWER_C_MINUS_PLUS}
 _UPPER = {True: RootTag.UPPER_B_PLUS_MINUS, False: RootTag.UPPER_B_MINUS_PLUS}
 
 
-def _rebuilt_c_cuts(m: Mat2, tol: Tolerance):
-    """(lower_closer, miss_cut): the general family's c rebuilt from (a, b)
-    by make_general_root misses c by more than the lower family's own error
-    max(|b|, |1 - |a||); miss_cut is the miss against abs_tol * max(1, |c|)."""
-    a, b, c = inputs(m.a, m.b, m.c)
+#: a tolerance at which make_general_root refuses no b that the b cut passes
+_FINEST = Tolerance(1.0, 5e-324)
+
+
+@_cuts
+def miss_cut(m: Mat2):
+    """The general family's c rebuilt from (a, b) by make_general_root
+    misses c: the miss against abs_tol * max(1, |c|)."""
     try:
-        rebuilt = Approx(make_general_root(m.a, m.b, tol).c)
+        rebuilt = Approx(make_general_root(m.a, m.b, _FINEST).c)
     except NonFiniteEntry:  # (1 - a^2)/b is beyond the float range
         rebuilt = Approx(OVERFLOW, POS_INF)
-    miss = abs(rebuilt - c)
-    lower_error = amax(abs(b), abs(1 - abs(a)))
-    return greater(miss - lower_error, 0), Cut(
-        miss, Approx(tol.abs_tol) * amax(Approx(1), abs(c)))
+    return ((abs(rebuilt - Approx(m.c)), amax(Approx(1), abs(Approx(m.c))), "abs_tol"),)
 
 
-def classify_involution(m: Mat2, tol: Tolerance = DEFAULT_TOL, read=Cut.decided):
+def classify_involution(m: Mat2, tol: Tolerance = DEFAULT_TOL):
     """The family tag classify_involution gives m, or what it raises.
 
     R^2 = I2 first; then a trace beyond +-1 is +-I2; then an off-diagonal
@@ -343,9 +375,9 @@ def classify_involution(m: Mat2, tol: Tolerance = DEFAULT_TOL, read=Cut.decided)
     c misses c beyond both the lower family's error and abs_tol * max(1, |c|);
     else the general family.
     """
-    inv = involution(m.entries(), 1.0, tol, read)
+    inv = involution(m.entries(), 1.0, tol)
     if inv is not True:
-        return _refused(inv, NotAnInvolution)
+        return refused(inv, NotAnInvolution)
     a, d = inputs(m.a, m.d)
     trace = a + d
     above, below = greater(trace, 1), greater(-trace, 1)
@@ -356,114 +388,165 @@ def classify_involution(m: Mat2, tol: Tolerance = DEFAULT_TOL, read=Cut.decided)
     if above is None or below is None:
         return None
     positive = m.a > 0
-    b_small = read(b_cut(m.a, m.b, tol))
+    b_small = b_cut(m.a, m.b, tol).decided()
     if b_small is not False:
         return b_small and _LOWER[positive]
-    c_small = read(b_cut(m.a, m.c, tol))
+    c_small = b_cut(m.a, m.c, tol).decided()
     if c_small is not False:
         return c_small and _UPPER[positive]
-    closer, miss_cut = _rebuilt_c_cuts(m, tol)
-    rescue = _all(closer, _not(read(miss_cut)))
+    # the rebuilt c misses c by more than the lower family's own error
+    miss = miss_cut(m, tol)
+    closer = greater(miss.quantity - amax(abs(Approx(m.b)), abs(1 - abs(a))), 0)
+    rescue = _all(closer, _not(miss.decided()))
     if rescue is None:
         return None
     return _LOWER[positive] if rescue else RootTag.GENERAL
 
 
-def decompose_general(m: Mat2, tol: Tolerance = DEFAULT_TOL, read=Cut.decided):
-    """RootTag.GENERAL where decompose_general factors m, or what it raises:
+def decompose_general(m: Mat2, tol: Tolerance = DEFAULT_TOL):
+    """True where decompose_general factors m, or what it raises:
     NotAnInvolution unless R^2 = I2, then DegenerateAngle under the b cut."""
-    inv = involution(m.entries(), 1.0, tol, read)
+    inv = involution(m.entries(), 1.0, tol)
     if inv is not True:
-        return _refused(inv, NotAnInvolution)
-    b_small = read(b_cut(m.a, m.b, tol))
-    return None if b_small is None else DegenerateAngle if b_small else RootTag.GENERAL
+        return refused(inv, NotAnInvolution)
+    b_small = b_cut(m.a, m.b, tol).decided()
+    return None if b_small is None else DegenerateAngle if b_small else True
 
 
 # -- symmetry and equality ------------------------------------------------------
 
 
-def symmetric_cut(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> Cut:
+@_cuts
+def symmetric_cut(m: Mat2):
     """|b - c| <= abs_tol * ||m||."""
     a, b, c, d = inputs(*m.entries())
-    return Cut(b - c, Approx(tol.abs_tol) * norm((a, b, c, d)))
+    return ((b - c, norm((a, b, c, d)), "abs_tol"),)
 
 
-def equal_cut(lhs: Mat2, rhs: Mat2, tol: Tolerance = DEFAULT_TOL) -> Cut:
+@_cuts
+def equal_cut(lhs: Mat2, rhs: Mat2):
     """||lhs - rhs|| <= abs_tol * max(||lhs||, ||rhs||)."""
     left, right = inputs(*lhs.entries()), inputs(*rhs.entries())
-    return Cut(amax(*(abs(x - y) for x, y in zip(left, right))),
-               Approx(tol.abs_tol) * norm(left + right))
+    return ((amax(*(abs(x - y) for x, y in zip(left, right))), norm(left + right), "abs_tol"),)
 
 
-def householder(m: Mat2, tol: Tolerance = DEFAULT_TOL, read=Cut.decided):
+def householder(m: Mat2, tol: Tolerance = DEFAULT_TOL):
     """Whether householder_angle gives m an angle: a symmetric involution
     that is not approx_eq to +-I2; or what it raises."""
-    inv = involution(m.entries(), 1.0, tol, read)
+    inv = involution(m.entries(), 1.0, tol)
     if inv is not True:
-        return _refused(inv, False)
-    return _all(read(symmetric_cut(m, tol)),
-                _not(read(equal_cut(m, Mat2.identity(), tol))),
-                _not(read(equal_cut(m, -Mat2.identity(), tol))))
+        return refused(inv, False)
+    return _all(symmetric_cut(m, tol).decided(),
+                _not(equal_cut(m, Mat2.identity(), tol).decided()),
+                _not(equal_cut(m, -Mat2.identity(), tol).decided()))
 
 
 # -- the loci S(alpha, beta) -----------------------------------------------------
 
 
-def locus_cuts(m: Mat2, alpha: float, beta: float, tol: Tolerance = DEFAULT_TOL):
+@_cuts
+def locus_cuts(m: Mat2, alpha: float, beta: float):
     """(trace, det, scalar) cuts of in_locus: a + d - alpha against
     abs_tol * ||m||, ad - bc - beta against abs_tol * ||m||^2, and the
     distance to the nearest scalar matrix against exact_tol * ||m||."""
     size = m.max_norm()
     a, b, c, d, alpha_, beta_, size_ = scaled_inputs((*m.entries(), alpha, beta, size), size)
-    tol_ = Approx(tol.abs_tol)
     # the scalar distance is taken on m as it is
     ua, ub, uc, ud = inputs(*m.entries())
     t = Fraction(1, 2) * (ua + ud)
-    scalar = Cut(amax(abs(ua - t), abs(ub), abs(uc), abs(ud - t)),
-                 Approx(tol.exact_tol) * norm((ua, ub, uc, ud)))
-    return (Cut(a + d - alpha_, tol_ * size_),
-            Cut(a * d - b * c - beta_, tol_ * (size_ * size_)),
-            scalar)
+    return ((a + d - alpha_, size_, "abs_tol"),
+            (a * d - b * c - beta_, size_ * size_, "abs_tol"),
+            (amax(abs(ua - t), abs(ub), abs(uc), abs(ud - t)), norm((ua, ub, uc, ud)), "exact_tol"))
 
 
-def in_locus(m: Mat2, alpha: float, beta: float, tol: Tolerance = DEFAULT_TOL,
-             read=Cut.decided):
+def in_locus(m: Mat2, alpha: float, beta: float, tol: Tolerance = DEFAULT_TOL):
     trace, det, scalar = locus_cuts(m, alpha, beta, tol)
-    return _all(_not(read(scalar)), read(trace), read(det))
+    return _all(_not(scalar.decided()), trace.decided(), det.decided())
 
 
-def hyperplane_cut(m: Mat2, alpha: float, tol: Tolerance = DEFAULT_TOL) -> Cut:
+@_cuts
+def hyperplane_cut(m: Mat2, alpha: float):
     """to_bell's |a + d - alpha| <= abs_tol * ||m||, on m as it is."""
     a, b, c, d = inputs(*m.entries())
-    return Cut(a + d - alpha, Approx(tol.abs_tol) * norm((a, b, c, d)))
+    return ((a + d - alpha, norm((a, b, c, d)), "abs_tol"),)
 
 
-def cone_cuts(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> tuple[Cut, Cut]:
+@_cuts
+def cone_cuts(m: Mat2):
     """on_asymptotic_cone: a + d against abs_tol * ||m||, and
     a^2 + bc against abs_tol * ||m||^2."""
     size = m.max_norm()
     a, b, c, d, size_ = scaled_inputs((*m.entries(), size), size)
-    tol_ = Approx(tol.abs_tol)
-    return Cut(a + d, tol_ * size_), Cut(a * a + b * c, tol_ * (size_ * size_))
+    return (a + d, size_, "abs_tol"), (a * a + b * c, size_ * size_, "abs_tol")
 
 
-def on_asymptotic_cone(m: Mat2, tol: Tolerance = DEFAULT_TOL, read=Cut.decided):
-    return _all(*map(read, cone_cuts(m, tol)))
+def on_asymptotic_cone(m: Mat2, tol: Tolerance = DEFAULT_TOL):
+    return _all(*(cut.decided() for cut in cone_cuts(m, tol)))
 
 
-def alpha_cut(x, y, z, alpha, other, tol: Tolerance = DEFAULT_TOL) -> Cut:
+@_cuts
+def alpha_cut(x, y, z, alpha, other):
     """quadric_residual's alpha ~ other: exact_tol times max(|x|, |y|, |z|,
     |alpha|, |other|)."""
     values = inputs(x, y, z, alpha, other)
-    return Cut(values[3] - values[4], Approx(tol.exact_tol) * norm(values))
+    return ((values[3] - values[4], norm(values), "exact_tol"),)
 
 
-def lightlike_cut(w, x, y, z, tol: Tolerance = DEFAULT_TOL) -> Cut:
+@_cuts
+def lightlike_cut(w, x, y, z):
     """sq_classify's w^2 + x^2 - y^2 - z^2 against exact_tol * (w^2 + x^2 +
     y^2 + z^2)."""
     w_, x_, y_, z_ = scaled_inputs((w, x, y, z), max(map(abs, (w, x, y, z))))
-    return Cut(w_ * w_ + x_ * x_ - y_ * y_ - z_ * z_,
-               Approx(tol.exact_tol) * (w_ * w_ + x_ * x_ + y_ * y_ + z_ * z_))
+    return ((w_ * w_ + x_ * x_ - y_ * y_ - z_ * z_, w_ * w_ + x_ * x_ + y_ * y_ + z_ * z_,
+             "exact_tol"),)
+
+
+@_cuts
+def quadric_cut(alpha: float, beta: float):
+    """classify_quadric's cone: alpha^2 - 4 beta against exact_tol *
+    (alpha^2 + 4 |beta|), on alpha * 2**-e and beta * 4**-e."""
+    alpha_, beta_ = scaled_inputs((alpha, beta), max(abs(alpha), math.sqrt(abs(beta))))
+    square = alpha_ * alpha_
+    return ((square - 4 * beta_, square + 4 * abs(beta_), "exact_tol"),)
+
+
+def classify_quadric(alpha: float, beta: float, tol: Tolerance = DEFAULT_TOL):
+    """The SurfaceTag of S(alpha, beta): a cone under the cut, else one
+    sheet or two by the sign of alpha^2 - 4 beta."""
+    cut = quadric_cut(alpha, beta, tol)
+    cone = cut.decided()
+    if cone is not False:
+        return cone and SurfaceTag.RIGHT_CIRCULAR_CONE
+    positive = sign(cut.quantity)
+    if positive is None:
+        return None
+    return SurfaceTag.ONE_SHEET_HYPERBOLOID if positive > 0 else SurfaceTag.TWO_SHEET_HYPERBOLOID
+
+
+@_cuts
+def apex_cut(rho: float, span: float):
+    """surface_rows drops a cone's ring rho, a value of its grid, where
+    |rho| <= exact_tol * |span|."""
+    rho_, span_ = inputs(rho, span)
+    return ((rho_, abs(span_), "exact_tol"),)
+
+
+def surface_rows(alpha: float, beta: float, span: float, n_u: int, n_v: int,
+                 tol: Tolerance = DEFAULT_TOL):
+    """How many rows surface_rows gives: n_u per ring, and for a cone n_u
+    per ring off the apex plus the vertex."""
+    tag = classify_quadric(alpha, beta, tol)
+    if tag is not SurfaceTag.RIGHT_CIRCULAR_CONE:
+        return tag and n_u * n_v
+    dropped = [apex_cut(rho, span, tol).decided() for rho in quadric._linspace(-span, span, n_v)]
+    return None if None in dropped else n_u * dropped.count(False) + 1
+
+
+@_cuts
+def sec_cut(t: float):
+    """unit_root_neg's sec t is undefined where |cos t| <= exact_tol, for cos t
+    as math.cos gives it."""
+    return ((Approx(math.cos(t)), Approx(1), "exact_tol"),)
 
 
 # -- generator_directions ------------------------------------------------------
@@ -490,22 +573,63 @@ def ruling_products(a: Mat2, seed: Mat2):
     return px, _product(px, minus), nx, _product(nx, plus), (plus, x, minus)
 
 
-def generator_directions(a: Mat2, seed: Mat2, tol: Tolerance = DEFAULT_TOL,
-                         read=Cut.decided):
+def generator_directions(a: Mat2, seed: Mat2, tol: Tolerance = DEFAULT_TOL):
     """True where generator_directions returns directions, or what it
     raises: NotAnInvolution off S(0, -1), NonFiniteEntry where a product is
     beyond the float range, and DegenerateSeed where min(||U||, ||V||) is at
     most sqrt(eps) * ||A + I|| ||X|| ||A - I||."""
-    on = in_locus(a, 0.0, -1.0, tol, read)
+    on = in_locus(a, 0.0, -1.0, tol)
     if on is not True:
-        return _refused(on, NotAnInvolution)
+        return refused(on, NotAnInvolution)
     px, u, nx, v, (plus, x, minus) = ruling_products(a, seed)
     overflow = nonfinite(px + u + nx + v)
     if overflow is not False:
         return overflow and NonFiniteEntry
     seed_cut = Cut(amin(norm(u), norm(v)), SQRT_EPS * norm(plus) * norm(x) * norm(minus))
-    degenerate = read(seed_cut)
+    degenerate = seed_cut.decided()
     return None if degenerate is None else DegenerateSeed if degenerate else True
+
+
+# -- eigen2 and matrix_function -------------------------------------------------
+
+
+@_cuts
+def discriminant_cut(m: Mat2):
+    """eigen2's (a - d)^2 + 4bc against exact_tol * ||m||^2, on the entries
+    scaled as count_real_roots takes them."""
+    size = m.max_norm()
+    a, b, c, d, size_ = scaled_inputs((*m.entries(), size), size)
+    diff = a - d
+    return ((diff * diff + 4 * b * c, size_ * size_, "exact_tol"),)
+
+
+def eigen2(m: Mat2, tol: Tolerance = DEFAULT_TOL):
+    """ComplexEigenvalues where eigen2 finds the spectrum complex: the
+    discriminant is below zero and not under its cut; else True."""
+    cut = discriminant_cut(m, tol)
+    negative = sign(cut.quantity)
+    complex_ = _all(None if negative is None else negative < 0, _not(cut.decided()))
+    return None if complex_ is None else ComplexEigenvalues if complex_ else True
+
+
+def secant_cut(lam1: float, lam2: float) -> Cut:
+    """matrix_function's secant is refused where l2 - l1 <= sqrt(eps) *
+    max(|l1|, |l2|), for the eigenvalues l1 <= l2 as eigen2 gives them."""
+    l1, l2 = inputs(lam1, lam2)
+    return Cut(l2 - l1, SQRT_EPS * amax(abs(l1), abs(l2)))
+
+
+def matrix_function(m: Mat2, tol: Tolerance = DEFAULT_TOL):
+    """What matrix_function gives for an f with no divided difference that
+    is finite on the spectrum: True where it returns, what eigen2 raises,
+    or FunctionUndefinedAtEigenvalue under the secant cut."""
+    if m.b == 0.0 and m.c == 0.0 and m.a == m.d:
+        return True
+    spectrum = eigen2(m, tol)
+    if spectrum is not True:
+        return spectrum
+    close = secant_cut(*matfun.eigen2(m, tol)).decided()
+    return None if close is None else FunctionUndefinedAtEigenvalue if close else True
 
 
 # -- count_real_roots ------------------------------------------------------------

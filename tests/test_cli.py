@@ -12,7 +12,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import invgeo
@@ -21,6 +21,7 @@ from invgeo.cli import run
 from invgeo.roots import RootTag
 
 import goldens
+import oracle
 
 GOLDEN_DIR = goldens.GOLDEN_DIR
 
@@ -427,7 +428,7 @@ def _contract_lines(draw):
 
 
 def _contract_outcome(argv):
-    """run(argv)'s document, or None for CSV and for a failure, once the
+    """run(argv)'s document, a failure's error code, or None for CSV, once the
     contract is checked: exit 0 writes strict JSON or CSV of finite floats,
     and a nonzero exit one JSON line on stderr with a known error code."""
     out, err = io.StringIO(), io.StringIO()
@@ -439,7 +440,7 @@ def _contract_outcome(argv):
         assert out == "" and err.count("\n") == 1 and err.endswith("\n"), (argv, out, err)
         doc = json.loads(err, parse_constant=_no_constant)
         assert set(doc) == {"error", "detail"} and doc["error"] in _ERROR_CODES, (argv, err)
-        return None
+        return doc["error"]
     assert err == "", (argv, err)
     if out.startswith(("x,y,z,", "step,")):
         header, *rows = out.splitlines()
@@ -461,28 +462,35 @@ def _assert_normwise(got: dict, want: dict, argv, slack: float = 0.0):
 
 @settings(max_examples=2000, deadline=None, derandomize=True)
 @given(argv=_contract_lines())
+@example(argv=["bell", "--matrix", '{"a": -1.7976931348623157e308, "b": 0.0, "c": 0.0, '
+               '"d": 1.8403452450812853e299}', "--alpha=-1.7976931330219705e+308"])
 def test_every_command_line_keeps_the_output_contract(argv):
     # The roots -> classify --matrix round trip is left out: classify_involution
     # still reads a triangular family from one negligible off-diagonal entry
-    # (ROADMAP item 3), so a general root with a tiny b comes back another family.
+    # (ROADMAP item 2), so a general root with a tiny b comes back another family.
     doc = _contract_outcome(argv)
-    if doc is None:
+    if not isinstance(doc, dict):
         return
     if argv[:2] == ["quat", "--from-matrix"]:
         assert doc["matrix"] == json.loads(argv[2]), argv
     if argv[:2] == ["quat", "--to-matrix"]:
         back = _contract_outcome(["quat", "--from-matrix", json.dumps(doc["matrix"])])
-        assert back is not None, argv
+        assert isinstance(back, dict), (argv, back)
         _assert_normwise(back["quaternion"], json.loads(argv[2]), argv)
-    if argv[:2] == ["bell", "--matrix"] and max(abs(doc["matrix"][k]) for k in "ad") <= 2.0 ** 1023:
-        # beyond 2**1023 on the diagonal, alpha/2 + x/sqrt2 may round past the float range
+    if argv[:2] == ["bell", "--matrix"]:
         point, matrix = doc["bell"], doc["matrix"]
         inverse = [f"--{k}={point[k]!r}" for k in ("x", "y", "z", "alpha")]
         back = _contract_outcome(["bell", *inverse])
-        assert back is not None, argv
-        # the point lies on trace = alpha, which the matrix meets within the tolerance
-        _assert_normwise(back["matrix"], matrix, argv,
-                         slack=abs(point["alpha"] - (matrix["a"] + matrix["d"])))
+        # from_bell's diagonal alpha/2 +- x/sqrt2, exactly, from the floats it adds
+        half, x = Fraction(0.5 * point["alpha"]), Fraction(point["x"] / math.sqrt(2.0))
+        if max(abs(half + x), abs(half - x)) >= oracle.OVERFLOW:
+            assert back == "non_finite_entry", (argv, back)
+            return
+        assert isinstance(back, dict), (argv, back)
+        # the point lies on trace = alpha, which the matrix meets within the
+        # tolerance; exactly, since a + d may be beyond the float range
+        slack = abs(Fraction(point["alpha"]) - Fraction(matrix["a"]) - Fraction(matrix["d"]))
+        _assert_normwise(back["matrix"], matrix, argv, slack=float(slack))
 
 
 def test_bell_point_at_the_top_of_the_float_range_is_read_back(capsys):

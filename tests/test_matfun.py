@@ -83,30 +83,6 @@ def test_eigen2_is_exact_under_power_of_two_scaling(entries, k):
     assert scaled == tuple(math.ldexp(x, k) for x in lam)
 
 
-def _is_complex(m: Mat2) -> bool:
-    try:
-        eigen2(m)
-    except ComplexEigenvalues:
-        return True
-    return False
-
-
-@settings(max_examples=500, deadline=None)
-@given(
-    entries=st.tuples(*[st.integers(-2**53, 2**53)] * 4),
-    k=st.integers(-500, 500),
-)
-@example(entries=(0, -1, 1, 0), k=-500)
-@example(entries=(2**52, 1, -1, 2**52), k=500)  # 2 +- 2**-52 i: below the cut, real
-def test_eigen2_complex_decision_is_invariant_under_power_of_two_scaling(entries, k):
-    # multiples of 2**-52 in [-2, 2], either sign of bc: every scaled entry
-    # and product stays normal, so scaling by 2**k is exact
-    a, b, c, d = (math.ldexp(n, -52) for n in entries)
-    m = Mat2(a, b, c, d)
-    scaled = Mat2(*(math.ldexp(x, k) for x in (a, b, c, d)))
-    assert _is_complex(scaled) == _is_complex(m)
-
-
 def test_matrix_function_square_on_block():
     result = matrix_function(Mat2(1, 1, 0, 1), SQUARE)
     assert result.max_diff(Mat2(1, 2, 0, 1)) <= 1e-12

@@ -2,13 +2,13 @@ import math
 import re
 
 import numpy as np
+import oracle
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from invgeo import (
     BELL_BASIS,
-    DEFAULT_TOL,
     BellPoint,
     LocusParams,
     Mat2,
@@ -475,7 +475,9 @@ def _per_point_grid(params, n_u, n_v, span):
                             sheet * m * math.cosh(v)))
     else:
         for rho in np.linspace(-span, span, n_v).tolist():
-            if not DEFAULT_TOL.negligible(rho, abs(span), exact=True):
+            dropped = oracle.apex_cut(rho, span).decided()
+            assume(dropped is not None)  # either is right inside the band
+            if not dropped:
                 out.extend((rho * math.cos(u), rho * math.sin(u), rho) for u in azimuths)
         out.append((0.0, 0.0, 0.0))
     return out

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import oracle
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from invgeo import (
@@ -48,7 +48,8 @@ from invgeo.errors import (
     NotAnInvolution,
     NotASquareRoot,
 )
-from invgeo.mat2 import _square_residual
+from invgeo import matfun
+from invgeo.mat2 import _is_square_root, _square_residual
 from invgeo.roots import RootTag
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -168,6 +169,18 @@ FINE_CUT = ((1.3083659886229814e-79, 1e-18, 9.999999999999997e17, -1.30836598862
             Tolerance(1.727e-77, 1.727e-77))
 #: R^2 = I2 / 4 at abs_tol 0.75 is an involution whose trace is 1.0 exactly
 TRACE_ONE = ((0.5, 0.0, 0.0, 0.5), Tolerance(0.75, 1e-12))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(cases())
+@edge_examples([FINE_CUT], [TRACE_ONE])
+def test_involution_tests_match_the_product_form(case):
+    """R^2 = +-I2 as the exact R @ R decides it."""
+    entries, tol = case
+    m = Mat2(*entries)
+    for kernel, sign in ((is_involution, 1.0), (is_skew_involution, -1.0)):
+        _decides(oracle.outcome(kernel, m, tol), oracle.involution(entries, sign, tol),
+                 (True, False, NonFiniteEntry))
 
 
 _FAMILY_OUTCOMES = (*RootTag, NonFiniteEntry, NotAnInvolution)
@@ -329,6 +342,71 @@ def test_value_types_store_what_checking_each_field_stores(values):
             stored = _stored(cls, args)
             assert all(type(v) is float for v in stored)
             assert list(map(repr, stored)) == list(map(repr, floats))
+
+
+I2_ENTRIES, NEG_I2_ENTRIES = (1.0, 0.0, 0.0, 1.0), (-1.0, 0.0, 0.0, -1.0)
+
+
+@st.composite
+def square_cases(draw):
+    """(R, S) as eight entries: R a near-root of +-I2, any matrix, or a
+    candidate root (S + sI)/t of an S with entries in [-1, 1]; S +-I2, R @ R
+    a few ulps off in one entry, or any matrix."""
+    kind = draw(st.sampled_from(["identity", "neg_identity", "square", "any", "branch"]))
+    if kind == "branch":  # on the scaled entries, as sqrt_branches works
+        s = a, b, c, d = draw(st.tuples(*[st.floats(-1.0, 1.0)] * 4))
+        t = draw(st.sampled_from(matfun._root_traces(a, b, c, d) or [reject()]))
+        p, h = 0.5 * (a - d) / t, 0.5 * t
+        return (h + p, b / t + 0.0, c / t + 0.0, h - p, *s)
+    r = draw(near_roots())
+    if kind == "square":
+        try:
+            s = list((Mat2(*r) @ Mat2(*r)).entries())
+        except NonFiniteEntry:
+            s = list(I2_ENTRIES)
+        slot = draw(st.integers(0, 3))
+        for _ in range(draw(st.integers(0, 3))):
+            s[slot] = math.nextafter(s[slot], draw(st.sampled_from([-math.inf, math.inf])))
+        assume(math.isfinite(s[slot]))
+    else:
+        s = {"identity": I2_ENTRIES, "neg_identity": NEG_I2_ENTRIES}.get(kind) or draw(
+            st.tuples(FINITE, FINITE, FINITE, FINITE))
+    return (*r, *s)
+
+
+@st.composite
+def square_root_cases(draw):
+    """(R, S, tol): a square case, tol a fixed one or one whose abs_tol is the
+    float or the exact residual over ||S|| or over ||R||^2, where <= and >
+    part."""
+    v = draw(square_cases())
+    r, s, tols = v[:4], tuple(v[4:]), list(TOLS)
+    exact = oracle.square_residual(r, s).x
+    for residual in (oracle.outcome(_square_residual, *v),
+                     float(exact) if abs(exact) < oracle.OVERFLOW else None):
+        for scale in (max(map(abs, s)), max(x * x for x in r)):
+            x = residual / scale if isinstance(residual, float) and scale else 0.0
+            if 0.0 < x < math.inf:
+                tols.append(Tolerance(x, min(x, 1e-12)))
+    return r, s, draw(st.sampled_from(tols))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(square_root_cases())
+@example(((5e153, 1e160, -1e160, -5e153), I2_ENTRIES, DEFAULT_TOL))  # R^2 overflows
+@example(((0.0, 1e5, -1e-5, 0.0), I2_ENTRIES, DEFAULT_TOL))  # R^2 = -I2, ||R||^2 large
+@example(((1.0, 1e308, 0.0, -1.0), NEG_I2_ENTRIES, DEFAULT_TOL))  # ||R||^2 overflows
+@example(((0.5, 0.0, 0.0, 1.0), (0.25, 0.0, 0.0, 1.0), DEFAULT_TOL))
+@example(((0.5, 0.0, 0.0, 0.5), I2_ENTRIES, Tolerance(0.75, 1e-12)))  # ||S|| decides
+def test_square_root_test_decides_as_the_exact_margin(case):
+    """mat2._is_square_root, which every root test in the package makes,
+    against ||R^2 - S|| <= abs_tol * max(||R||^2, ||S||) on the exact R @ R."""
+    r, s, tol = case
+    got = oracle.outcome(_is_square_root, *r, *s, tol)
+    _decides(got, oracle.square_root(r, s, tol), (True, False, NonFiniteEntry))
+    if s in (I2_ENTRIES, NEG_I2_ENTRIES):
+        kernel = is_involution if s == I2_ENTRIES else is_skew_involution
+        assert oracle.outcome(kernel, Mat2(*r), tol) == got
 
 
 # -- faults the exact rules show: the R^2 test is normwise, and the family is

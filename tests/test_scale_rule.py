@@ -19,7 +19,10 @@ input's degree.  One property checks every row, so two things hold for each:
 
 The examples at the top are inputs that an absolute cut misread.  The
 properties at the end check values: the inverse under scaling, the roots of
-+-I2 from 1e-6 to 1e8 read back, and the secant coefficients.
++-I2 from 1e-6 to 1e8 read back, and the secant coefficients.  Two of them
+also read the R^2 = S test at the default tolerance, where the table reads
+it on each draw's margin: the root check of scaled_roots and
+conjugated_roots, and is_involution on nudged general roots.
 """
 
 import itertools
@@ -33,7 +36,7 @@ import oracle
 import pytest
 from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
-from test_involution_path import EDGES, FINITE, near_roots
+from test_involution_path import EDGES, I2_ENTRIES, NEG_I2_ENTRIES, near_roots, square_cases
 
 from invgeo import (
     DEFAULT_TOL,
@@ -56,6 +59,7 @@ from invgeo import (
     make_skew_root,
     on_asymptotic_cone,
     quadric_residual,
+    scaled_roots,
     surface_rows,
     to_bell,
     unit_root_neg,
@@ -76,7 +80,6 @@ from invgeo.errors import (
 )
 
 I2 = Mat2.identity()
-I2_ENTRIES, NEG_I2_ENTRIES = (1.0, 0.0, 0.0, 1.0), (-1.0, 0.0, 0.0, -1.0)
 K = st.integers(-500, 500)
 #: multiples of 2**-52 in [-2, 2]
 GRID = st.integers(-2**53, 2**53).map(lambda n: math.ldexp(n, -52))
@@ -169,33 +172,6 @@ LOCI = st.builds(lambda m, n1, n2, off: (*m, (m[0] + m[3]) * (1.0 + n1) + off,
                  MATS | NEAR_SCALARS, NUDGE, NUDGE, st.sampled_from([0.0, 2.0**-40]))
 NILPOTENTS = st.builds(lambda a, b, n1, n2: (a, b, -(a * a) / b * (1.0 + n1), -a * (1.0 + n2)),
                        GRID, GRID.filter(bool), NUDGE, NUDGE)
-
-
-@st.composite
-def square_cases(draw):
-    """(R, S) as eight entries: R a near-root of +-I2, any matrix, or a
-    candidate root (S + sI)/t of an S with entries in [-1, 1]; S +-I2, R @ R
-    a few ulps off in one entry, or any matrix."""
-    kind = draw(st.sampled_from(["identity", "neg_identity", "square", "any", "branch"]))
-    if kind == "branch":  # on the scaled entries, as sqrt_branches works
-        s = a, b, c, d = draw(st.tuples(*[st.floats(-1.0, 1.0)] * 4))
-        t = draw(st.sampled_from(matfun._root_traces(a, b, c, d) or [reject()]))
-        p, h = 0.5 * (a - d) / t, 0.5 * t
-        return (h + p, b / t + 0.0, c / t + 0.0, h - p, *s)
-    r = draw(near_roots())
-    if kind == "square":
-        try:
-            s = list((Mat2(*r) @ Mat2(*r)).entries())
-        except errors.NonFiniteEntry:
-            s = list(I2_ENTRIES)
-        slot = draw(st.integers(0, 3))
-        for _ in range(draw(st.integers(0, 3))):
-            s[slot] = math.nextafter(s[slot], draw(st.sampled_from([-math.inf, math.inf])))
-        assume(math.isfinite(s[slot]))
-    else:
-        s = {"identity": I2_ENTRIES, "neg_identity": NEG_I2_ENTRIES}.get(kind) or draw(
-            st.tuples(FINITE, FINITE, FINITE, FINITE))
-    return (*r, *s)
 
 
 @st.composite
@@ -337,8 +313,8 @@ def _square_row(which, examples):
 
 
 RULES = {
-    "square_root_s": _square_row(0, 600),
-    "square_root_r": _square_row(1, 400),
+    "square_root_s": _square_row(0, 200),
+    "square_root_r": _square_row(1, 200),
     "is_symmetric": Rule(
         lambda v, tol: _m(v).is_symmetric(tol), lambda v, tol: oracle.symmetric_cut(_m(v), tol),
         st.builds(lambda m, n: (m[0], m[1], m[1] * (1.0 + n), m[3]), MATS, NUDGE), (1,) * 4, 300),
@@ -487,6 +463,24 @@ def test_inverse_is_invariant_under_power_of_two_scaling(entries, k):
         assert Mat2(*scaled).inverse().entries() == want
 
 
+@settings(max_examples=300, deadline=None)
+@given(MATS, NUDGE, st.integers(0, 3), K)
+def test_root_check_is_invariant_and_agrees_with_the_exact_margin(root, nudge, slot, k):
+    """scaled_roots and conjugated_roots refuse R as a root of R @ R nudged in
+    one entry, at the default tolerance, as the exact rule decides, and
+    alike at 2**k R and 4**k S where those stay normal."""
+    square = _nudged((Mat2(*root) @ Mat2(*root)).entries(), slot, nudge, 2.0**-50)
+    refused = oracle.outcome(scaled_roots, Mat2(*square), 4.0, Mat2(*root)) is errors.NotASquareRoot
+    r_k, s_k = _scaled(root, (1,) * 4, k), _scaled(square, (2,) * 4, k)
+    if r_k and s_k:
+        for fn, args in ((scaled_roots, (4.0,)), (conjugated_roots, (I2,))):
+            assert (oracle.outcome(fn, Mat2(*s_k), *args, Mat2(*r_k))
+                    is errors.NotASquareRoot) == refused
+    exact = oracle.square_root(root, square)
+    if exact is not None:
+        assert refused == (not exact)
+
+
 @settings(max_examples=400, deadline=None)
 @given(SCALED.map(_at_scale), st.floats(0.5, 1.0), st.integers(-70, 27),
        st.sampled_from([1.0, -1.0]))
@@ -521,6 +515,22 @@ def test_skew_roots_at_every_scale_are_skew_involutions(a, mantissa, exponent, s
         assert oracle.b_cut(a, b).decided() is not False
         return
     assert is_skew_involution(m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SCALED.map(_at_scale), st.floats(0.5, 1.0), st.integers(-70, 27), NUDGE,
+       st.integers(0, 3))
+def test_involution_test_agrees_with_the_exact_margin(a, mantissa, exponent, nudge, slot):
+    """is_involution at the default tolerance on a general root from 1e-6 to
+    1e8, nudged in one entry, as the exact rule decides."""
+    try:
+        m = make_general_root(a, math.ldexp(mantissa, exponent))
+    except DegenerateParameter:
+        return
+    entries = _nudged(m.entries(), slot, nudge)
+    exact = oracle.involution(entries, 1.0)
+    if exact is not None:
+        assert is_involution(Mat2(*entries)) == exact
 
 
 @settings(max_examples=200, deadline=None)

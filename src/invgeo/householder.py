@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 
 from .errors import NotPythagorean, NotUnitVector
-from .mat2 import DEFAULT_TOL, Mat2, Tolerance, _setattr, _Value, approx_eq
+from .mat2 import DEFAULT_TOL, Mat2, Tolerance, _finite, _setattr, _Value, approx_eq
 from .roots import is_involution
 
 _NORM_SLACK = 1e-6  # inputs this close to unit length are renormalized
@@ -31,11 +31,12 @@ class UnitVec2(_Value):
     __slots__ = ("v1", "v2")
 
     def __init__(self, v1: float, v2: float):
+        v1, v2 = _finite(v1, "v1"), _finite(v2, "v2")
         norm = math.hypot(v1, v2)
         if abs(norm - 1.0) > _NORM_SLACK:
             raise NotUnitVector(f"|v| = {norm}, not within {_NORM_SLACK} of 1")
-        _setattr(self, "v1", float(v1) / norm)
-        _setattr(self, "v2", float(v2) / norm)
+        _setattr(self, "v1", v1 / norm)
+        _setattr(self, "v2", v2 / norm)
 
 
 def householder_from_unit(v: UnitVec2) -> Mat2:

@@ -282,7 +282,7 @@ def count_real_roots(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> RootCardinality:
 def scaled_roots(m: Mat2, alpha: float, root: Mat2, tol: Tolerance = DEFAULT_TOL) -> Mat2:
     """Map a root of m to a root of alpha*m: sqrt(alpha)*root (alpha > 0)."""
     alpha = float(alpha)
-    if alpha <= 0:
+    if not alpha > 0:  # NaN fails this test too
         raise NonPositiveScale(f"need alpha > 0, got {alpha}")
     if not _is_square_root(*root.entries(), *m.entries(), tol):
         raise NotASquareRoot("root^2 != m within tolerance")

@@ -164,11 +164,6 @@ class Decomposition(_Value):
         return out
 
 
-def apply(transform: Mat2, p: Vec2) -> Vec2:
-    """The plane map (x, y) -> (a*x + b*y, c*x + d*y)."""
-    return transform.apply(p)
-
-
 def decompose_case(family: RootFamily) -> Decomposition:
     """Factor a scalar or triangular root into its named elementary maps."""
     tag = family.tag

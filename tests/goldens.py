@@ -6,11 +6,16 @@ command line that writes it.  Run
     python tests/goldens.py invgeo
     python tests/goldens.py /path/to/venv/bin/invgeo
     python tests/goldens.py python -m invgeo.cli
+    PYTHONPATH=src python tests/goldens.py python -S -m invgeo.cli
 
 to run every line through that command and compare its stdout with the
-golden file, byte for byte.  The stdout of each ``.json`` golden's line must
-also be strict JSON: ``NaN``, ``Infinity`` and ``-Infinity`` fail it.  The
-exit status is 1 if any line fails.
+golden file, byte for byte; the last form runs the source tree without the
+site packages, so NumPy, SciPy and hypothesis cannot be imported.  The
+stdout of each ``.json`` golden's line must also be strict JSON: ``NaN``,
+``Infinity`` and ``-Infinity`` fail it.  Each line that fails is reported on
+stderr with its golden's name and either its exit status and stderr or its
+first line that differs from the golden, expected and got.  The exit status
+is 1 if any line fails.
 
 ``python tests/goldens.py --flags`` prints what ``golden/cli_flags.json``
 holds: for the ``invgeo`` parser that ``invgeo.cli.build_parser`` builds and
@@ -90,14 +95,28 @@ def _refuse_constant(name: str):
     raise ValueError(f"{name} is not strict JSON")
 
 
+def _first_difference(want: bytes, got: bytes) -> str:
+    """Where got first departs from want, by line."""
+    want_lines = want.decode(errors="replace").splitlines(keepends=True)
+    got_lines = got.decode(errors="replace").splitlines(keepends=True)
+    n = next((i for i, pair in enumerate(zip(want_lines, got_lines)) if pair[0] != pair[1]),
+             min(len(want_lines), len(got_lines)))
+    expected = repr(want_lines[n]) if n < len(want_lines) else "the end of the output"
+    actual = repr(got_lines[n]) if n < len(got_lines) else "the end of the output"
+    return f"line {n + 1}: expected {expected}, got {actual}"
+
+
 def check(command: list[str]) -> int:
     """Run every golden line through command; the number that fail."""
     failed = 0
     for name, argv in CASES:
         proc = subprocess.run([*command, *argv], capture_output=True)
+        golden = (GOLDEN_DIR / name).read_bytes()
         problem = None
-        if proc.returncode != 0 or proc.stdout != (GOLDEN_DIR / name).read_bytes():
+        if proc.returncode != 0:
             problem = f"exit {proc.returncode} {proc.stderr.decode(errors='replace')}"
+        elif proc.stdout != golden:
+            problem = _first_difference(golden, proc.stdout)
         elif name.endswith(".json"):
             try:
                 json.loads(proc.stdout, parse_constant=_refuse_constant)

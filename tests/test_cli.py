@@ -28,30 +28,60 @@ GOLDEN_DIR = goldens.GOLDEN_DIR
 SWAP = '{"a": 0, "b": 1, "c": 1, "d": 0}'
 
 GOLDEN_CASES = goldens.CASES
+GOLDEN_NAMES = [name for name, _ in GOLDEN_CASES]
 
 
 def _run(argv, capsys):
-    code = run(argv)
+    """run(argv) as (exit code, stdout, stderr); argparse's SystemExit code
+    is the exit code."""
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
 
-@pytest.mark.parametrize("name, argv", GOLDEN_CASES, ids=[n for n, _ in GOLDEN_CASES])
-def test_golden_output(name, argv, capsys):
-    code, out, err = _run(argv, capsys)
-    assert code == 0, err
+@pytest.fixture(scope="module")
+def golden_runs():
+    """The in-process pass: {name: (first run, second run, argparse trees
+    built)} for each golden line, a run being (exit code, stdout, stderr).
+    Each run starts with no tree."""
+    runs = {}
+    with mock.patch.object(cli, "build_parser", wraps=cli.build_parser) as build:
+        for name, argv in GOLDEN_CASES:
+            build.reset_mock()
+            outcomes = []
+            for _ in range(2):
+                out, err = io.StringIO(), io.StringIO()
+                with mock.patch.object(cli, "_tree", None), redirect_stdout(out), \
+                        redirect_stderr(err):
+                    code = run(argv)
+                outcomes.append((code, out.getvalue(), err.getvalue()))
+            runs[name] = (*outcomes, build.call_count)
+    return runs
+
+
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
+def test_golden_output(name, golden_runs):
+    (code, out, err), _, _ = golden_runs[name]
     golden = GOLDEN_DIR / name
     if os.environ.get("UPDATE_GOLDEN"):
         golden.write_text(out, encoding="utf-8")
-    assert out == golden.read_text(encoding="utf-8")
+    assert (code, out, err) == (0, golden.read_text(encoding="utf-8"), "")
 
 
-@pytest.mark.parametrize("name, argv", GOLDEN_CASES, ids=[n for n, _ in GOLDEN_CASES])
-def test_byte_identical_across_runs(name, argv, capsys):
-    code1, out1, _ = _run(argv, capsys)
-    code2, out2, _ = _run(argv, capsys)
-    assert code1 == code2 == 0
-    assert out1.encode() == out2.encode()
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
+def test_byte_identical_across_runs(name, golden_runs):
+    first, second, _ = golden_runs[name]
+    assert second == first
+
+
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
+def test_golden_lines_are_read_from_the_flag_table(name, golden_runs):
+    # a line that fell back to argparse would lose the reader's speed and
+    # fail nothing else
+    assert golden_runs[name][2] == 0, "built the argparse tree"
 
 
 def test_malformed_matrix_is_usage_error(capsys):
@@ -110,21 +140,12 @@ def test_missing_required_input_is_usage_error(capsys, monkeypatch, tmp_path):
         assert doc["detail"].startswith(detail), (argv, doc)
 
 
-def test_unknown_flag_is_usage_error():
-    proc = subprocess.run(
-        [sys.executable, "-m", "invgeo.cli", "roots", "--bogus"],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 2
-    assert json.loads(proc.stderr)["error"] == "usage"
-
-
 def test_seed_is_a_flag_of_roots_alone(capsys):
     seeded = {name for name, (_, _, flags) in cli._COMMANDS.items()
               if any("--seed" in options for options, _ in flags)}
     assert seeded == {"roots"}
     argv = ["classify", "--alpha", "0", "--beta", "-1", "--seed", "1"]
-    code, out, err = _run_in_process(argv, capsys)
+    code, out, err = _run(argv, capsys)
     assert (code, out) == (2, "")
     assert json.loads(err) == {"error": "usage", "detail": "unrecognized arguments: --seed 1"}
 
@@ -575,41 +596,6 @@ def test_invalid_tolerance_env_is_usage_error(value, capsys, monkeypatch):
     assert out == ""
 
 
-IMPORT_PROBE = """
-import json, sys
-import invgeo, invgeo.cli
-heavy = lambda: sorted({"numpy", "scipy"} & set(sys.modules))
-print(json.dumps(heavy()))
-invgeo.cli.run(["classify", "--alpha", "0", "--beta", "-1"])
-print(json.dumps(heavy()))
-"""
-
-
-def test_import_and_closed_form_run_load_neither_numpy_nor_scipy():
-    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    after_import, *doc, after_run = proc.stdout.splitlines()
-    assert json.loads(after_import) == []
-    assert json.loads("\n".join(doc)) == {"class": "one_sheet", "radius_sq": 2.0}
-    assert json.loads(after_run) == []
-
-
-SAMPLE_PROBE = """
-import json, sys
-import invgeo.cli
-invgeo.cli.run(["roots", "--of", "neg-identity", "--sample", "2", "--seed", "7"])
-print(json.dumps(sorted({"numpy", "scipy"} & set(sys.modules))))
-"""
-
-
-def test_roots_sample_loads_neither_numpy_nor_scipy():
-    proc = subprocess.run([sys.executable, "-c", SAMPLE_PROBE], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    *doc, after_run = proc.stdout.splitlines()
-    assert len(json.loads("\n".join(doc))["samples"]) == 2
-    assert json.loads(after_run) == []
-
-
 REPO = Path(__file__).resolve().parent.parent
 DEMOS = sorted(path.name for path in (REPO / "demos").glob("*.py"))
 
@@ -631,17 +617,83 @@ def test_no_third_party_package_is_importable_without_site_packages():
     assert json.loads(proc.stdout) == []
 
 
-@pytest.mark.parametrize("name, argv", GOLDEN_CASES, ids=[n for n, _ in GOLDEN_CASES])
-def test_golden_output_without_site_packages(name, argv):
-    proc = _without_site_packages("-m", "invgeo.cli", *argv)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == (GOLDEN_DIR / name).read_bytes()
+@pytest.fixture(scope="module")
+def fresh_report():
+    """The fresh-interpreter pass: tests/goldens.py runs every golden line
+    through ``python -S -m invgeo.cli``, one new interpreter per line.  Its
+    exit status, and {name: None if the line passed, else what it reported}."""
+    proc = _without_site_packages(goldens.__file__, sys.executable, "-S", "-m", "invgeo.cli")
+    report = {line.removeprefix("ok   "): None for line in proc.stdout.decode().splitlines()}
+    for failure in ("\n" + proc.stderr.decode()).split("\nFAIL ")[1:]:
+        name, _, problem = failure.partition(": ")
+        report[name] = problem
+    return proc.returncode, report
+
+
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
+def test_golden_output_without_site_packages(name, fresh_report):
+    problem = fresh_report[1].get(name, "not run")
+    assert problem is None, problem
+
+
+def test_golden_script_checks_a_command_against_every_golden(fresh_report):
+    returncode, report = fresh_report
+    assert (returncode, report, len(report)) == (0, dict.fromkeys(GOLDEN_NAMES), 25)
+    proc = _without_site_packages(goldens.__file__, "--flags")
+    assert proc.stdout.decode() == goldens.FLAGS_GOLDEN.read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("demo", DEMOS)
 def test_demo_runs_without_site_packages(demo):
     proc = _without_site_packages(str(REPO / "demos" / demo))
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+# imports invgeo.cli, then runs every golden line with stdout discarded;
+# sys.modules and the tree after each stage, and what each line returned
+FOOTPRINT_PROBE = """
+import io, json, sys
+from contextlib import redirect_stdout
+import invgeo.cli as cli
+report = {"import": sorted(sys.modules), "no_tree_after_import": cli._tree is None, "lines": {}}
+for name, argv in json.loads(sys.argv[1]):
+    had_argparse = "argparse" in sys.modules
+    with redirect_stdout(io.StringIO()):
+        code = cli.run(argv)
+    loads_argparse = "argparse" in sys.modules and not had_argparse
+    report["lines"][name] = {"exit": code, "loads_argparse": loads_argparse}
+report["after_lines"] = sorted(sys.modules)
+report["no_tree_after_lines"] = cli._tree is None
+print(json.dumps(report))
+"""
+
+_KERNELS = {"invgeo.matfun", "invgeo.xform", "invgeo.splitquat", "invgeo.householder",
+            "invgeo.quadric", "invgeo.roots"}
+_NEVER_LOADED = {"argparse", "dataclasses", "inspect", "numpy", "scipy"}  # by a golden line
+
+
+@pytest.fixture(scope="module")
+def footprint():
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT_PROBE, json.dumps(GOLDEN_CASES)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_import_and_golden_lines_keep_the_footprint(footprint):
+    # importing the CLI loads no parser, code generation, array stack or kernel
+    assert (_NEVER_LOADED | _KERNELS).isdisjoint(footprint["import"])
+    assert footprint["no_tree_after_import"]
+    # and the golden lines, closed forms and samplers alike, load no parser,
+    # code generation or array stack
+    assert [line["exit"] for line in footprint["lines"].values()] == [0] * len(GOLDEN_CASES)
+    assert _NEVER_LOADED.isdisjoint(footprint["after_lines"])
+    assert footprint["no_tree_after_lines"]
+
+
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
+def test_golden_line_does_not_import_argparse(name, footprint):
+    assert footprint["lines"][name] == {"exit": 0, "loads_argparse": False}
 
 
 def _modules_in_fresh_process(code: str, *args: str) -> list[str]:
@@ -652,13 +704,6 @@ def _modules_in_fresh_process(code: str, *args: str) -> list[str]:
     proc = subprocess.run([sys.executable, "-c", probe, *args], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stderr.splitlines()[-1])
-
-
-def test_import_loads_no_code_generation_and_no_array_stack():
-    loaded = _modules_in_fresh_process("import invgeo.cli")
-    assert not {"dataclasses", "inspect", "numpy", "scipy"} & set(loaded)
-    assert {"invgeo.matfun", "invgeo.xform", "invgeo.splitquat", "invgeo.householder",
-            "invgeo.quadric", "invgeo.roots"}.isdisjoint(loaded)
 
 
 # what ``python -m invgeo.cli ARGS`` runs, with sys.modules reported at exit
@@ -672,13 +717,7 @@ runpy.run_module("invgeo.cli", run_name="__main__", alter_sys=True)
 def test_classify_as_main_loads_only_the_modules_it_uses():
     loaded = _modules_in_fresh_process(RUN_AS_MAIN, "classify", "--alpha", "0", "--beta", "-1")
     assert "invgeo.quadric" in loaded
-    assert {"invgeo.matfun", "invgeo.xform", "invgeo.splitquat", "invgeo.householder",
-            "argparse", "dataclasses", "inspect", "numpy", "scipy"}.isdisjoint(loaded)
-
-
-@pytest.mark.parametrize("name, argv", GOLDEN_CASES, ids=[n for n, _ in GOLDEN_CASES])
-def test_golden_line_does_not_import_argparse(name, argv):
-    assert "argparse" not in _modules_in_fresh_process(RUN_AS_MAIN, *argv)
+    assert (_NEVER_LOADED | _KERNELS - {"invgeo.quadric"}).isdisjoint(loaded)
 
 
 def test_each_subcommand_loads_its_kernel_modules():
@@ -990,15 +1029,6 @@ REUSE_SEQUENCE = [
 ]
 
 
-def _run_in_process(argv, capsys):
-    try:
-        code = run(argv)
-    except SystemExit as exc:
-        code = exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
 def test_reused_parser_answers_like_a_fresh_process(capsys):
     fresh = []
     for argv in REUSE_SEQUENCE:
@@ -1006,31 +1036,23 @@ def test_reused_parser_answers_like_a_fresh_process(capsys):
                               capture_output=True, text=True)
         fresh.append((proc.returncode, proc.stdout, proc.stderr))
     assert [code for code, _, _ in fresh] == [2, 2, 1, 0]
+    assert json.loads(fresh[0][2])["error"] == "usage"  # an unknown flag
     assert fresh[-1][1] == (GOLDEN_DIR / "roots_family.json").read_text(encoding="utf-8")
     for _ in range(2):  # the second pass runs on the parser the first one used
-        assert [_run_in_process(argv, capsys) for argv in REUSE_SEQUENCE] == fresh
+        assert [_run(argv, capsys) for argv in REUSE_SEQUENCE] == fresh
 
 
 def test_run_builds_the_parser_once_per_process(monkeypatch, capsys):
-    built = []
-    real_build_parser = cli.build_parser
-
-    def counting_build_parser():
-        built.append(True)
-        return real_build_parser()
-
+    build = mock.Mock(wraps=cli.build_parser)
     monkeypatch.setattr(cli, "_tree", None)
-    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
-    for _, argv in GOLDEN_CASES:
-        _run_in_process(argv, capsys)
-    assert built == []  # a golden line is read without argparse
+    monkeypatch.setattr(cli, "build_parser", build)
     for _ in range(5):
         for argv in REUSE_SEQUENCE + [["bogus"], []]:
-            _run_in_process(argv, capsys)
+            _run(argv, capsys)
         for _, argv in GOLDEN_CASES:
-            _run_in_process(argv, capsys)
+            _run(argv, capsys)
     # one tree for roots --bogus and the bad command lines alike
-    assert len(built) == 1
+    assert build.call_count == 1
 
 
 def test_help_describes_the_command_line_not_the_code():
@@ -1041,14 +1063,6 @@ def test_help_describes_the_command_line_not_the_code():
 
 def test_build_parser_returns_a_fresh_parser_and_import_builds_none():
     assert cli.build_parser() is not cli.build_parser()
-    probe = "import invgeo.cli as c; print(c._tree is None)"
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
-    assert proc.stdout.strip() == "True", proc.stderr
-
-
-def test_a_subcommand_without_family_flags_does_not_load_roots():
-    loaded = _modules_in_fresh_process(RUN_AS_MAIN, "classify", "--alpha", "0", "--beta", "-1")
-    assert "invgeo.roots" not in loaded
 
 
 def test_family_choices_are_the_root_tags():
@@ -1064,18 +1078,6 @@ def test_help_matches_the_reference_declarations(command):
     declared = json.loads(goldens.FLAGS_GOLDEN.read_text(encoding="utf-8"))
     parser = _FULL_TREE if command is None else _SUBPARSERS[command]
     assert goldens.declarations(parser) == declared[command or "invgeo"]
-
-
-def test_golden_script_checks_a_command_against_every_golden():
-    env = {**os.environ, "PYTHONPATH": str(Path(invgeo.__file__).parents[1])}
-    script = str(Path(goldens.__file__))
-    proc = subprocess.run([sys.executable, script, sys.executable, "-m", "invgeo.cli"],
-                          capture_output=True, text=True, env=env, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.count("ok   ") == len(GOLDEN_CASES) == 25
-    proc = subprocess.run([sys.executable, script, "--flags"],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert proc.stdout == goldens.FLAGS_GOLDEN.read_text(encoding="utf-8")
 
 
 # command lines on which run()'s parse must agree with the full argparse tree:
@@ -1259,20 +1261,6 @@ def test_flag_table_reads_lines_like_the_full_tree(case):
         assert cli._read_flags(command, line) is not None
 
 
-@pytest.mark.parametrize("name, argv", GOLDEN_CASES, ids=[n for n, _ in GOLDEN_CASES])
-def test_golden_lines_are_read_from_the_flag_table(name, argv, monkeypatch, capsys):
-    # a line that fell back to argparse would lose the reader's speed and
-    # fail nothing else
-    def refuse():
-        raise AssertionError("built the argparse tree")
-
-    monkeypatch.setattr(cli, "_tree", None)
-    monkeypatch.setattr(cli, "build_parser", refuse)
-    code, out, err = _run(argv, capsys)
-    assert (code, err) == (0, "")
-    assert out == (GOLDEN_DIR / name).read_text(encoding="utf-8")
-
-
 @pytest.mark.parametrize("value", ["-1e-3", "-2.5E+10"])
 def test_negative_value_in_exponent_notation_is_a_number(value, capsys):
     line = ["--alpha", "0", "--beta", value]
@@ -1285,7 +1273,7 @@ def test_negative_value_in_exponent_notation_is_a_number(value, capsys):
 
 @pytest.mark.parametrize("value", ["-inf", "-nan"])
 def test_negative_inf_and_nan_stay_usage_errors(value, capsys):
-    code, out, err = _run_in_process(["classify", "--alpha", "0", "--beta", value], capsys)
+    code, out, err = _run(["classify", "--alpha", "0", "--beta", value], capsys)
     assert (code, out) == (2, "")
     assert json.loads(err) == {"error": "usage", "detail": "argument --beta: expected one argument"}
 

@@ -16,7 +16,7 @@ from invgeo import (
     reflection_axis,
     to_bell,
 )
-from invgeo.errors import NotPythagorean, NotUnitVector
+from invgeo.errors import NonFiniteEntry, NotPythagorean, NotUnitVector
 
 I2 = Mat2.identity()
 ANGLES = np.linspace(0, 2 * math.pi, 64, endpoint=False)
@@ -112,3 +112,5 @@ def test_unit_vector_normalization():
         UnitVec2(1.1, 0)
     with pytest.raises(NotUnitVector):
         UnitVec2(0, 0)
+    with pytest.raises(NonFiniteEntry, match="^v1 must be finite, got nan$"):
+        reflection_axis(math.nan)

@@ -223,6 +223,8 @@ def test_scaled_roots():
     assert scaled_roots(Mat2.diag(1, 4), 9.0, Mat2.diag(1, 2)) == Mat2.diag(3, 6)
     with pytest.raises(NonPositiveScale):
         scaled_roots(I2, -2.0, swap)
+    with pytest.raises(NonPositiveScale, match="^need alpha > 0, got nan$"):
+        scaled_roots(I2, math.nan, swap)
     with pytest.raises(NotASquareRoot):
         scaled_roots(Mat2.diag(1, 4), 2.0, swap)
 

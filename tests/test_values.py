@@ -180,6 +180,8 @@ NAN, INF = float("nan"), float("inf")
      "^upper_b_plus_minus does not take parameter a$"),
     (lambda: RootFamily(RootTag.GENERAL, a=1.0, b=0.0), DegenerateParameter,
      "^general family requires b != 0$"),
+    (lambda: UnitVec2(NAN, 0.0), NonFiniteEntry, "^v1 must be finite"),
+    (lambda: UnitVec2(0.0, INF), NonFiniteEntry, "^v2 must be finite"),
     (lambda: UnitVec2(1.0, 1.0), NotUnitVector, r"^\|v\| = "),
     (lambda: Tolerance(abs_tol=1e-12, exact_tol=1e-9), InvalidTolerance,
      "^need 0 < exact_tol <= abs_tol, got 1e-09, 1e-12$"),

@@ -20,17 +20,17 @@ from invgeo import (
     sample_skew_involutions,
 )
 from invgeo.errors import DegenerateAngle, InvalidCount, NotAnInvolution, WrongDecomposer
-from invgeo.xform import apply, magnify, reflect_x, reflect_y, rotate_clockwise, shear_x, shear_y
+from invgeo.xform import magnify, reflect_x, reflect_y, rotate_clockwise, shear_x, shear_y
 
 I2 = Mat2.identity()
 
 
 def test_apply_examples():
-    assert apply(-I2, Vec2(3, 2)) == Vec2(-3, -2)
+    assert (-I2).apply(Vec2(3, 2)) == Vec2(-3, -2)
     b = 1.75
-    moved = apply(Mat2(1, b, 0, 1), Vec2(2, 3))
+    moved = Mat2(1, b, 0, 1).apply(Vec2(2, 3))
     assert moved == Vec2(2 + b * 3, 3)
-    assert apply(I2, Vec2(0.5, -0.25)) == Vec2(0.5, -0.25)
+    assert I2.apply(Vec2(0.5, -0.25)) == Vec2(0.5, -0.25)
 
 
 def test_elementary_maps_match_their_definitions():
@@ -68,7 +68,7 @@ def test_decompose_case_recomposes(family):
     assert decomposition.additive_part is None
     assert decomposition.recompose().max_diff(make_case_root(family)) <= 1e-12
     p = Vec2(0.5, -2.0)
-    moved, want = decomposition.apply(p), apply(make_case_root(family), p)
+    moved, want = decomposition.apply(p), make_case_root(family).apply(p)
     assert max(abs(moved.x - want.x), abs(moved.y - want.y)) <= 1e-12
 
 

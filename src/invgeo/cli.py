@@ -22,14 +22,18 @@ encoded once.
 
 Point clouds (``sample``, ``generators --format csv`` and ``roots
 --sample``) and ``orbit --format csv`` are written from rows of finite
-floats, not dicts: ``quadric.surface_rows`` hands over the sample grid as
-rows, ``roots._sample`` the sampled roots, and the other commands make one
-row per point.  Each row is written by one ``%``-template per document, the
-JSON record or the CSV line with ``%r`` (``float.__repr__``) in each float's
-place and any value constant over the document already in the text, and
-the document is joined once.
-The output is the same, byte for byte, as ``_json_parts``'s for the dict
-document, which the tests check against ``json.dumps``.
+floats, not dicts.  ``quadric.surface_rows`` hands over the sample grid as
+rows, ``quadric.ruling_rows`` the points of the two rulings, and
+``roots._sample`` the sampled roots; ``orbit`` makes one row per point.  A
+sampled root R = [[a, b], [c, -a]] of s * I2 has R^2 = (a*a + b*c) * I2,
+its off-diagonal products cancelling exactly, so its residual is written as
+|a*a + b*c - s|; ``_square_residual`` is called only where a product is not
+finite, to raise its error.  Each row is written by one ``%``-template per
+document, the JSON record or the CSV line with ``%r`` (``float.__repr__``)
+in each float's place and any value constant over the document already in
+the text, and the document is joined once.  The output is the same, byte
+for byte, as ``_json_parts``'s for the dict document, which the tests check
+against ``json.dumps``.
 
 Each subcommand is described once, in ``_COMMANDS``: its help line, its
 handler, and its flags as data, each flag the option strings and the keyword
@@ -285,8 +289,18 @@ def _cmd_roots(args, tol: Tolerance) -> None:
     roots = _kernel("roots")
     sign = 1.0 if args.of == "identity" else -1.0
     if args.sample is not None:
-        rows = [(a, b, c, d, _square_residual(a, b, c, d, sign, 0.0, 0.0, sign))
-                for a, b, c, d in roots._sample(sign, args.sample, args.seed, args.range)]
+        rows = []
+        append = rows.append
+        for a, b, c, d in roots._sample(sign, args.sample, args.seed, args.range):
+            # R = [[a, b], [c, -a]]: R^2's diagonal entries are both p and its
+            # off-diagonal ones a*b + b*(-a) and c*a + (-a)*c cancel exactly,
+            # so _square_residual is |p - sign|; where a product is not finite
+            # it is called to raise its error
+            p, ab, ca = a * a + b * c, a * b, c * a
+            if p - p + (ab - ab) + (ca - ca) == 0.0:
+                append((a, b, c, d, abs(p - sign)))
+            else:
+                append((a, b, c, d, _square_residual(a, b, c, d, sign, 0.0, 0.0, sign)))
         record = {"matrix": dict.fromkeys("abcd", "%r"), "residual": "%r"}
         _write(args, _json_records('{\n  "samples": ', record, rows, "\n  ",
                                    ',\n  "seed": ' + int.__repr__(args.seed) + "\n}\n"))
@@ -362,20 +376,14 @@ def _cmd_generators(args, tol: Tolerance) -> None:
         else Mat2(1.0, 0.0, 0.0, 0.0)
     )
     pair = quadric.generator_directions(point, seed, tol)
-    u, v = pair.u, pair.v
     if args.format == "csv":
         if args.points < 1:
             raise InvalidCount(f"need points >= 1, got {args.points}")
         ts = [args.t_max * (2.0 * i / (args.points - 1) - 1.0) if args.points > 1 else 0.0
               for i in range(args.points)]
-        rows = []
-        for direction in (u, v):
-            for t in ts:
-                m = quadric.generator_point(point, direction, t)
-                bell = quadric.to_bell(m, 0.0, tol)
-                rows.append((bell.x, bell.y, bell.z, m.a, m.b, m.c, m.d, "generator"))
-        _emit_point_csv(args, rows)
+        _emit_point_csv(args, quadric.ruling_rows(point, pair, ts, tol))
         return
+    u, v = pair.u, pair.v
     _emit_json(args, {
         "point": point.to_json_dict(),
         "u": u.to_json_dict(),

@@ -25,7 +25,8 @@ A + t*V whose direction matrices satisfy
 and such directions are produced by U = (A + I)X(A - I), V = (A - I)X(A + I)
 for almost every seed matrix X.  generator_directions forms both products
 and their max-norms in plain floats, in the order the Mat2 expressions
-would, and builds only the two normalized direction matrices.
+would, and builds only the two normalized direction matrices.  ruling_rows
+gives points of both lines as plain rows, from floats in the same way.
 """
 
 from __future__ import annotations
@@ -278,6 +279,43 @@ def generator_point(a: Mat2, direction: Mat2, t: float) -> Mat2:
     """Point a + t*direction on the ruling; stays on S(0, -1) for valid
     directions."""
     return a + float(t) * direction
+
+
+def ruling_rows(
+    point: Mat2, pair: GeneratorPair, ts: list[float], tol: Tolerance = DEFAULT_TOL
+) -> list[tuple]:
+    """The points point + t*U, then point + t*V, for each float t of ts, as
+    plain rows (x, y, z, a, b, c, d, "generator").
+
+    (a, b, c, d) are the entries of generator_point(point, direction, t) and
+    (x, y, z) those of to_bell(m, 0.0, tol), each worked out from the floats
+    by the same expressions, with to_bell's trace test.  A point whose
+    values are not all finite, or that fails the test, is built through
+    generator_point and to_bell instead: they raise the first error, or,
+    where only b + c overflows, give to_bell's halved sums.  The rows and
+    errors are therefore those of the validated objects, bit for bit and in
+    order.
+    """
+    p_a, p_b, p_c, p_d = point.a, point.b, point.c, point.d
+    negligible = tol.negligible
+    rows: list[tuple] = []
+    append = rows.append
+    for direction in (pair.u, pair.v):
+        u_a, u_b, u_c, u_d = direction.a, direction.b, direction.c, direction.d
+        for t in ts:
+            a, b, c, d = p_a + t * u_a, p_b + t * u_b, p_c + t * u_c, p_d + t * u_d
+            # to_bell's expressions and trace test at alpha = 0.0, where
+            # a - 0.5 * alpha is a and a + d - alpha is a + d
+            x, y, z = _SQRT2 * a, (b + c) / _SQRT2, (c - b) / _SQRT2
+            # x, y and z are finite only where a, b and c are
+            if (x - x + (y - y) + (z - z) + (d - d) == 0.0
+                    and negligible(a + d, max(abs(a), abs(b), abs(c), abs(d)))):
+                append((x, y, z, a, b, c, d, "generator"))
+            else:
+                m = generator_point(point, direction, t)
+                bell = to_bell(m, 0.0, tol)
+                append((bell.x, bell.y, bell.z, m.a, m.b, m.c, m.d, "generator"))
+    return rows
 
 
 def _linspace(lo: float, hi: float, n: int) -> list[float]:

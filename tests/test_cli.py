@@ -253,6 +253,38 @@ def test_sampled_root_whose_square_overflows_keeps_its_error(capsys):
     assert out == ""
 
 
+@settings(max_examples=300, deadline=None)
+@given(of=st.sampled_from(["identity", "neg-identity"]), n=st.integers(1, 12),
+       # a range just above the 1e-3 cut on |b| admits almost no draw
+       param_range=st.just(1e-3) | st.floats(-2.9, math.log10(1e308)).map(lambda e: 10.0**e),
+       seed=st.integers(0, 2**64))
+@example(of="identity", n=50, param_range=5e153, seed=1)  # c*a overflows
+@example(of="identity", n=1, param_range=1.5e154, seed=690)  # a*b overflows
+def test_sampled_roots_carry_the_residual_of_their_square(of, n, param_range, seed):
+    # each row's residual is _square_residual's bit for bit, and a square
+    # with an entry beyond the float range is its first NonFiniteEntry
+    from invgeo import roots
+    from invgeo.mat2 import _square_residual
+
+    sign = 1.0 if of == "identity" else -1.0
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(["roots", "--of", of, "--sample", str(n), "--range", repr(param_range),
+                    "--seed", str(seed)])
+    try:
+        rows = roots._sample(sign, n, seed, param_range)
+        want = [_square_residual(a, b, c, -a, sign, 0.0, 0.0, sign) for a, b, c, _ in rows]
+    except (errors.InvGeoError, OverflowError, ValueError) as exc:
+        error = exc.code if isinstance(exc, errors.InvGeoError) else "numeric_error"
+        assert (code, out.getvalue()) == (1, "")
+        assert json.loads(err.getvalue()) == {"error": error, "detail": str(exc)}
+        return
+    assert (code, err.getvalue()) == (0, "")
+    samples = json.loads(out.getvalue())["samples"]
+    assert [tuple(s["matrix"][k] for k in "abcd") for s in samples] == rows
+    assert [s["residual"].hex() for s in samples] == [r.hex() for r in want]
+
+
 @pytest.mark.parametrize("of", ["identity", "neg-identity"])
 @pytest.mark.parametrize("flags, error, detail", [
     (["--sample", "5", "--range", "1e200", "--seed", "1"],

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from invgeo import (
     BELL_BASIS,
+    DEFAULT_TOL,
     BellPoint,
+    GeneratorPair,
     LocusParams,
     Mat2,
     SurfaceTag,
@@ -36,7 +38,7 @@ from invgeo.errors import (
     NotAnInvolution,
     NotInHyperplane,
 )
-from invgeo.quadric import _linspace
+from invgeo.quadric import _linspace, ruling_rows
 
 I2 = Mat2.identity()
 SQRT2 = math.sqrt(2.0)
@@ -319,6 +321,70 @@ def test_rulings_meet_only_at_the_point():
     stacked = np.stack([u.ravel(), v.ravel()], axis=1)
     _, sing, _ = np.linalg.svd(stacked)
     assert sing[1] > 0.1  # directions are genuinely independent
+
+
+# -- ruling_rows against generator_point and to_bell ------------------------------
+
+_MAGNITUDE = st.floats(-6.0, 150.0).map(lambda e: 10.0**e)
+_UNIT_SEED = Mat2(1.0, 0.0, 0.0, 0.0)
+
+
+@st.composite
+def _rulings(draw):
+    """(point, pair): a Householder reflection or a general root with entries
+    of order 1e-6 to 1e150, and its rulings from the CLI's default seed."""
+    if draw(st.booleans()):
+        point = householder_from_angle(draw(st.floats(-10.0, 10.0)))
+    else:
+        scale = draw(_MAGNITUDE)
+        a = scale * draw(st.floats(-1.0, 1.0))
+        b = scale * draw(st.floats(0.1, 1.0)) * draw(st.sampled_from([-1.0, 1.0]))
+        point = make_general_root(a, b)
+    try:
+        return point, generator_directions(point, _UNIT_SEED)
+    except (DegenerateSeed, NotAnInvolution):
+        assume(False)
+
+
+def _object_rows(point, pair, ts):
+    """The rows generators --format csv wrote from validated objects."""
+    rows = []
+    for direction in (pair.u, pair.v):
+        for t in ts:
+            m = generator_point(point, direction, t)
+            bell = to_bell(m, 0.0, DEFAULT_TOL)
+            rows.append((bell.x, bell.y, bell.z, m.a, m.b, m.c, m.d, "generator"))
+    return rows
+
+
+_BIG_B = make_general_root(0.5, 1e308)  # [[0.5, 1e308], [7.5e-309, -0.5]]
+_E12, _E21 = Mat2(0.0, 1.0, 0.0, 0.0), Mat2(0.0, 0.0, 1.0, 0.0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(ruling=_rulings(), t_max=st.floats(allow_nan=False), n=st.integers(1, 12))
+@example(ruling=(householder_from_angle(0.5), GeneratorPair(Mat2(0.0, 4.0, 0.0, 0.0), _E21)),
+         t_max=1e308, n=2)  # t*U overflows
+@example(ruling=(_BIG_B, GeneratorPair(_E12, _E21)), t_max=1e308, n=2)  # point + t*U overflows
+@example(ruling=(_BIG_B, GeneratorPair(_E21, _E21)), t_max=1e308, n=3)  # b + c overflows
+@example(ruling=(householder_from_angle(0.5), GeneratorPair(Mat2(1.0, 0.0, 0.0, 0.0), _E21)),
+         t_max=1e3, n=2)  # the trace test fails
+def test_ruling_rows_match_the_validated_objects_bit_for_bit(ruling, t_max, n):
+    # the rows, or the first error, of generator_point and to_bell, at the
+    # t values of generators --format csv
+    point, pair = ruling
+    ts = [t_max * (2.0 * i / (n - 1) - 1.0) if n > 1 else 0.0 for i in range(n)]
+    try:
+        want = _object_rows(point, pair, ts)
+    except Exception as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$") as got:
+            ruling_rows(point, pair, ts, DEFAULT_TOL)
+        assert got.type is type(exc)
+        return
+    rows = ruling_rows(point, pair, ts, DEFAULT_TOL)
+    assert [tuple(v.hex() for v in row[:7]) for row in rows] == [
+        tuple(v.hex() for v in row[:7]) for row in want]
+    assert [row[7] for row in rows] == ["generator"] * (2 * n)
 
 
 def test_sample_surface_one_sheet():

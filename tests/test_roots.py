@@ -283,6 +283,13 @@ def test_sampler_range_just_above_the_b_cutoff_still_draws():
     ),
 )
 @example(seed=0, bounds=[(-10.0, 20.0, 0), (-10.0, 20.0, None), (-10.0, 20.0, 17)])
+# the ends of one, and of four, 32-bit entropy words; and a seed past the
+# precomputed hash constants
+@example(seed=2**32 - 1, bounds=[(-10.0, 20.0, 17)])
+@example(seed=2**32, bounds=[(-10.0, 20.0, 17)])
+@example(seed=2**128 - 1, bounds=[(-10.0, 20.0, 17)])
+@example(seed=2**128, bounds=[(-10.0, 20.0, 17)])
+@example(seed=2**4000 + 12345, bounds=[(-10.0, 20.0, 17)])
 def test_pcg64_uniform_matches_numpy_bit_for_bit(seed, bounds):
     """Without a size, one float, NumPy's; with one, a list of size floats,
     NumPy's array hex for hex (size 0 draws nothing), and what as many

@@ -59,12 +59,24 @@ Each subcommand imports the kernel modules it uses when it runs, so
 ``roots``.  The kernel modules are also attributes of this module
 (``cli.matfun`` imports ``invgeo.matfun`` on first access), and a subcommand
 uses whatever that attribute is bound to, so a caller may rebind it, for
-instance to trace calls.
+instance to trace calls.  A line that succeeds without reading a JSON
+argument imports neither ``json`` nor ``typing``: the writer takes its
+string encoder from the C module ``_json``, and ``json`` itself is imported
+only where a JSON argument is read or an error document written.
+
+``main()``, the console entry point, calls ``gc.freeze()`` once before
+``run()``.  What start-up and the imports so far allocated then sits in the
+collector's permanent generation, which no collection walks: none during
+the call, and not the last ones at interpreter exit, which would otherwise
+spend a few ms of a one-shot call freeing the start-up's cycles.  The
+freeze is in ``main()`` alone, never in ``run()`` or at import: ``run()`` is
+also called in long-lived processes (tests, benchmarks, library callers),
+whose heap a freeze would keep from the collector for good.
 """
 
 from __future__ import annotations
 
-import json
+import gc
 import os
 import re
 import sys
@@ -103,6 +115,8 @@ class UsageError(Exception):
 
 
 def _emit_error(code: str, detail: str):
+    import json
+
     print(json.dumps({"error": code, "detail": detail}, sort_keys=True), file=sys.stderr)
 
 
@@ -136,6 +150,8 @@ def _read_json(text: str, what: str, from_json_dict):
     """from_json_dict of the JSON text; malformed JSON (an integer literal
     longer than the int-string limit included) or a bad value is a usage
     error."""
+    import json
+
     try:
         obj = json.loads(text)
     except ValueError as exc:  # json.JSONDecodeError is a ValueError
@@ -154,7 +170,12 @@ def _write(args, payload: str):
         sys.stdout.write(payload)
 
 
-_encode_str = json.encoder.encode_basestring_ascii
+# json.encoder re-exports this C function; taken from _json, it keeps json
+# itself out of a call that reads no JSON argument
+try:
+    from _json import encode_basestring_ascii as _encode_str
+except ImportError:  # an interpreter without the C accelerator
+    from json.encoder import encode_basestring_ascii as _encode_str
 
 # Per dict shape (indent, *keys): the (key, head) pairs in sorted order, each
 # head the separator, indentation and encoded key, then the inner indent and
@@ -754,6 +775,16 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
+    """The ``invgeo`` console script: ``sys.exit(run())`` after one
+    ``gc.freeze()``.
+
+    The process ends with this call, so the start-up heap need never be
+    collected; frozen, it is not walked at exit either.  The freeze comes
+    before ``run()``, so it also covers argparse's ``SystemExit`` for help
+    and usage errors.  It is here and not in ``run()``, which keeps the
+    collector of an in-process caller as it found it.
+    """
+    gc.freeze()
     sys.exit(run())
 
 

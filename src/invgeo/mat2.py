@@ -17,12 +17,8 @@ from __future__ import annotations
 
 import math
 from operator import attrgetter
-from typing import TYPE_CHECKING
 
 from .errors import InvalidTolerance, NonFiniteEntry, NotInvertible
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 def _pow2_scaled(values: tuple, squares: tuple, norm_sq: float) -> tuple:
@@ -96,12 +92,14 @@ def _square_residual(a, b, c, d, sa, sb, sc, sd) -> float:
     return max(abs(pa - sa), abs(pb - sb), abs(pc - sc), abs(pd - sd))
 
 
-def _is_square_root(a, b, c, d, sa, sb, sc, sd, tol: Tolerance) -> bool:
+def _is_square_root(a, b, c, d, sa, sb, sc, sd, s_norm: float, tol: Tolerance) -> bool:
     """R^2 = S within abs_tol * max(||R||^2, ||S||), max-norms, for R and S
-    given by their entries as in _square_residual.  The test against ||S||
-    comes first, so a true root never needs ||R||^2."""
+    given by their entries as in _square_residual, and s_norm = ||S||: 1.0
+    for +-I2, and taken once per matrix by a caller that tests several roots
+    of it.  The test against ||S|| comes first, so a true root never needs
+    ||R||^2."""
     residual = _square_residual(a, b, c, d, sa, sb, sc, sd)
-    return (tol.negligible(residual, max(abs(sa), abs(sb), abs(sc), abs(sd)))
+    return (tol.negligible(residual, s_norm)
             or tol.negligible(residual, max(a * a, b * b, c * c, d * d)))
 
 
@@ -328,7 +326,7 @@ class Mat2(_Value):
 
     # -- interop -----------------------------------------------------------
 
-    def to_array(self) -> np.ndarray:
+    def to_array(self):
         """The matrix as a 2x2 NumPy array; needs NumPy, which invgeo does not."""
         import numpy as np
 

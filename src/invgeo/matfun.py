@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from typing import Callable
+from collections.abc import Callable
 
 from .errors import (
     ComplexEigenvalues,
@@ -209,6 +209,7 @@ def _branches(m: Mat2, tol: Tolerance, limit: int = 4) -> list[Mat2]:
     norm = m.max_norm()
     e, a, b, c, d = _pow2_scaled(m.entries(), (), norm * norm)
     k = e >> 1  # a root of m * 4**-k is a root of m times 2**-k
+    norm = math.ldexp(norm, -e)  # ||m * 4**-k||, exact: its largest entry stays normal
     half_diff = 0.5 * (a - d)
     traces = _root_traces(a, b, c, d)
     root_det = math.sqrt(a * d - b * c) if traces else 0.0
@@ -227,7 +228,7 @@ def _branches(m: Mat2, tol: Tolerance, limit: int = 4) -> list[Mat2]:
         elif abs(ra) < 0.5 * abs(rd):
             if root_det + abs(rb * rc) < abs(rd) * (abs(h) + abs(p)):
                 ra = (s * root_det + rb * rc) / rd + 0.0
-        if _is_square_root(ra, rb, rc, rd, a, b, c, d, tol):
+        if _is_square_root(ra, rb, rc, rd, a, b, c, d, norm, tol):
             roots.append(Mat2(math.ldexp(ra, k), math.ldexp(rb, k),
                               math.ldexp(rc, k), math.ldexp(rd, k)))
     return roots
@@ -284,7 +285,7 @@ def scaled_roots(m: Mat2, alpha: float, root: Mat2, tol: Tolerance = DEFAULT_TOL
     alpha = float(alpha)
     if not alpha > 0:  # NaN fails this test too
         raise NonPositiveScale(f"need alpha > 0, got {alpha}")
-    if not _is_square_root(*root.entries(), *m.entries(), tol):
+    if not _is_square_root(*root.entries(), *m.entries(), m.max_norm(), tol):
         raise NotASquareRoot("root^2 != m within tolerance")
     return math.sqrt(alpha) * root
 
@@ -295,6 +296,6 @@ def conjugated_roots(m: Mat2, zc: Mat2, root: Mat2, tol: Tolerance = DEFAULT_TOL
         zc_inv = zc.inverse()
     except NotInvertible as exc:
         raise SingularConjugator(str(exc)) from exc
-    if not _is_square_root(*root.entries(), *m.entries(), tol):
+    if not _is_square_root(*root.entries(), *m.entries(), m.max_norm(), tol):
         raise NotASquareRoot("root^2 != m within tolerance")
     return zc_inv @ root @ zc

@@ -192,12 +192,12 @@ def make_skew_root(a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> Mat2:
 
 def is_involution(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff R^2 = I2 within abs_tol relative to max(|R|^2, 1)."""
-    return _is_square_root(m.a, m.b, m.c, m.d, 1.0, 0.0, 0.0, 1.0, tol)
+    return _is_square_root(m.a, m.b, m.c, m.d, 1.0, 0.0, 0.0, 1.0, 1.0, tol)
 
 
 def is_skew_involution(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff R^2 = -I2 within abs_tol relative to max(|R|^2, 1)."""
-    return _is_square_root(m.a, m.b, m.c, m.d, -1.0, 0.0, 0.0, -1.0, tol)
+    return _is_square_root(m.a, m.b, m.c, m.d, -1.0, 0.0, 0.0, -1.0, 1.0, tol)
 
 
 def classify_involution(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> RootFamily:

@@ -91,11 +91,27 @@ class SplitQuat(_Value):
         """q q* = w^2 + x^2 - y^2 - z^2, +-inf beyond the float range.
 
         Where the squares would overflow or lose precision it is taken on
-        q * 2**-e, which is exact, and scaled back by 4**e.
+        q * 2**-e, which is exact, and scaled back by 4**e.  Scaled back, the
+        rounding error of the float sum would be scaled too, so where the
+        scaled sum is within its a-priori error bound, and its sign and size
+        therefore unknown, the modulus is the exact sum of q's squares,
+        rounded once: 0.0 for a lightlike q.
         """
-        e, _, _, _, _, mod = _scaled(self)
+        e, w, x, y, z, mod = _scaled(self)
         if e == 0:
             return mod
+        # |error| <= gamma_4 * (w^2 + x^2 + y^2 + z^2) plus four underflows
+        # of at most 2**-1075 each; 2**-50 > gamma_4 covers the rounding of
+        # the bound's own sum
+        if abs(mod) <= math.ldexp(w * w + x * x + y * y + z * z, -50) + 2.0**-1070:
+            from fractions import Fraction
+
+            w, x, y, z = map(Fraction, (self.w, self.x, self.y, self.z))
+            exact = w * w + x * x - y * y - z * z
+            try:
+                return float(exact)
+            except OverflowError:
+                return math.inf if exact > 0 else -math.inf
         try:
             return math.ldexp(mod, 2 * e)
         except OverflowError:

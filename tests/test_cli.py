@@ -1,3 +1,4 @@
+import gc
 import importlib.util
 import io
 import json
@@ -574,6 +575,31 @@ def test_quat_from_matrix_writes_the_matrix_it_was_given(capsys):
                                "detail": "modulus is beyond the float range"}
 
 
+def test_quat_from_matrix_of_a_lightlike_quaternion_at_the_top_of_the_range(capsys):
+    # det is exactly 0: w = y and x = z.  The float sum of the scaled squares
+    # leaves a rounding residual, which 4**e scaled back would take past the
+    # float range
+    matrix = {"a": 8.98846567431158e307, "b": 8.98846567431158e307,
+              "c": 1.7976931348623157e308, "d": 1.7976931348623157e308}
+    assert _run(["quat", "--from-matrix", json.dumps(matrix)], capsys) == (0, """{
+  "class": "lightlike",
+  "matrix": {
+    "a": 8.98846567431158e+307,
+    "b": 8.98846567431158e+307,
+    "c": 1.7976931348623157e+308,
+    "d": 1.7976931348623157e+308
+  },
+  "modulus": 0.0,
+  "quaternion": {
+    "w": 1.348269851146737e+308,
+    "x": -4.494232837155789e+307,
+    "y": 1.348269851146737e+308,
+    "z": -4.494232837155789e+307
+  }
+}
+""", "")
+
+
 def test_a_root_far_from_order_one_is_read_back_by_every_command(capsys):
     code, out, err = _run(["roots", "--of", "identity", "--a", "6715.3", "--b", "-1344.7"], capsys)
     assert code == 0, err
@@ -728,41 +754,102 @@ def test_golden_line_does_not_import_argparse(name, footprint):
     assert footprint["lines"][name] == {"exit": 0, "loads_argparse": False}
 
 
-def _modules_in_fresh_process(code: str, *args: str) -> list[str]:
-    """sys.modules at exit of a fresh interpreter that runs ``code``."""
-    probe = ("import atexit, json, sys\n"
-             "atexit.register(lambda: print(json.dumps(sorted(sys.modules)), file=sys.stderr))\n"
-             + code)
-    proc = subprocess.run([sys.executable, "-c", probe, *args], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stderr.splitlines()[-1])
+# runs every golden line in one process, with sys.modules before and after
+# each: json is dropped again after each line (and after the probe's own
+# reading of its input), so that every line starts without it
+LINE_LOADS_PROBE = """
+import io, json, sys
+from contextlib import redirect_stdout
+
+def drop_json():
+    for name in [m for m in sys.modules if m == "json" or m.startswith("json.")]:
+        del sys.modules[name]
+
+cases = json.loads(sys.argv[1])
+drop_json()
+import invgeo.cli as cli
+report = {"import": sorted(sys.modules), "lines": {}}
+for name, argv in cases:
+    before = set(sys.modules)
+    with redirect_stdout(io.StringIO()):
+        code = cli.run(argv)
+    report["lines"][name] = {"exit": code, "loads": sorted(set(sys.modules) - before)}
+    drop_json()
+print(json.dumps(report))
+"""
 
 
-# what ``python -m invgeo.cli ARGS`` runs, with sys.modules reported at exit
+@pytest.fixture(scope="module")
+def line_loads():
+    """The modules that importing invgeo.cli, and then each golden line in
+    turn, loads under ``python -S``."""
+    proc = _without_site_packages("-c", LINE_LOADS_PROBE, json.dumps(GOLDEN_CASES))
+    assert proc.returncode == 0, proc.stderr.decode()
+    report = json.loads(proc.stdout)
+    assert [line["exit"] for line in report["lines"].values()] == [0] * len(GOLDEN_CASES)
+    return report
+
+
+def test_only_a_line_with_a_json_argument_loads_json(line_loads):
+    assert {"json", "typing"}.isdisjoint(line_loads["import"])
+    for name, argv in GOLDEN_CASES:
+        loads = line_loads["lines"][name]["loads"]
+        assert "typing" not in loads, name
+        assert ("json" in loads) == any(token.startswith("{") for token in argv), name
+
+
+def test_each_subcommand_loads_its_kernel_modules(line_loads):
+    # loaded on the first golden line that uses it, a line of that subcommand
+    first = {}
+    for name, argv in GOLDEN_CASES:
+        for module in line_loads["lines"][name]["loads"]:
+            if module.startswith("invgeo."):
+                first[module] = argv[0]
+    assert first == {"invgeo._pcg64": "roots", "invgeo.roots": "roots",
+                     "invgeo.quadric": "classify", "invgeo.householder": "generators",
+                     "invgeo.splitquat": "quat", "invgeo.matfun": "matfun",
+                     "invgeo.xform": "decompose"}
+
+
+# what ``python -m invgeo.cli ARGS`` runs; an exit handler reports the
+# collector's permanent generation and sys.modules
 RUN_AS_MAIN = """
+import atexit, gc, sys
+atexit.register(lambda: print(gc.get_freeze_count(), *sorted(sys.modules), file=sys.stderr))
 import runpy
 sys.argv = ["invgeo", *sys.argv[1:]]
 runpy.run_module("invgeo.cli", run_name="__main__", alter_sys=True)
 """
 
 
-def test_classify_as_main_loads_only_the_modules_it_uses():
-    loaded = _modules_in_fresh_process(RUN_AS_MAIN, "classify", "--alpha", "0", "--beta", "-1")
+@pytest.fixture(scope="module")
+def classify_as_main():
+    """(frozen objects, sys.modules) at the exit of a fresh ``python -S`` that
+    runs ``invgeo classify --alpha 0 --beta -1`` as __main__."""
+    proc = _without_site_packages("-c", RUN_AS_MAIN, "classify", "--alpha", "0", "--beta", "-1")
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert json.loads(proc.stdout) == {"class": "one_sheet", "radius_sq": 2.0}
+    frozen, *loaded = proc.stderr.decode().splitlines()[-1].split()
+    return int(frozen), set(loaded)
+
+
+def test_classify_as_main_loads_only_the_modules_it_uses(classify_as_main):
+    _, loaded = classify_as_main
     assert "invgeo.quadric" in loaded
-    assert (_NEVER_LOADED | _KERNELS - {"invgeo.quadric"}).isdisjoint(loaded)
+    assert (_NEVER_LOADED | _KERNELS - {"invgeo.quadric"} | {"json", "typing"}).isdisjoint(loaded)
 
 
-def test_each_subcommand_loads_its_kernel_modules():
-    wanted = {
-        ("matfun", "--matrix", '{"a": 1, "b": 0, "c": 0, "d": 4}'): "invgeo.matfun",
-        ("decompose", "--matrix", SWAP): "invgeo.xform",
-        ("quat", "--from-matrix", SWAP): "invgeo.splitquat",
-        ("generators", "--phi", "0.5"): "invgeo.householder",
-    }
-    for argv, module in wanted.items():
-        loaded = _modules_in_fresh_process(RUN_AS_MAIN, *argv)
-        assert module in loaded, argv
-        assert "dataclasses" not in loaded, argv
+def test_main_freezes_the_start_up_heap_and_exit_handlers_still_run(classify_as_main):
+    frozen, _ = classify_as_main
+    assert frozen > 0
+
+
+@pytest.mark.parametrize("argv", [["classify", "--alpha", "0", "--beta", "-1"],
+                                  ["classify", "--matrix", "{"], ["classify", "--bogus"]])
+def test_run_leaves_the_collector_as_it_found_it(argv, capsys):
+    before = gc.get_freeze_count(), gc.isenabled()
+    _run(argv, capsys)
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
 
 
 # every exported name, resolved lazily in a fresh process, against the

@@ -402,7 +402,7 @@ def test_square_root_test_decides_as_the_exact_margin(case):
     """mat2._is_square_root, which every root test in the package makes,
     against ||R^2 - S|| <= abs_tol * max(||R||^2, ||S||) on the exact R @ R."""
     r, s, tol = case
-    got = oracle.outcome(_is_square_root, *r, *s, tol)
+    got = oracle.outcome(_is_square_root, *r, *s, max(map(abs, s)), tol)
     _decides(got, oracle.square_root(r, s, tol), (True, False, NonFiniteEntry))
     if s in (I2_ENTRIES, NEG_I2_ENTRIES):
         kernel = is_involution if s == I2_ENTRIES else is_skew_involution

@@ -253,7 +253,7 @@ def _square_root(v, tol):
     """_is_square_root's answer; is_involution and is_skew_involution give it
     for S = +-I2, and scaled_roots and conjugated_roots refuse where it is False."""
     r, s = Mat2(*v[:4]), v[4:]
-    got = oracle.outcome(mat2._is_square_root, *v, tol)
+    got = oracle.outcome(mat2._is_square_root, *v, max(map(abs, s)), tol)
     if s in (I2_ENTRIES, NEG_I2_ENTRIES):
         kernel = roots.is_involution if s == I2_ENTRIES else roots.is_skew_involution
         assert oracle.outcome(kernel, r, tol) == got
@@ -442,8 +442,9 @@ def test_every_threshold_rule_decides_as_its_exact_cut(name):
 def test_the_root_test_is_invariant_where_the_norm_of_r_squared_overflows():
     r, s = (0.0, 2.0**-160, -(2.0**160), 0.0), (-(1.0 + 2.0**-52), 0.0, 0.0, -1.0)
     tol = Tolerance(2.0**-373, 2.0**-373)
-    assert not mat2._is_square_root(*r, *s, tol)
-    assert not mat2._is_square_root(*_scaled(r, (1,) * 4, 400), *_scaled(s, (2,) * 4, 400), tol)
+    assert not mat2._is_square_root(*r, *s, max(map(abs, s)), tol)
+    big = _scaled(s, (2,) * 4, 400)
+    assert not mat2._is_square_root(*_scaled(r, (1,) * 4, 400), *big, max(map(abs, big)), tol)
 
 
 # -- values ------------------------------------------------------------------------

@@ -283,6 +283,21 @@ def test_modulus_beyond_the_float_range_is_infinite_and_large_equal_squares_canc
     assert SplitQuat(1e-200, 0, 0, 0).modulus() == 0.0  # 1e-400 underflows
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(u=st.floats(0.5, 1.0, exclude_max=True), v=st.floats(0.0, 1.0),
+       k=st.integers(880, 920) | st.integers(-920, -880), swap=st.booleans(),
+       signs=st.tuples(*[st.sampled_from((1.0, -1.0))] * 4))
+def test_an_exactly_lightlike_quaternion_far_from_order_one_has_modulus_zero(u, v, k, swap,
+                                                                             signs):
+    # w^2 + x^2 = y^2 + z^2 exactly, with full-precision coefficients: the
+    # float sum of the scaled squares leaves a rounding residual, which 4**k
+    # would take far from 0
+    coefficients = (u, v, v, u) if swap else (u, v, u, v)
+    q = SplitQuat(*(sign * math.ldexp(c, k) for sign, c in zip(signs, coefficients)))
+    assert q.modulus() == 0.0
+    assert sq_classify(q) is CausalClass.LIGHTLIKE
+
+
 def test_inverse_at_both_ends_of_the_float_range():
     # q^2 would overflow, or underflow to 0, in the plain q* / (q q*)
     for q, inverse in [(SplitQuat(1e200, 0, 0, 0), SplitQuat(1e-200, 0, 0, 0)),

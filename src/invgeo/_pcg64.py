@@ -5,9 +5,6 @@ NumPy's default generator draws.  Importing NumPy only for that stream costs
 more than the rest of a CLI call, so this module repeats NumPy's arithmetic
 with Python integers instead: ``SeedSequence`` entropy mixing, the PCG64
 XSL-RR generator, and ``random_uniform``'s ``low + range * next_double``.
-The entropy mixing reads its hash constants, which do not depend on the
-seed, from the precomputed sequences ``_HASH_A`` and ``_HASH_B``;
-``_HASH_A`` is extended on demand for a seed longer than 128 bits.
 
 ``Generator.uniform(low, high, size)`` takes NumPy's signature: without
 ``size`` it returns one float, with it a list of ``size`` floats, the draws
@@ -32,64 +29,44 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4
 
 
-def _powers(init: int, mult: int, n: int) -> list[int]:
-    """init * mult**k masked to 32 bits, for k = 0 .. n - 1."""
-    out = [init]
-    while len(out) < n:
-        out.append(out[-1] * mult & _M32)
-    return out
-
-
-#: The hash constants, in the order seed_seq_fe's hashmix steps through
-#: them: entry k XORs the k-th hashed word and entry k + 1 multiplies it.
-#: They do not depend on the seed.  _HASH_A covers up to _POOL entropy words,
-#: a seed below 2**128, and is extended on demand for a longer seed.
-#: _HASH_B is the fixed sequence of generate_state.
-_HASH_A = _powers(_INIT_A, _MULT_A, 4 * _POOL + 1)
-_HASH_B = _powers(_INIT_B, _MULT_B, 2 * _POOL + 1)
-
-
 def _seed_words(seed: int) -> list[int]:
     """``SeedSequence(seed).generate_state(4, np.uint64)`` for a plain int seed."""
-    global _HASH_A
     if seed < 0:
         raise ValueError("expected non-negative integer")
     entropy = [0] if seed == 0 else []
     while seed:
         entropy.append(seed & _M32)
         seed >>= 32
-    # one hashed word per pool slot, twelve for the pool's own mixing and
-    # _POOL per entropy word past the pool
-    hashes = _POOL * max(len(entropy), _POOL)
-    h = _HASH_A
-    if len(h) <= hashes:
-        # a longer sequence replaces the table whole and is never appended
-        # to, so a thread still reading the shorter one reads valid constants
-        h = _HASH_A = _powers(_INIT_A, _MULT_A, hashes + 1)
 
-    pool = []
-    for k in range(_POOL):
-        value = ((entropy[k] if k < len(entropy) else 0) ^ h[k]) * h[k + 1] & _M32
-        pool.append(value ^ value >> 16)
-    k = _POOL
+    const = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = (const * _MULT_A) & _M32
+        value = (value * const) & _M32
+        return value ^ (value >> 16)
+
+    def mix(x: int, y: int) -> int:
+        r = (_MIX_L * x - _MIX_R * y) & _M32
+        return r ^ (r >> 16)
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(_POOL)]
     for src in range(_POOL):
         for dst in range(_POOL):
             if src != dst:
-                value = (pool[src] ^ h[k]) * h[k + 1] & _M32
-                r = (_MIX_L * pool[dst] - _MIX_R * (value ^ value >> 16)) & _M32
-                pool[dst] = r ^ r >> 16
-                k += 1
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
     for word in entropy[_POOL:]:
         for dst in range(_POOL):
-            value = (word ^ h[k]) * h[k + 1] & _M32
-            r = (_MIX_L * pool[dst] - _MIX_R * (value ^ value >> 16)) & _M32
-            pool[dst] = r ^ r >> 16
-            k += 1
+            pool[dst] = mix(pool[dst], hashmix(word))
 
+    const = _INIT_B
     state = []
     for i in range(2 * _POOL):
-        value = (pool[i % _POOL] ^ _HASH_B[i]) * _HASH_B[i + 1] & _M32
-        state.append(value ^ value >> 16)
+        value = pool[i % _POOL] ^ const
+        const = (const * _MULT_B) & _M32
+        value = (value * const) & _M32
+        state.append(value ^ (value >> 16))
     return [state[i] | state[i + 1] << 32 for i in range(0, 2 * _POOL, 2)]
 
 

@@ -27,16 +27,17 @@ Mat2 from it, and the samplers' kernel, _sample, returns its rows
 (a, b, c, d) as plain tuples.  _sample draws its (a, b) pairs in batches from one sized
 _pcg64 uniform call, 2 * (rows still wanted) draws at a time; each pair
 gives at most one row, so it never draws past the pair that completes the
-last row and consumes the stream a draw-by-draw loop would.  ``roots
---sample`` writes those rows out directly; sample_involutions and
-sample_skew_involutions wrap each in a Mat2.
+last row and consumes the stream a draw-by-draw loop would.  _sample
+imports _pcg64 itself, so a caller that only builds or classifies roots
+never loads the generator.  ``roots --sample`` writes those rows out
+directly; sample_involutions and sample_skew_involutions wrap each in a
+Mat2.
 """
 
 from __future__ import annotations
 
 import enum
 
-from . import _pcg64
 from .errors import (
     DegenerateParameter,
     InvalidCount,
@@ -238,6 +239,9 @@ def classify_involution(m: Mat2, tol: Tolerance = DEFAULT_TOL) -> RootFamily:
 
 
 _MIN_B = 1e-3  # keeps (1 - a^2)/b bounded so sampled roots stay well conditioned
+# the least share of draws whose |b| >= _MIN_B that a sampling range may
+# have, so that a range just above _MIN_B cannot draw for ever
+_MIN_ACCEPTED = 1 / 1024
 
 
 def _sample(square: float, n: int, seed: int, param_range: float) -> list[tuple]:
@@ -245,9 +249,12 @@ def _sample(square: float, n: int, seed: int, param_range: float) -> list[tuple]
     square 1.0 or -1.0, as _root_entries builds them at DEFAULT_TOL, with
     (a, b) uniform on [-param_range, param_range]^2.
 
-    Draws with |b| < 1e-3 are rejected; a range that holds no other b is
-    refused up front instead of looping forever.  Each batch draws
-    2 * (n - rows so far) floats and reads them as (a, b) pairs in order.
+    Draws with |b| < 1e-3 are rejected.  A range that holds no other b, or
+    whose draws keep fewer than _MIN_ACCEPTED of them, (r - 1e-3)/r for a
+    range r, is refused up front with DegenerateParameter instead of
+    drawing for ever; that is every r in [0, 1e-3 * 1024/1023).  Each batch
+    draws 2 * (n - rows so far) floats and reads them as (a, b) pairs in
+    order.
     """
     if n < 1:
         raise InvalidCount(f"need n >= 1, got {n}")
@@ -255,6 +262,14 @@ def _sample(square: float, n: int, seed: int, param_range: float) -> list[tuple]
         raise DegenerateParameter(
             f"sampling range {param_range} leaves no b with |b| >= {_MIN_B}"
         )
+    # exact near the cut: r - 1e-3 by Sterbenz's lemma, r * 2**-10 as a scaling
+    if 0.0 < param_range - _MIN_B < param_range * _MIN_ACCEPTED:
+        raise DegenerateParameter(
+            f"sampling range {param_range} keeps fewer than 1 in "
+            f"{1 / _MIN_ACCEPTED:.0f} draws with |b| >= {_MIN_B}"
+        )
+    from . import _pcg64
+
     rng = _pcg64.Generator(seed)
     rows: list[tuple] = []
     while len(rows) < n:
@@ -271,7 +286,8 @@ def sample_involutions(
     """Deterministic-for-seed list of n general-family involutions.
 
     Draws (a, b) uniformly from [-param_range, param_range]^2, rejecting
-    |b| < 1e-3; a param_range in [0, 1e-3] admits no b and raises
+    |b| < 1e-3.  A param_range in [0, 1e-3] admits no b, and one below
+    1e-3 * 1024/1023 keeps fewer than 1 in 1024 draws; both raise
     DegenerateParameter.
     The draws are those of ``np.random.default_rng(seed)``, reproduced
     without NumPy by :mod:`invgeo._pcg64`.

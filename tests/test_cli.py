@@ -256,17 +256,25 @@ def test_sampled_root_whose_square_overflows_keeps_its_error(capsys):
 
 @settings(max_examples=300, deadline=None)
 @given(of=st.sampled_from(["identity", "neg-identity"]), n=st.integers(1, 12),
-       # a range just above the 1e-3 cut on |b| admits almost no draw
-       param_range=st.just(1e-3) | st.floats(-2.9, math.log10(1e308)).map(lambda e: 10.0**e),
+       # every range from the 1e-3 cut on |b| up, and the band just above the
+       # cut that keeps fewer than 1 in 1024 draws, 1e-3 * 1024/1023 ~ 1.000978e-3
+       param_range=st.floats(-3.0, math.log10(1e308)).map(lambda e: 10.0**e)
+       | st.floats(1e-3, 1.002e-3),
        seed=st.integers(0, 2**64))
 @example(of="identity", n=50, param_range=5e153, seed=1)  # c*a overflows
 @example(of="identity", n=1, param_range=1.5e154, seed=690)  # a*b overflows
+@example(of="identity", n=1, param_range=1e-3, seed=0)  # no b at all
+@example(of="identity", n=1, param_range=0.00100000001, seed=1)
+@example(of="neg-identity", n=12, param_range=1.001e-3, seed=3)  # 1 in 1001 kept
 def test_sampled_roots_carry_the_residual_of_their_square(of, n, param_range, seed):
     # each row's residual is _square_residual's bit for bit, and a square
-    # with an entry beyond the float range is its first NonFiniteEntry
+    # with an entry beyond the float range is its first NonFiniteEntry; a
+    # range whose draws keep fewer than 1 in 1024 b with |b| >= 1e-3 is
+    # refused, and no other
     from invgeo import roots
     from invgeo.mat2 import _square_residual
 
+    refused = 1023 * Fraction(param_range) < 1024 * Fraction(1e-3)
     sign = 1.0 if of == "identity" else -1.0
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -279,7 +287,9 @@ def test_sampled_roots_carry_the_residual_of_their_square(of, n, param_range, se
         error = exc.code if isinstance(exc, errors.InvGeoError) else "numeric_error"
         assert (code, out.getvalue()) == (1, "")
         assert json.loads(err.getvalue()) == {"error": error, "detail": str(exc)}
+        assert str(exc).startswith("sampling range ") == refused
         return
+    assert not refused
     assert (code, err.getvalue()) == (0, "")
     samples = json.loads(out.getvalue())["samples"]
     assert [tuple(s["matrix"][k] for k in "abcd") for s in samples] == rows
@@ -799,10 +809,14 @@ def test_only_a_line_with_a_json_argument_loads_json(line_loads):
 
 
 def test_each_subcommand_loads_its_kernel_modules(line_loads):
-    # loaded on the first golden line that uses it, a line of that subcommand
+    # loaded on the first golden line that uses it, a line of that
+    # subcommand; the generator only on a --sample line, so roots,
+    # classify --matrix and decompose build and test roots without it
     first = {}
     for name, argv in GOLDEN_CASES:
-        for module in line_loads["lines"][name]["loads"]:
+        loads = line_loads["lines"][name]["loads"]
+        assert "invgeo._pcg64" not in loads or "--sample" in argv, name
+        for module in loads:
             if module.startswith("invgeo."):
                 first[module] = argv[0]
     assert first == {"invgeo._pcg64": "roots", "invgeo.roots": "roots",
@@ -1397,7 +1411,8 @@ def test_negative_inf_and_nan_stay_usage_errors(value, capsys):
     assert json.loads(err) == {"error": "usage", "detail": "argument --beta: expected one argument"}
 
 
-@pytest.mark.parametrize("of, value", [("identity", "0"), ("neg-identity", "1e-4")])
+@pytest.mark.parametrize("of, value", [("identity", "0"), ("neg-identity", "1e-4"),
+                                       ("identity", "0.00100000001")])
 def test_sample_range_without_admissible_b_fails_fast(of, value):
     proc = subprocess.run(
         [sys.executable, "-m", "invgeo.cli", "roots", "--of", of, "--sample", "2",

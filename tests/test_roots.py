@@ -261,16 +261,18 @@ def test_sampler_single_draw():
 
 
 @pytest.mark.parametrize("sampler", [sample_involutions, sample_skew_involutions])
-@pytest.mark.parametrize("param_range", [0.0, -0.0, 1e-4, 1e-3])
+@pytest.mark.parametrize("param_range", [0.0, -0.0, 1e-4, 1e-3, 1.0009e-3])
 def test_sampler_refuses_a_range_without_admissible_b(sampler, param_range):
     with pytest.raises(DegenerateParameter):
         sampler(2, seed=0, param_range=param_range)
 
 
 def test_sampler_range_just_above_the_b_cutoff_still_draws():
-    for m in sample_involutions(2, seed=0, param_range=0.0011):
-        assert abs(m.b) >= 1e-3
-        assert (m @ m).max_diff(I2) <= 1e-9
+    # 1.001e-3 keeps 1 in 1001 draws, just above the 1 in 1024 refused
+    for param_range in (0.0011, 1.001e-3):
+        for m in sample_involutions(2, seed=0, param_range=param_range):
+            assert abs(m.b) >= 1e-3
+            assert (m @ m).max_diff(I2) <= 1e-9
 
 
 @settings(max_examples=200, deadline=None)
@@ -283,8 +285,8 @@ def test_sampler_range_just_above_the_b_cutoff_still_draws():
     ),
 )
 @example(seed=0, bounds=[(-10.0, 20.0, 0), (-10.0, 20.0, None), (-10.0, 20.0, 17)])
-# the ends of one, and of four, 32-bit entropy words; and a seed past the
-# precomputed hash constants
+# the entropy-length boundaries, the ends of one and of four 32-bit words,
+# and a long seed of 126 words
 @example(seed=2**32 - 1, bounds=[(-10.0, 20.0, 17)])
 @example(seed=2**32, bounds=[(-10.0, 20.0, 17)])
 @example(seed=2**128 - 1, bounds=[(-10.0, 20.0, 17)])
